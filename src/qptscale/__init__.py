@@ -18,7 +18,7 @@ from .echo import (CollapseReport, EchoSeries, EnvelopeFit, GroupCollapse,
 from .errors import (CrossPhaseError, DomainError, FitError, InputError,
                      NumericError, QptError, ResourceError)
 from .linalg import (EigenDecomposition, SymmetricMatrix, eigh_dense,
-                     lanczos_ground, spectral_propagate)
+                     lanczos_ground, lanczos_survival, spectral_propagate)
 from .lmg import LmgMode, LmgParams, echo_lmg, eta_lmg, fidelity_lmg, gap_angle
 from .squeeze import (GroundExpansion, SqueezeMap, ground_expansion,
                       overlap_matrix, participation_ratio, relative_map)
@@ -35,7 +35,8 @@ __all__ = [
     "convergence_gap", "critical_coupling", "echo_exact", "echo_lmg",
     "eigh_dense", "eta_lmg", "fidelity_exact", "fidelity_gaussian",
     "fidelity_lmg", "fidelity_scaling", "fit_envelope", "gap_angle",
-    "ground_expansion", "ground_state_exact", "lanczos_ground", "min_echo",
+    "ground_expansion", "ground_state_exact", "lanczos_ground",
+    "lanczos_survival", "min_echo",
     "mode_energies", "mp_scaling", "near_critical_gap", "overlap_matrix",
     "parity_indices", "participation_ratio", "relative_map", "rescale_time",
     "scaling_eta", "semiclassical_envelope", "spectral_propagate",

@@ -151,7 +151,6 @@ def _run_dicke_converge(cfg: RunConfig):
     l1, l2 = points[0][0], points[0][1]
     series = convergence_gap(cfg.omega, cfg.omega0, l1, l2,
                              cfg.converge.n_list, target=cfg.converge.target,
-                             dense_threshold=cfg.exact.dense_threshold,
                              max_dim=cfg.exact.max_dim)
     table = ResultTable(
         columns={
@@ -187,7 +186,7 @@ def _run_dicke_echo(cfg: RunConfig):
         e1 = mode_energies(DickeParams(cfg.omega, cfg.omega0, l1)).e1
         grid = _dicke_time_grid(cfg, e1)
         return echo_exact(cfg.omega, cfg.omega0, cfg.exact.n_atoms, n_boson,
-                          l1, l2, grid, dense_threshold=cfg.exact.dense_threshold)
+                          l1, l2, grid)
 
     series_list = _pool_map(one, points, cfg.threads)
     cols = {"pair": [], "eta": [], "lambda1": [], "lambda2": [],
@@ -292,8 +291,7 @@ def _run_collapse(cfg: RunConfig):
                 _, l1, l2 = _singlemode_member(cfg, eta, scale, tau_grid)
                 e1 = mode_energies(DickeParams(cfg.omega, cfg.omega0, l1)).e1
                 series = echo_exact(cfg.omega, cfg.omega0, cfg.exact.n_atoms,
-                                    n_boson, l1, l2, tau_grid / e1,
-                                    dense_threshold=cfg.exact.dense_threshold)
+                                    n_boson, l1, l2, tau_grid / e1)
                 exact_members.append(series)
                 for k in range(len(series.t)):
                     series_cols["eta"].append(eta)
@@ -373,7 +371,6 @@ def _run_sweep(cfg: RunConfig):
             n_boson = cfg.exact.n_boson or cfg.exact.n_atoms
             row["Lp_exact"] = fidelity_exact(cfg.omega, cfg.omega0,
                                              cfg.exact.n_atoms, n_boson, p1, p2,
-                                             dense_threshold=cfg.exact.dense_threshold,
                                              max_dim=cfg.exact.max_dim)
         return row
 

@@ -23,7 +23,6 @@ class ExactOpts:
     n_atoms: int = 16
     n_boson: int | None = None
     include: bool = False
-    dense_threshold: int = 4096
     max_dim: int = 200_000
 
 

@@ -12,9 +12,8 @@ import numpy as np
 from .dicke import (DickeParams, critical_coupling, fidelity_gaussian,
                     fidelity_scaling, mode_energies, scaling_eta)
 from .echo import EchoSeries, _as_time_grid
-from .errors import InputError, ResourceError
-from .linalg import (DENSE_THRESHOLD_DEFAULT, SymmetricMatrix, eigh_dense,
-                     lanczos_ground, spectral_propagate)
+from .errors import DomainError, InputError, ResourceError
+from .linalg import SymmetricMatrix, lanczos_ground, lanczos_survival
 
 MAX_DIM_DEFAULT = 200_000
 
@@ -124,27 +123,18 @@ class GroundState:
     meta: dict
 
 
-def _solve_block(sub: SymmetricMatrix, dense_threshold: int,
-                 lanczos_tol: float, lanczos_seed: int):
-    if sub.dim <= dense_threshold:
-        e, v = eigh_dense(sub, dense_threshold=dense_threshold).ground()
-        return e, v, "dense"
-    e, v = lanczos_ground(sub, sub.dim, lanczos_tol, seed=lanczos_seed)
-    return e, v, "lanczos"
-
-
 def ground_state_exact(system: TruncatedDicke, *,
-                       dense_threshold: int = DENSE_THRESHOLD_DEFAULT,
                        lanczos_tol: float = 1e-11,
                        lanczos_seed: int = 7,
                        degeneracy_tol: float = 1e-10,
                        max_dim: int = MAX_DIM_DEFAULT) -> GroundState:
-    """Ground state of the truncated Hamiltonian.
+    """Ground state of the truncated Hamiltonian, by Lanczos on parity blocks.
 
     Below the critical coupling only the even parity block is solved (the
     ground state lives there); at and above it both blocks are solved, the
     global minimum is returned, and near-degeneracy of the two blocks is
-    reported in the metadata.
+    reported in the metadata, with the Lanczos step count and final residual
+    of the returned block.
     """
     h = build_hamiltonian(system, max_dim=max_dim)
     even, odd = parity_indices(system)
@@ -155,10 +145,10 @@ def ground_state_exact(system: TruncatedDicke, *,
     solved = []
     for name, idx in blocks:
         sub = _block(h, idx)
-        e, v, method = _solve_block(sub, dense_threshold, lanczos_tol, lanczos_seed)
-        solved.append((e, v, name, idx, method, sub.dim))
+        e, v, info = lanczos_ground(sub, sub.dim, lanczos_tol, seed=lanczos_seed)
+        solved.append((e, v, name, idx, info, sub.dim))
     solved.sort(key=lambda item: (item[0], item[2]))
-    e0, v0, name, idx, method, block_dim = solved[0]
+    e0, v0, name, idx, info, block_dim = solved[0]
     parity_gap = abs(solved[1][0] - solved[0][0]) if len(solved) > 1 else None
     vector = np.zeros(system.dim)
     vector[idx] = v0
@@ -166,7 +156,8 @@ def ground_state_exact(system: TruncatedDicke, *,
     if vector[lead] < 0:
         vector = -vector
     meta = {
-        "method": method,
+        "iterations": info.iterations,
+        "residual": info.residual,
         "block_dim": block_dim,
         "parity_gap": parity_gap,
         "quasi_degenerate": bool(parity_gap is not None and parity_gap < degeneracy_tol),
@@ -175,9 +166,25 @@ def ground_state_exact(system: TruncatedDicke, *,
     return GroundState(energy=float(e0), vector=vector, parity=name, meta=meta)
 
 
+def _refuse_super_radiant(omega: float, omega0: float, *couplings: float) -> None:
+    """The parity-symmetric exact ground states above the critical coupling
+    carry the sqrt(N) mean-field displacement, so overlaps built from them
+    are not the fluctuation fidelity the analytics describe."""
+    lc = critical_coupling(omega, omega0)
+    if any(c >= lc for c in couplings):
+        raise DomainError(
+            f"exact fidelities and echoes need couplings below the critical "
+            f"coupling {lc:.6g} (got {', '.join(f'{c:.6g}' for c in couplings)})")
+
+
 def fidelity_exact(omega: float, omega0: float, n_atoms: int, n_boson: int,
                    lambda1: float, lambda2: float, **solver_opts) -> float:
-    """|<g(lambda1)|g(lambda2)>| on a common truncated basis."""
+    """|<g(lambda1)|g(lambda2)>| on a common truncated basis.
+
+    Both couplings must lie below the critical coupling (DomainError
+    otherwise).
+    """
+    _refuse_super_radiant(omega, omega0, lambda1, lambda2)
     g1 = ground_state_exact(
         TruncatedDicke(n_atoms, n_boson, omega, omega0, lambda1), **solver_opts)
     g2 = ground_state_exact(
@@ -251,31 +258,24 @@ def convergence_gap(omega: float, omega0: float, lambda1: float, lambda2: float,
 
 
 def echo_exact(omega: float, omega0: float, n_atoms: int, n_boson: int,
-               lambda1: float, lambda2: float, t_grid, *,
-               dense_threshold: int = DENSE_THRESHOLD_DEFAULT,
-               **solver_opts) -> EchoSeries:
+               lambda1: float, lambda2: float, t_grid, **solver_opts) -> EchoSeries:
     """Exact echo |<g(lambda2)| exp(-i H(lambda1) t) |g(lambda2)>|^2.
 
-    Needs the full spectrum of the parity block holding the initial state;
-    the operation refuses block dimensions above ``dense_threshold`` instead
-    of switching methods silently.  The rescaled grid uses the
+    The survival amplitude comes from Lanczos tridiagonalization of the
+    parity block holding the initial state, seeded with that state (see
+    :func:`qptscale.linalg.lanczos_survival`); its depth is reported as
+    ``meta["krylov_depth"]``.  Both couplings must lie below the critical
+    coupling (DomainError otherwise).  The rescaled grid uses the
     thermodynamic-limit zero-mode energy at lambda1.
     """
+    _refuse_super_radiant(omega, omega0, lambda1, lambda2)
     t = _as_time_grid(t_grid)
     gs2 = ground_state_exact(
-        TruncatedDicke(n_atoms, n_boson, omega, omega0, lambda2),
-        dense_threshold=dense_threshold, **solver_opts)
+        TruncatedDicke(n_atoms, n_boson, omega, omega0, lambda2), **solver_opts)
     spec1 = TruncatedDicke(n_atoms, n_boson, omega, omega0, lambda1)
-    even, odd = parity_indices(spec1)
-    idx = even if gs2.parity == "even" else odd
+    idx, _ = parity_indices(spec1)  # below lc the ground state is even
     sub = _block(build_hamiltonian(spec1), idx)
-    if sub.dim > dense_threshold:
-        raise ResourceError(
-            f"echo needs the full spectrum of a {sub.dim}-dimensional parity "
-            f"block (> {dense_threshold}); reduce n_atoms or the boson cutoff")
-    dec = eigh_dense(sub, dense_threshold=dense_threshold)
-    psi0 = gs2.vector[idx]
-    amp = spectral_propagate(dec, psi0, t)
+    amp, depth = lanczos_survival(sub, gs2.vector[idx], t)
     m = np.abs(amp) ** 2
     e1 = mode_energies(DickeParams(omega, omega0, lambda1)).e1
     lc = critical_coupling(omega, omega0)
@@ -288,8 +288,7 @@ def echo_exact(omega: float, omega0: float, n_atoms: int, n_boson: int,
         "omega0": omega0,
         "lambda1": lambda1,
         "lambda2": lambda2,
-        "block": gs2.parity,
-        "quasi_degenerate": gs2.meta["quasi_degenerate"],
+        "krylov_depth": depth,
         "scale": abs(lambda2 - lc),
         "period": period,
         "covers_period": bool(math.isfinite(period) and t[-1] >= period * (1 - 1e-12)),

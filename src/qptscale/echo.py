@@ -12,7 +12,6 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.optimize
 
 from .errors import DomainError, FitError, InputError
 from .squeeze import SqueezeMap
@@ -172,6 +171,8 @@ def fit_envelope(series: EchoSeries, window: tuple[float, float], *,
         (1e-8, math.sqrt(2.0 * drop) / t_end, 1.0),
         (0.5 * drop / t_end**2, 4.0 / t_end, 1.0),
     ]
+    import scipy.optimize  # deferred: the only user, and slow to import
+
     best = None
     trace = []
     for x0 in starts:

@@ -179,7 +179,7 @@ def test_criterion_7_solver_integrity():
         dim = int(rng.integers(20, 501))
         sym = random_sparse_symmetric(rng, dim)
         e_dense = eigh_dense(sym).values[0]
-        e_kry, _ = lanczos_ground(sym, dim, 1e-10, seed=k)
+        e_kry, _, _ = lanczos_ground(sym, dim, 1e-10, seed=k)
         worst_gap = max(worst_gap, abs(e_dense - e_kry))
     assert worst_gap <= 1e-8
 

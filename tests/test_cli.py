@@ -159,6 +159,21 @@ def test_resource_cap_exit_code(tmp_path, capsys):
     assert "cap" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command,doc", [
+    ("sweep", {"etas": [0.5], "scales": [0.2], "phases": ["super"],
+               "exact": {"n_atoms": 8, "include": True}}),
+    ("collapse", {"etas": [0.5], "scales": [0.2], "phases": ["super"],
+                  "exact": {"n_atoms": 8, "include": True}}),
+    ("dicke-echo", {"pairs": [[0.55, 0.6]], "exact": {"n_atoms": 8}}),
+    ("dicke-converge", {"pairs": [[0.55, 0.6]], "converge": {"n_list": [8]}}),
+])
+def test_super_radiant_exact_is_usage_error(tmp_path, capsys, command, doc):
+    cfg = write_config(tmp_path, dict(doc, output={"path": str(tmp_path / "s.csv")}))
+    assert run_cli([command, "--config", cfg]) == 2
+    assert "critical" in capsys.readouterr().err
+    assert not (tmp_path / "s.csv").exists()
+
+
 def test_byte_identical_across_thread_counts(tmp_path, monkeypatch):
     doc = {"etas": [0.1, 0.5], "scales": [1e-2, 1e-3],
            "phases": ["normal", "super"]}

@@ -3,10 +3,16 @@ import math
 import numpy as np
 import pytest
 
-from qptscale import (DickeParams, InputError, ResourceError, TruncatedDicke,
-                      build_hamiltonian, convergence_gap, echo_exact,
-                      fidelity_exact, fidelity_gaussian, ground_state_exact,
-                      mode_energies, parity_indices)
+from qptscale import (DickeParams, DomainError, InputError, ResourceError,
+                      TruncatedDicke, build_hamiltonian, convergence_gap,
+                      echo_exact, eigh_dense, fidelity_exact, fidelity_gaussian,
+                      ground_state_exact, mode_energies, parity_indices,
+                      spectral_propagate)
+
+
+def even_block_dense(spec):
+    even, _ = parity_indices(spec)
+    return even, build_hamiltonian(spec).to_dense()[np.ix_(even, even)]
 
 
 def test_truncated_dicke_layout():
@@ -81,14 +87,15 @@ class TestGroundStateExact:
         for a, b in zip(energies, energies[1:]):
             assert b <= a + 1e-12
 
-    def test_dense_and_lanczos_agree(self):
+    def test_matches_dense_oracle(self):
         spec = TruncatedDicke(8, 32, 1.0, 1.0, 0.45)
-        dense = ground_state_exact(spec, dense_threshold=4096)
-        kry = ground_state_exact(spec, dense_threshold=8)
-        assert dense.meta["method"] == "dense"
-        assert kry.meta["method"] == "lanczos"
-        assert abs(dense.energy - kry.energy) <= 1e-8
-        assert abs(abs(dense.vector @ kry.vector) - 1.0) <= 1e-8
+        gs = ground_state_exact(spec)
+        even, block = even_block_dense(spec)
+        energy, vector = eigh_dense(block).ground()
+        assert abs(gs.energy - energy) <= 1e-8
+        assert abs(abs(gs.vector[even] @ vector) - 1.0) <= 1e-8
+        assert 0 < gs.meta["iterations"] <= even.size
+        assert gs.meta["residual"] <= 1e-11 * 2.0 * np.linalg.norm(block)
 
     def test_super_radiant_reports_parity_gap(self):
         gs = ground_state_exact(TruncatedDicke(12, 24, 1.0, 1.0, 0.9))
@@ -99,7 +106,7 @@ class TestGroundStateExact:
         from qptscale import lanczos_ground
         spec = TruncatedDicke(2, 6, 1.0, 1.0, 0.0)
         h = build_hamiltonian(spec)
-        energy, _ = lanczos_ground(h, spec.dim, 1e-10)
+        energy, _, _ = lanczos_ground(h, spec.dim, 1e-10)
         assert energy == pytest.approx(-1.0, abs=1e-10)
 
 
@@ -191,7 +198,31 @@ class TestEchoExact:
         assert np.max(series.echo) <= 1.0 + 1e-10
         assert np.min(series.echo) >= 0.0
 
-    def test_refuses_oversized_blocks(self):
-        t = np.linspace(0.0, 1.0, 11)
-        with pytest.raises(ResourceError):
-            echo_exact(1.0, 1.0, 24, 24, 0.45, 0.4, t, dense_threshold=64)
+    def test_matches_dense_oracle(self):
+        # one full echo period, t * e1 up to pi
+        e1 = mode_energies(DickeParams(1.0, 1.0, 0.495)).e1
+        t = np.linspace(0.0, math.pi / e1, 301)
+        series = echo_exact(1.0, 1.0, 32, 32, 0.495, 0.45, t)
+        even, block = even_block_dense(TruncatedDicke(32, 32, 1.0, 1.0, 0.495))
+        psi0 = ground_state_exact(TruncatedDicke(32, 32, 1.0, 1.0, 0.45)).vector[even]
+        oracle = np.abs(spectral_propagate(eigh_dense(block), psi0, t)) ** 2
+        assert np.max(np.abs(series.echo - oracle)) <= 1e-10
+        assert 0 < series.meta["krylov_depth"] < even.size
+
+    def test_runs_above_old_dense_ceiling(self):
+        # even block of dim 4656, above the 4096 the dense path accepted
+        e1 = mode_energies(DickeParams(1.0, 1.0, 0.45)).e1
+        t = np.linspace(0.0, math.pi / e1, 65)
+        series = echo_exact(1.0, 1.0, 96, 96, 0.45, 0.4, t)
+        assert series.echo[0] == pytest.approx(1.0, abs=1e-12)
+        assert np.all(series.echo >= 0.0) and np.all(series.echo <= 1.0 + 1e-12)
+        series.validate()
+
+
+def test_super_radiant_exact_fidelity_and_echo_refused():
+    t = np.linspace(0.0, 1.0, 11)
+    for l1, l2 in ((0.55, 0.6), (0.45, 0.55), (0.5, 0.45)):
+        with pytest.raises(DomainError):
+            fidelity_exact(1.0, 1.0, 8, 8, l1, l2)
+        with pytest.raises(DomainError):
+            echo_exact(1.0, 1.0, 8, 8, l1, l2, t)

@@ -3,7 +3,7 @@ import pytest
 
 from qptscale import (EigenDecomposition, InputError, NumericError,
                       SymmetricMatrix, eigh_dense, lanczos_ground,
-                      spectral_propagate)
+                      lanczos_survival, spectral_propagate)
 from conftest import random_sparse_symmetric
 
 
@@ -78,7 +78,7 @@ class TestEighDense:
 
 class TestLanczos:
     def test_diagonal_operator(self):
-        e, v = lanczos_ground(np.diag([5.0, -2.0, 7.0]), 3)
+        e, v, _ = lanczos_ground(np.diag([5.0, -2.0, 7.0]), 3)
         assert e == pytest.approx(-2.0, abs=1e-10)
         assert np.abs(v[1]) == pytest.approx(1.0, abs=1e-8)
 
@@ -87,21 +87,23 @@ class TestLanczos:
             dim = int(rng.integers(30, 501))
             m = random_sparse_symmetric(rng, dim)
             e_dense = eigh_dense(m).values[0]
-            e_lr, v = lanczos_ground(m, dim, 1e-10, seed=k)
+            e_lr, v, _ = lanczos_ground(m, dim, 1e-10, seed=k)
             assert abs(e_lr - e_dense) <= 1e-8
             assert np.linalg.norm(v) == pytest.approx(1.0, abs=1e-12)
 
     def test_accepts_callable_oracle(self, rng):
         a = rng.standard_normal((60, 60))
         a = (a + a.T) / 2
-        e, _ = lanczos_ground(lambda x: a @ x, 60)
+        e, _, _ = lanczos_ground(lambda x: a @ x, 60)
         assert e == pytest.approx(np.linalg.eigvalsh(a)[0], abs=1e-9)
 
     def test_residual_bound_holds(self, rng):
         m = random_sparse_symmetric(rng, 200)
-        e, v = lanczos_ground(m, 200, 1e-10)
+        e, v, info = lanczos_ground(m, 200, 1e-10)
         resid = np.linalg.norm(m.matvec(v) - e * v)
         assert resid <= 1e-9 * max(np.abs(eigh_dense(m).values).max(), 1.0)
+        assert 1 <= info.iterations <= 200
+        assert 0 <= info.residual <= 1e-9 * max(np.abs(eigh_dense(m).values).max(), 1.0)
 
     def test_iteration_cap_raises(self, rng):
         m = random_sparse_symmetric(rng, 300)
@@ -113,6 +115,15 @@ class TestLanczos:
             lanczos_ground(np.eye(3), 3, tol=0.0)
         with pytest.raises(InputError):
             lanczos_ground(np.eye(3), 0)
+
+
+class TestLanczosSurvival:
+    def test_step_cap_raises(self, rng):
+        m = random_sparse_symmetric(rng, 300)
+        psi = rng.standard_normal(300)
+        psi /= np.linalg.norm(psi)
+        with pytest.raises(NumericError):
+            lanczos_survival(m, psi, np.linspace(0.0, 50.0, 101), max_iter=40)
 
 
 class TestSpectralPropagate:
