@@ -52,7 +52,6 @@ class RunConfig:
     exact: ExactOpts = field(default_factory=ExactOpts)
     converge: ConvergeOpts = field(default_factory=ConvergeOpts)
     output: OutputOpts = field(default_factory=OutputOpts)
-    threads: int = 1
 
 
 def _schema() -> dict:
@@ -133,11 +132,10 @@ def load_document(path: str) -> dict:
 def config_hash(config: RunConfig) -> str:
     """Hash of the physics-relevant configuration.
 
-    Output location and parallelism degree are excluded so that reruns with
-    a different thread count or path stay byte-identical in provenance.
+    The output location is excluded so that reruns to a different path stay
+    byte-identical in provenance.
     """
     doc = asdict(config)
     doc.pop("output", None)
-    doc.pop("threads", None)
     canonical = json.dumps(doc, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(canonical.encode()).hexdigest()

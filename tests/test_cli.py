@@ -136,10 +136,20 @@ def test_schema_violation_reports_path(tmp_path, capsys):
     assert "omega" in capsys.readouterr().err
 
 
-def test_unknown_key_rejected(tmp_path, capsys):
-    cfg = write_config(tmp_path, {"etas": [0.1], "scales": [0.01],
-                                  "omgea": 1.0})
+@pytest.mark.parametrize("key,value", [("omgea", 1.0), ("threads", 2)],
+                         ids=["omgea", "threads"])
+def test_unknown_key_rejected(tmp_path, capsys, key, value):
+    cfg = write_config(tmp_path, {"etas": [0.1], "scales": [0.01], key: value})
     assert run_cli(["dicke-fidelity", "--config", cfg]) == 2
+    assert key in capsys.readouterr().err
+
+
+def test_threads_flag_is_usage_error(tmp_path, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["sweep", "--threads", "2", "--set", "etas=[0.1]",
+              "--set", "scales=[0.01]", "--output", str(tmp_path / "t.csv")])
+    assert exc.value.code == 2
+    assert not (tmp_path / "t.csv").exists()
 
 
 def test_model_conflict_rejected(tmp_path, capsys):
@@ -174,25 +184,33 @@ def test_super_radiant_exact_is_usage_error(tmp_path, capsys, command, doc):
     assert not (tmp_path / "s.csv").exists()
 
 
-def test_byte_identical_across_thread_counts(tmp_path, monkeypatch):
-    doc = {"etas": [0.1, 0.5], "scales": [1e-2, 1e-3],
-           "phases": ["normal", "super"]}
-    cfg = write_config(tmp_path, doc)
-    out1 = tmp_path / "a.csv"
-    out2 = tmp_path / "b.csv"
-    monkeypatch.setenv("QPT_THREADS", "1")
-    assert run_cli(["sweep", "--config", cfg, "--output", str(out1)]) == 0
-    monkeypatch.setenv("QPT_THREADS", "4")
-    assert run_cli(["sweep", "--config", cfg, "--output", str(out2)]) == 0
-    assert out1.read_bytes() == out2.read_bytes()
-
-
-def test_config_hash_ignores_output_and_threads():
+def test_config_hash_ignores_output():
     base = {"model": "dicke", "task": "sweep", "etas": [0.1], "scales": [0.01]}
     a = parse_document(dict(base))
-    b = parse_document(dict(base, threads=8,
-                            output={"path": "elsewhere.csv"}))
+    b = parse_document(dict(base, output={"path": "elsewhere.csv"}))
     assert config_hash(a) == config_hash(b)
+
+
+@pytest.mark.parametrize("command,doc,needle", [
+    ("collapse", {"etas": [0.01], "scales": [0.01], "phases": ["symmetric"]},
+     "symmetric"),
+    ("collapse", {"etas": [0.01], "scales": [0.01], "phases": ["normal", "super"]},
+     "one phase"),
+    ("collapse", {"etas": [0.01], "scales": [0.01], "pairs": [[0.45, 0.4]]},
+     "pairs"),
+    ("sweep", {"etas": [0.1], "scales": [0.01], "pairs": [[0.45, 0.4]]}, "pairs"),
+    ("sweep", {"model": "lmg", "etas": [0.1], "scales": [0.01],
+               "phases": ["symmetric"], "exact": {"include": True}}, "exact"),
+    ("dicke-converge", {"pairs": [[0.495, 0.45], [0.49, 0.4]],
+                        "converge": {"n_list": [8]}}, "one parameter point"),
+], ids=["collapse-unknown-phase", "collapse-two-phases", "collapse-pairs",
+        "sweep-pairs", "sweep-lmg-exact", "converge-two-points"])
+def test_ignored_or_ambiguous_input_is_usage_error(tmp_path, capsys, command, doc,
+                                                   needle):
+    cfg = write_config(tmp_path, dict(doc, output={"path": str(tmp_path / "r.csv")}))
+    assert run_cli([command, "--config", cfg]) == 2
+    assert needle in capsys.readouterr().err
+    assert not (tmp_path / "r.csv").exists()
 
 
 def test_collapse_emits_series_and_summary(tmp_path):
