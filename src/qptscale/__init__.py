@@ -17,8 +17,8 @@ from .echo import (CollapseReport, EchoSeries, EnvelopeFit, GroupCollapse,
                    survival_closed)
 from .errors import (CrossPhaseError, DomainError, FitError, InputError,
                      NumericError, QptError, ResourceError)
-from .linalg import (EigenDecomposition, SymmetricMatrix, eigh_dense,
-                     lanczos_ground, lanczos_survival, spectral_propagate)
+from .linalg import (EigenDecomposition, eigh_dense, lanczos_ground,
+                     lanczos_survival, spectral_propagate)
 from .lmg import LmgMode, LmgParams, echo_lmg, eta_lmg, fidelity_lmg, gap_angle
 from .squeeze import (GroundExpansion, SqueezeMap, ground_expansion,
                       overlap_matrix, participation_ratio, relative_map)
@@ -30,7 +30,7 @@ __all__ = [
     "EigenDecomposition", "EnvelopeFit", "FitError", "GroundExpansion",
     "GroundState", "GroupCollapse", "InputError", "LmgMode", "LmgParams",
     "ModeSpectrum", "NumericError", "QptError", "ResourceError",
-    "ScalingPair", "SemiclassicalParams", "SqueezeMap", "SymmetricMatrix",
+    "ScalingPair", "SemiclassicalParams", "SqueezeMap",
     "TruncatedDicke", "build_hamiltonian", "collapse_check",
     "convergence_gap", "critical_coupling", "echo_exact", "echo_lmg",
     "eigh_dense", "eta_lmg", "fidelity_exact", "fidelity_gaussian",

@@ -82,7 +82,8 @@ _MODELS = {
         fidelity=lambda cfg, l1, l2: fidelity_gaussian(_dicke(cfg, l1), _dicke(cfg, l2)),
         omega1=lambda cfg, l1: mode_energies(_dicke(cfg, l1)).e1,
         echo=lambda cfg, l1, l2, t: echo_exact(cfg.omega, cfg.omega0, cfg.exact.n_atoms,
-                                              _n_boson(cfg), l1, l2, t),
+                                              _n_boson(cfg), l1, l2, t,
+                                              max_dim=cfg.exact.max_dim),
         exact_fidelity=lambda cfg, l1, l2: fidelity_exact(
             cfg.omega, cfg.omega0, cfg.exact.n_atoms, _n_boson(cfg), l1, l2,
             max_dim=cfg.exact.max_dim),
@@ -306,6 +307,11 @@ def _config_from_args(args) -> RunConfig:
     apply_overrides(doc, args.set)
     if args.output:
         doc.setdefault("output", {})["path"] = args.output
+    # Phases only shape the eta x scale grid; there they default to the model's
+    # first phase.  Pair-only configs keep the old default, and so their hash.
+    # A list, not the dict: an unhashable model value must reach the schema check.
+    if doc.get("etas") and doc.get("model") in list(_MODELS):
+        doc.setdefault("phases", [next(iter(_MODELS[doc["model"]].signs))])
     return parse_document(doc)
 
 

@@ -8,14 +8,18 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.sparse
 
 from .dicke import (DickeParams, critical_coupling, fidelity_gaussian,
                     fidelity_scaling, mode_energies, scaling_eta)
 from .echo import EchoSeries, _as_time_grid
 from .errors import DomainError, InputError, ResourceError
-from .linalg import SymmetricMatrix, lanczos_ground, lanczos_survival
+from .linalg import lanczos_ground, lanczos_survival
 
 MAX_DIM_DEFAULT = 200_000
+GROUND_TOL = 1e-11        # Lanczos residual threshold, relative to |H|
+GROUND_SEED = 7           # seed of the Lanczos start vector
+QUASI_DEGENERATE_GAP = 1e-10  # parity gap below which blocks count as degenerate
 
 
 @dataclass(frozen=True)
@@ -55,8 +59,9 @@ class TruncatedDicke:
 
 
 def build_hamiltonian(system: TruncatedDicke, *,
-                      max_dim: int = MAX_DIM_DEFAULT) -> SymmetricMatrix:
-    """Sparse symmetric matrix of the truncated Hamiltonian.
+                      max_dim: int = MAX_DIM_DEFAULT) -> scipy.sparse.csr_array:
+    """Sparse symmetric matrix of the truncated Hamiltonian, both triangles
+    stored.
 
     Diagonal entries are omega * n + omega0 * m; the coupling connects
     (n, m) to (n +/- 1, m +/- 1) with amplitude
@@ -88,10 +93,12 @@ def build_hamiltonian(system: TruncatedDicke, *,
         rows.append((ns[:nb - 1, None] * width + ks[None, 1:]).ravel())
         cols.append(((ns[:nb - 1, None] + 1) * width + ks[None, 1:] - 1).ravel())
         vals.append(g * (bos[:, None] * down[None, :]).ravel())
-    return SymmetricMatrix.from_upper(system.dim,
-                                      np.concatenate(rows),
-                                      np.concatenate(cols),
-                                      np.concatenate(vals))
+    rows, cols, vals = (np.concatenate(x) for x in (rows, cols, vals))
+    off = rows < cols  # mirror the coupling entries into the lower triangle
+    return scipy.sparse.csr_array(
+        (np.concatenate([vals, vals[off]]),
+         (np.concatenate([rows, cols[off]]), np.concatenate([cols, rows[off]]))),
+        shape=(system.dim, system.dim))
 
 
 def parity_indices(system: TruncatedDicke) -> tuple[np.ndarray, np.ndarray]:
@@ -101,16 +108,6 @@ def parity_indices(system: TruncatedDicke) -> tuple[np.ndarray, np.ndarray]:
     ks = np.arange(width)
     par = ((ns[:, None] + ks[None, :]) % 2).ravel()
     return np.nonzero(par == 0)[0], np.nonzero(par == 1)[0]
-
-
-def _block(matrix: SymmetricMatrix, idx: np.ndarray) -> SymmetricMatrix:
-    pos = np.full(matrix.dim, -1, dtype=np.int64)
-    pos[idx] = np.arange(idx.size)
-    mask = (pos[matrix.rows] >= 0) & (pos[matrix.cols] >= 0)
-    return SymmetricMatrix.from_upper(int(idx.size),
-                                      pos[matrix.rows[mask]],
-                                      pos[matrix.cols[mask]],
-                                      matrix.vals[mask])
 
 
 @dataclass(frozen=True)
@@ -124,9 +121,6 @@ class GroundState:
 
 
 def ground_state_exact(system: TruncatedDicke, *,
-                       lanczos_tol: float = 1e-11,
-                       lanczos_seed: int = 7,
-                       degeneracy_tol: float = 1e-10,
                        max_dim: int = MAX_DIM_DEFAULT) -> GroundState:
     """Ground state of the truncated Hamiltonian, by Lanczos on parity blocks.
 
@@ -144,23 +138,19 @@ def ground_state_exact(system: TruncatedDicke, *,
         blocks.append(("odd", odd))
     solved = []
     for name, idx in blocks:
-        sub = _block(h, idx)
-        e, v, info = lanczos_ground(sub, sub.dim, lanczos_tol, seed=lanczos_seed)
-        solved.append((e, v, name, idx, info, sub.dim))
+        e, v, info = lanczos_ground(h[idx][:, idx], GROUND_TOL, seed=GROUND_SEED)
+        solved.append((e, v, name, idx, info, idx.size))
     solved.sort(key=lambda item: (item[0], item[2]))
     e0, v0, name, idx, info, block_dim = solved[0]
     parity_gap = abs(solved[1][0] - solved[0][0]) if len(solved) > 1 else None
     vector = np.zeros(system.dim)
-    vector[idx] = v0
-    lead = int(np.argmax(np.abs(vector)))
-    if vector[lead] < 0:
-        vector = -vector
+    vector[idx] = v0  # largest component positive, as lanczos_ground returns it
     meta = {
         "iterations": info.iterations,
         "residual": info.residual,
         "block_dim": block_dim,
         "parity_gap": parity_gap,
-        "quasi_degenerate": bool(parity_gap is not None and parity_gap < degeneracy_tol),
+        "quasi_degenerate": bool(parity_gap is not None and parity_gap < QUASI_DEGENERATE_GAP),
         "n_boson": system.n_boson,
     }
     return GroundState(energy=float(e0), vector=vector, parity=name, meta=meta)
@@ -178,7 +168,8 @@ def _refuse_super_radiant(omega: float, omega0: float, *couplings: float) -> Non
 
 
 def fidelity_exact(omega: float, omega0: float, n_atoms: int, n_boson: int,
-                   lambda1: float, lambda2: float, **solver_opts) -> float:
+                   lambda1: float, lambda2: float, *,
+                   max_dim: int = MAX_DIM_DEFAULT) -> float:
     """|<g(lambda1)|g(lambda2)>| on a common truncated basis.
 
     Both couplings must lie below the critical coupling (DomainError
@@ -186,9 +177,9 @@ def fidelity_exact(omega: float, omega0: float, n_atoms: int, n_boson: int,
     """
     _refuse_super_radiant(omega, omega0, lambda1, lambda2)
     g1 = ground_state_exact(
-        TruncatedDicke(n_atoms, n_boson, omega, omega0, lambda1), **solver_opts)
+        TruncatedDicke(n_atoms, n_boson, omega, omega0, lambda1), max_dim=max_dim)
     g2 = ground_state_exact(
-        TruncatedDicke(n_atoms, n_boson, omega, omega0, lambda2), **solver_opts)
+        TruncatedDicke(n_atoms, n_boson, omega, omega0, lambda2), max_dim=max_dim)
     return float(abs(g1.vector @ g2.vector))
 
 
@@ -218,16 +209,17 @@ class ConvergenceSeries:
 
 
 def convergence_gap(omega: float, omega0: float, lambda1: float, lambda2: float,
-                    n_list, *, n_boson_for=None, target: str = "scaling",
-                    **solver_opts) -> ConvergenceSeries:
+                    n_list, *, target: str = "scaling",
+                    max_dim: int = MAX_DIM_DEFAULT) -> ConvergenceSeries:
     """Distance D(N) = |Lp^N - Lp| between the finite-size fidelity and a
     thermodynamic-limit prediction, over ascending atom counts.
 
     ``target`` selects the reference: "scaling" (default) uses the ratio-only
     fidelity law, "effective" the two-mode Gaussian fidelity (shared rotation,
     exact at omega == omega0); the two references differ by ~3e-5 at the
-    standard parameter set, far below the gaps resolved here.  ``n_boson_for``
-    maps N to the boson cutoff; by default the cutoff equals N.
+    standard parameter set, far below the gaps resolved here.  The boson
+    cutoff equals N; ``max_dim`` caps the truncated basis dimension
+    (ResourceError above it).
     """
     n_list = [int(n) for n in n_list]
     if n_list != sorted(set(n_list)):
@@ -244,9 +236,8 @@ def convergence_gap(omega: float, omega0: float, lambda1: float, lambda2: float,
         raise InputError(f"unknown convergence target {target!r}")
     entries = []
     for n in n_list:
-        nb = int(n_boson_for(n)) if callable(n_boson_for) else n
-        lp = fidelity_exact(omega, omega0, n, nb, lambda1, lambda2, **solver_opts)
-        entries.append(ConvergenceEntry(n_atoms=n, n_boson=nb, lp_exact=lp,
+        lp = fidelity_exact(omega, omega0, n, n, lambda1, lambda2, max_dim=max_dim)
+        entries.append(ConvergenceEntry(n_atoms=n, n_boson=n, lp_exact=lp,
                                         gap=abs(lp - reference)))
     series = ConvergenceSeries(entries=tuple(entries), reference=float(reference),
                                target=target,
@@ -258,24 +249,26 @@ def convergence_gap(omega: float, omega0: float, lambda1: float, lambda2: float,
 
 
 def echo_exact(omega: float, omega0: float, n_atoms: int, n_boson: int,
-               lambda1: float, lambda2: float, t_grid, **solver_opts) -> EchoSeries:
+               lambda1: float, lambda2: float, t_grid, *,
+               max_dim: int = MAX_DIM_DEFAULT) -> EchoSeries:
     """Exact echo |<g(lambda2)| exp(-i H(lambda1) t) |g(lambda2)>|^2.
 
     The survival amplitude comes from Lanczos tridiagonalization of the
     parity block holding the initial state, seeded with that state (see
     :func:`qptscale.linalg.lanczos_survival`); its depth is reported as
     ``meta["krylov_depth"]``.  Both couplings must lie below the critical
-    coupling (DomainError otherwise).  The rescaled grid uses the
+    coupling (DomainError otherwise), and both truncated bases within
+    ``max_dim`` (ResourceError otherwise).  The rescaled grid uses the
     thermodynamic-limit zero-mode energy at lambda1.
     """
     _refuse_super_radiant(omega, omega0, lambda1, lambda2)
     t = _as_time_grid(t_grid)
     gs2 = ground_state_exact(
-        TruncatedDicke(n_atoms, n_boson, omega, omega0, lambda2), **solver_opts)
+        TruncatedDicke(n_atoms, n_boson, omega, omega0, lambda2), max_dim=max_dim)
     spec1 = TruncatedDicke(n_atoms, n_boson, omega, omega0, lambda1)
     idx, _ = parity_indices(spec1)  # below lc the ground state is even
-    sub = _block(build_hamiltonian(spec1), idx)
-    amp, depth = lanczos_survival(sub, gs2.vector[idx], t)
+    h1 = build_hamiltonian(spec1, max_dim=max_dim)
+    amp, depth = lanczos_survival(h1[idx][:, idx], gs2.vector[idx], t)
     m = np.abs(amp) ** 2
     e1 = mode_energies(DickeParams(omega, omega0, lambda1)).e1
     lc = critical_coupling(omega, omega0)

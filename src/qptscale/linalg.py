@@ -4,8 +4,9 @@ A single Lanczos loop with full (two-pass) reorthogonalization serves two
 solvers: :func:`lanczos_ground`, the lowest eigenpair from a random start,
 stopped on its residual; and :func:`lanczos_survival`, the survival amplitude
 <psi0| exp(-i A t) |psi0> on a time grid from a start at psi0, by Gauss
-quadrature of psi0's spectral measure.  Sparse Hamiltonians are never
-densified on these paths.
+quadrature of psi0's spectral measure.  Both take any real symmetric
+operator with ``.shape`` and ``@`` (an ndarray, a ``scipy.sparse`` array or a
+``LinearOperator``), so sparse Hamiltonians are never densified.
 
 The dense eigendecomposition (:func:`eigh_dense`, through LAPACK's
 ``numpy.linalg.eigh``) and :func:`spectral_propagate` remain as the reference
@@ -16,7 +17,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Union
 
 import numpy as np
 import scipy.linalg
@@ -28,105 +28,16 @@ DENSE_THRESHOLD_DEFAULT = 4096
 SURVIVAL_TOL = 1e-12
 SURVIVAL_CHECK_EVERY = 20
 
-ApplyLike = Union["SymmetricMatrix", np.ndarray, Callable[[np.ndarray], np.ndarray]]
 
-
-@dataclass(frozen=True)
-class SymmetricMatrix:
-    """Real symmetric matrix; only the upper triangle is authoritative.
-
-    Exactly one storage is populated: ``dense`` holds a full square array
-    (symmetrized from its upper triangle), or ``rows``/``cols``/``vals``
-    hold sorted upper-triangle coordinates with ``rows <= cols``.
-    """
-
-    dim: int
-    dense: np.ndarray | None = None
-    rows: np.ndarray | None = None
-    cols: np.ndarray | None = None
-    vals: np.ndarray | None = None
-
-    def __post_init__(self):
-        if self.dim <= 0:
-            raise InputError("matrix dimension must be positive")
-        if (self.dense is None) == (self.vals is None):
-            raise InputError("exactly one of dense or coordinate storage must be set")
-        if self.dense is not None:
-            if self.dense.shape != (self.dim, self.dim):
-                raise InputError("dense storage shape does not match dim")
-            if not np.all(np.isfinite(self.dense)):
-                raise InputError("matrix entries must be finite")
-        else:
-            if not np.all(np.isfinite(self.vals)):
-                raise InputError("matrix entries must be finite")
-            if np.any(self.rows > self.cols):
-                raise InputError("coordinate storage must satisfy row <= col")
-            if np.any(self.rows < 0) or np.any(self.cols >= self.dim):
-                raise InputError("coordinate indices out of range")
-            object.__setattr__(self, "_csr", self._build_csr())
-
-    @classmethod
-    def from_dense(cls, a: np.ndarray) -> "SymmetricMatrix":
-        """Wrap a square array; only its upper triangle is read."""
-        a = np.asarray(a, dtype=float)
-        if a.ndim != 2 or a.shape[0] != a.shape[1]:
-            raise InputError("expected a square 2-d array")
-        upper = np.triu(a)
-        full = upper + np.triu(a, 1).T
-        return cls(dim=a.shape[0], dense=full)
-
-    @classmethod
-    def from_upper(cls, dim: int, rows, cols, vals) -> "SymmetricMatrix":
-        """Build from upper-triangle coordinates; duplicates are summed."""
-        rows = np.asarray(rows, dtype=np.int64)
-        cols = np.asarray(cols, dtype=np.int64)
-        vals = np.asarray(vals, dtype=float)
-        if not (rows.shape == cols.shape == vals.shape):
-            raise InputError("rows, cols, vals must have equal length")
-        if rows.size:
-            key = rows * dim + cols
-            uniq, inv = np.unique(key, return_inverse=True)
-            vals = np.bincount(inv, weights=vals, minlength=uniq.size)
-            rows = uniq // dim
-            cols = uniq % dim
-        return cls(dim=dim, rows=rows, cols=cols, vals=vals)
-
-    def _build_csr(self):
-        off = self.rows < self.cols
-        r = np.concatenate([self.rows, self.cols[off]])
-        c = np.concatenate([self.cols, self.rows[off]])
-        v = np.concatenate([self.vals, self.vals[off]])
-        return scipy.sparse.csr_matrix((v, (r, c)), shape=(self.dim, self.dim))
-
-    @property
-    def is_dense(self) -> bool:
-        return self.dense is not None
-
-    @property
-    def nnz_upper(self) -> int:
-        if self.is_dense:
-            return int(np.count_nonzero(np.triu(self.dense)))
-        return int(self.vals.size)
-
-    def to_dense(self) -> np.ndarray:
-        if self.is_dense:
-            return self.dense.copy()
-        a = np.zeros((self.dim, self.dim))
-        a[self.rows, self.cols] = self.vals
-        off = self.rows < self.cols
-        a[self.cols[off], self.rows[off]] = self.vals[off]
-        return a
-
-    def matvec(self, x: np.ndarray) -> np.ndarray:
-        if self.is_dense:
-            return self.dense @ x
-        return self._csr @ x
-
-    def frobenius(self) -> float:
-        if self.is_dense:
-            return float(np.linalg.norm(self.dense))
-        off = self.rows < self.cols
-        return float(math.sqrt(np.sum(self.vals**2) + np.sum(self.vals[off] ** 2)))
+def _symmetric_dense(a) -> np.ndarray:
+    """Square float array from a dense or ``scipy.sparse`` matrix, symmetrized
+    from its upper triangle; the lower triangle is never read."""
+    _operator_dim(a)
+    a = a.toarray() if scipy.sparse.issparse(a) else np.asarray(a, dtype=float)
+    a = np.triu(a) + np.triu(a, 1).T
+    if not np.all(np.isfinite(a)):
+        raise InputError("matrix entries must be finite")
+    return a
 
 
 @dataclass(frozen=True)
@@ -139,9 +50,10 @@ class EigenDecomposition:
     def ground(self) -> tuple[float, np.ndarray]:
         return float(self.values[0]), self.vectors[:, 0]
 
-    def validate(self, matrix: SymmetricMatrix | None = None, *,
+    def validate(self, matrix=None, *,
                  ortho_tol: float = 1e-10, residual_tol: float = 1e-8) -> None:
-        """Raise NumericError if ordering, orthonormality or residuals fail."""
+        """Raise NumericError if ordering, orthonormality or the residuals
+        against ``matrix`` (when given, read as :func:`eigh_dense` reads it) fail."""
         if np.any(np.diff(self.values) < 0):
             raise NumericError("eigenvalues are not non-decreasing")
         gram = self.vectors.T @ self.vectors
@@ -149,8 +61,9 @@ class EigenDecomposition:
         if dev > ortho_tol:
             raise NumericError(f"eigenvector set not orthonormal: max deviation {dev:.3e}")
         if matrix is not None:
-            scale = matrix.frobenius()
-            resid = matrix.matvec(self.vectors) - self.vectors * self.values
+            a = _symmetric_dense(matrix)
+            scale = float(np.linalg.norm(a))
+            resid = a @ self.vectors - self.vectors * self.values
             worst = float(np.max(np.linalg.norm(resid, axis=0)))
             if worst > residual_tol * max(scale, 1e-300):
                 raise NumericError(
@@ -194,46 +107,43 @@ def _canonical_order(values: np.ndarray, vectors: np.ndarray, scale: float):
     return values, vectors
 
 
-def eigh_dense(matrix: SymmetricMatrix | np.ndarray, *,
+def eigh_dense(matrix, *,
                dense_threshold: int = DENSE_THRESHOLD_DEFAULT) -> EigenDecomposition:
     """Full eigendecomposition of a real symmetric matrix.
 
-    The matrix must fit below ``dense_threshold``; larger problems belong to
-    :func:`lanczos_ground`.
+    ``matrix`` is a square ndarray or ``scipy.sparse`` array; only its upper
+    triangle is read.  It must fit below ``dense_threshold``; larger problems
+    belong to :func:`lanczos_ground`.
     """
-    if isinstance(matrix, np.ndarray):
-        matrix = SymmetricMatrix.from_dense(matrix)
-    if matrix.dim > dense_threshold:
-        raise InputError(
-            f"dim {matrix.dim} exceeds dense threshold {dense_threshold}")
-    a = matrix.to_dense()
+    dim = _operator_dim(matrix)  # checked before anything is densified
+    if dim > dense_threshold:
+        raise InputError(f"dim {dim} exceeds dense threshold {dense_threshold}")
+    a = _symmetric_dense(matrix)
     try:
         values, vectors = np.linalg.eigh(a)
     except np.linalg.LinAlgError as err:
         raise NumericError(f"dense eigensolver failed to converge: {err}") from err
-    values, vectors = _canonical_order(values, vectors, matrix.frobenius())
+    values, vectors = _canonical_order(values, vectors, float(np.linalg.norm(a)))
     return EigenDecomposition(np.ascontiguousarray(values),
                               np.ascontiguousarray(vectors))
 
 
-def _as_matvec(apply: ApplyLike, dim: int) -> Callable[[np.ndarray], np.ndarray]:
-    if isinstance(apply, SymmetricMatrix):
-        if apply.dim != dim:
-            raise InputError("operator dimension does not match dim")
-        return apply.matvec
-    if isinstance(apply, np.ndarray):
-        if apply.shape != (dim, dim):
-            raise InputError("operator array shape does not match dim")
-        return lambda x: apply @ x
-    if callable(apply):
-        return apply
-    raise InputError("apply must be a SymmetricMatrix, ndarray or callable")
+def _operator_dim(a) -> int:
+    """Dimension of a square operator: anything with ``.shape`` and ``a @ x``."""
+    shape = getattr(a, "shape", ())
+    if len(shape) != 2 or shape[0] != shape[1] or shape[0] < 1:
+        raise InputError(f"operator must be square and non-empty, got shape {shape}")
+    return int(shape[0])
 
 
-def _tridiag_ground(alphas: np.ndarray, betas: np.ndarray):
-    w, v = scipy.linalg.eigh_tridiagonal(alphas, betas, select="i",
-                                         select_range=(0, 0))
-    return float(w[0]), v[:, 0]
+def _unit_state(psi0, dim: int) -> np.ndarray:
+    psi0 = np.asarray(psi0, dtype=float)
+    if psi0.shape != (dim,):
+        raise InputError(f"psi0 must be a state vector of dimension {dim}")
+    nrm = float(np.linalg.norm(psi0))
+    if abs(nrm - 1.0) > 1e-6:
+        raise InputError(f"psi0 must be unit norm (got {nrm:.8f})")
+    return psi0
 
 
 def _norm_estimate(alphas: np.ndarray, betas: np.ndarray) -> float:
@@ -242,8 +152,8 @@ def _norm_estimate(alphas: np.ndarray, betas: np.ndarray) -> float:
                  + (np.max(np.abs(betas)) if betas.size else 0.0)) or 1.0
 
 
-def _lanczos(matvec, start: np.ndarray, cap: int):
-    """Lanczos recurrence with two-pass full reorthogonalization.
+def _lanczos(a, start: np.ndarray, cap: int):
+    """Lanczos recurrence on ``a`` with two-pass full reorthogonalization.
 
     Yields ``(basis, alphas, betas, beta)`` after each step: the k Lanczos
     vectors as the rows of ``basis``, the k x k tridiagonal projection
@@ -260,7 +170,7 @@ def _lanczos(matvec, start: np.ndarray, cap: int):
     q = start / np.linalg.norm(start)
     for k in range(cap):
         basis[k] = q
-        w = matvec(q)
+        w = a @ q
         alphas[k] = float(q @ w)
         w = w - alphas[k] * q
         if k:
@@ -280,97 +190,56 @@ def _lanczos(matvec, start: np.ndarray, cap: int):
 
 @dataclass(frozen=True)
 class LanczosInfo:
-    """What a Lanczos ground-state solve did: Lanczos steps taken in the
-    final run and the residual estimate |A v - E v| it stopped at."""
+    """What a Lanczos ground-state solve did: Lanczos steps taken and the
+    residual estimate |A v - E v| it stopped at."""
 
     iterations: int
     residual: float
 
 
-def _ground_run(matvec, start, tol, cap):
-    """One Lanczos run toward the lowest eigenpair; the Ritz vector is
-    formed once, on exit."""
-    converged = False
-    for basis, alphas, betas, beta in _lanczos(matvec, start, cap):
-        theta, s = _tridiag_ground(alphas, betas)
-        resid = beta * abs(s[-1])
-        normest = _norm_estimate(alphas, betas)
-        if resid <= tol * normest:
-            converged = True
-            break
-    k = alphas.size
-    if converged or k == start.size:
-        # an exhausted Krylov space makes the tridiagonal problem the full one
-        status = "converged"
-    elif k < cap:
-        status = "breakdown"
-    else:
-        status = "maxiter"
-    ritz = s @ basis
-    nrm = np.linalg.norm(ritz)
-    if nrm > 0:
-        ritz = ritz / nrm
-    return theta, ritz, resid, normest, k, status
+def lanczos_ground(a, tol: float = 1e-10, *, max_iter: int | None = None,
+                   seed: int = 0):
+    """Lowest eigenpair of the operator ``a`` by one Lanczos run from a
+    random start drawn with ``seed``.
 
+    The run stops when the residual |A v - E v| is within ``tol`` times a
+    Gershgorin estimate of |A|, or when the Krylov space fills the space or
+    closes at a breakdown, where the projection is exact.  Reaching
+    ``max_iter`` steps (default min(dim, 600)) first raises NumericError.
 
-def lanczos_ground(apply: ApplyLike, dim: int, tol: float = 1e-10, *,
-                   max_iter: int | None = None, seed: int = 0,
-                   max_restarts: int = 3):
-    """Lowest eigenpair of a real symmetric operator via Lanczos iteration.
-
-    Parameters
-    ----------
-    apply : SymmetricMatrix, ndarray or callable
-        Symmetric operator, or a matrix-vector oracle x -> A x.
-    dim : int
-        Operator dimension.
-    tol : float
-        Convergence threshold on the residual |A v - E v| relative to a
-        Gershgorin estimate of |A|.
-    max_iter, seed, max_restarts
-        Iteration cap (default min(dim, 600)), RNG seed for the start
-        vector, and number of perturbed restarts after a Krylov breakdown.
-
-    Returns
-    -------
-    (energy, vector, info)
-        Ritz value, unit-norm Ritz vector for the ground state, and a
-        :class:`LanczosInfo` with the step count and residual.
+    Returns ``(energy, vector, info)``: the Ritz value, the unit-norm Ritz
+    vector with its largest component positive, and a :class:`LanczosInfo`.
     """
-    if dim < 1:
-        raise InputError("dim must be positive")
+    dim = _operator_dim(a)
     if not tol > 0:
         raise InputError("tol must be positive")
-    matvec = _as_matvec(apply, dim)
-    if dim == 1:
-        e = float(matvec(np.ones(1))[0])
-        return e, np.ones(1), LanczosInfo(iterations=1, residual=0.0)
     cap = int(max_iter) if max_iter else min(dim, 600)
-    rng = np.random.default_rng(seed)
-    start = rng.standard_normal(dim)
-    best = None
-    for _ in range(max_restarts + 1):
-        theta, vector, resid, normest, k, status = _ground_run(matvec, start, tol, cap)
-        if status == "converged":
-            lead = int(np.argmax(np.abs(vector)))
-            if vector[lead] < 0:
-                vector = -vector
-            return theta, vector, LanczosInfo(iterations=k, residual=float(resid))
-        if best is None or resid < best[2]:
-            best = (theta, vector, resid, normest)
-        if status == "breakdown":
-            start = vector + 0.05 * rng.standard_normal(dim)
-        else:
+    start = np.random.default_rng(seed).standard_normal(dim)
+    for basis, alphas, betas, beta in _lanczos(a, start, cap):
+        w, v = scipy.linalg.eigh_tridiagonal(alphas, betas, select="i",
+                                             select_range=(0, 0))
+        theta, s = float(w[0]), v[:, 0]
+        resid = beta * abs(s[-1])
+        bound = tol * _norm_estimate(alphas, betas)
+        if resid <= bound:
             break
-    raise NumericError(
-        f"Lanczos did not converge within {cap} iterations: residual "
-        f"{best[2]:.3e} vs bound {tol * best[3]:.3e}")
+    k = alphas.size
+    if resid > bound and k == cap < dim:
+        raise NumericError(
+            f"Lanczos did not converge within {cap} iterations: residual "
+            f"{resid:.3e} vs bound {bound:.3e}")
+    vector = s @ basis
+    vector = vector / np.linalg.norm(vector)
+    lead = int(np.argmax(np.abs(vector)))
+    if vector[lead] < 0:
+        vector = -vector
+    return theta, vector, LanczosInfo(iterations=k, residual=float(resid))
 
 
-def lanczos_survival(apply: ApplyLike, psi0: np.ndarray, t, *,
+def lanczos_survival(a, psi0: np.ndarray, t, *,
                      max_iter: int | None = None) -> tuple[np.ndarray, int]:
     """Survival amplitude <psi0| exp(-i A t) |psi0> on a time grid by Lanczos
-    tridiagonalization seeded with ``psi0``.
+    tridiagonalization of the operator ``a`` seeded with ``psi0``.
 
     After k steps the amplitude is the k-point Gauss quadrature of psi0's
     spectral measure, A(t) = sum_j s_j[0]^2 exp(-i theta_j t), from the
@@ -386,14 +255,8 @@ def lanczos_survival(apply: ApplyLike, psi0: np.ndarray, t, *,
     steps.  Raises NumericError if the echo has not settled within
     ``max_iter`` steps (default min(dim, 600)).
     """
-    psi0 = np.asarray(psi0, dtype=float)
-    if psi0.ndim != 1:
-        raise InputError("psi0 must be a 1-d state vector")
-    dim = psi0.size
-    nrm = float(np.linalg.norm(psi0))
-    if abs(nrm - 1.0) > 1e-6:
-        raise InputError(f"psi0 must be unit norm (got {nrm:.8f})")
-    matvec = _as_matvec(apply, dim)
+    dim = _operator_dim(a)
+    psi0 = _unit_state(psi0, dim)
     t = np.asarray(t, dtype=float)
     cap = int(max_iter) if max_iter else min(dim, 600)
 
@@ -402,7 +265,7 @@ def lanczos_survival(apply: ApplyLike, psi0: np.ndarray, t, *,
         return np.exp(-1j * np.multiply.outer(t, theta)) @ (s[0] ** 2)
 
     previous, change = None, math.inf
-    for _, alphas, betas, _ in _lanczos(matvec, psi0, cap):
+    for _, alphas, betas, _ in _lanczos(a, psi0, cap):
         k = alphas.size
         if k % SURVIVAL_CHECK_EVERY and k < cap:
             continue
@@ -426,12 +289,7 @@ def spectral_propagate(decomp: EigenDecomposition, psi0: np.ndarray, t):
     ``t`` may be a scalar or an array; the amplitude is returned with the
     matching shape.
     """
-    psi0 = np.asarray(psi0, dtype=float)
-    if psi0.shape != (decomp.values.size,):
-        raise InputError("state dimension does not match the decomposition")
-    nrm = float(np.linalg.norm(psi0))
-    if abs(nrm - 1.0) > 1e-6:
-        raise InputError(f"psi0 must be unit norm (got {nrm:.8f})")
+    psi0 = _unit_state(psi0, decomp.values.size)
     weights = (decomp.vectors.T @ psi0) ** 2
     t_in = np.asarray(t, dtype=float)
     phases = np.exp(-1j * np.multiply.outer(np.atleast_1d(t_in), decomp.values))

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.sparse
 
 
 @pytest.fixture
@@ -8,13 +9,16 @@ def rng():
 
 
 def random_sparse_symmetric(rng, dim, nnz_factor=4):
-    """Random sparse SymmetricMatrix helper shared by several suites."""
-    from qptscale import SymmetricMatrix
-
+    """Random sparse symmetric csr_array helper shared by several suites:
+    ``nnz_factor * dim`` upper-triangle draws (duplicates summed), mirrored."""
     nnz = nnz_factor * dim
     rows = rng.integers(0, dim, nnz)
     cols = rng.integers(0, dim, nnz)
     lo = np.minimum(rows, cols)
     hi = np.maximum(rows, cols)
     vals = rng.standard_normal(nnz)
-    return SymmetricMatrix.from_upper(dim, lo, hi, vals)
+    off = lo < hi
+    return scipy.sparse.csr_array(
+        (np.concatenate([vals, vals[off]]),
+         (np.concatenate([lo, hi[off]]), np.concatenate([hi, lo[off]]))),
+        shape=(dim, dim))

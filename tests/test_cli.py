@@ -73,6 +73,20 @@ def test_lmg_fidelity_subcommand(tmp_path):
         assert abs(a - s) <= 1e-3
 
 
+def test_lmg_grid_defaults_to_an_lmg_phase(tmp_path):
+    out = tmp_path / "lmg.csv"
+    assert run_cli(["lmg-fidelity", "--set", "etas=[0.1]", "--set", "scales=[0.01]",
+                    "--output", str(out)]) == 0
+    assert read_table(str(out)).columns["phase"] == ["symmetric"]
+
+
+@pytest.mark.parametrize("model", ["bogus", [1]], ids=["unknown", "unhashable"])
+def test_unknown_model_is_usage_error(tmp_path, capsys, model):
+    assert run_cli(["sweep", "--set", f"model={json.dumps(model)}", "--set", "etas=[0.1]",
+                    "--set", "scales=[0.01]", "--output", str(tmp_path / "u.csv")]) == 2
+    assert "model" in capsys.readouterr().err
+
+
 def test_sweep_ratio_invariance(tmp_path):
     cfg = write_config(tmp_path, {
         "etas": [0.1], "scales": [1e-2, 1e-3],
@@ -159,14 +173,18 @@ def test_model_conflict_rejected(tmp_path, capsys):
 
 
 def test_resource_cap_exit_code(tmp_path, capsys):
-    cfg = write_config(tmp_path, {
-        "pairs": [[0.495, 0.45]],
-        "converge": {"n_list": [64]},
-        "exact": {"max_dim": 100},
-        "output": {"path": str(tmp_path / "r.csv")},
-    })
-    assert run_cli(["dicke-converge", "--config", cfg]) == 3
-    assert "cap" in capsys.readouterr().err
+    # every exact path, echoes included, honours exact.max_dim
+    grid = {"etas": [0.5], "scales": [0.2]}
+    for command, doc in (
+            ("dicke-converge", {"pairs": [[0.495, 0.45]], "converge": {"n_list": [64]}}),
+            ("sweep", dict(grid, exact={"include": True, "n_atoms": 16})),
+            ("dicke-echo", {"pairs": [[0.45, 0.4]], "exact": {"n_atoms": 16}}),
+            ("collapse", dict(grid, exact={"include": True, "n_atoms": 16}))):
+        doc["exact"] = dict(doc.get("exact", {}), max_dim=100)
+        cfg = write_config(tmp_path, dict(doc, output={"path": str(tmp_path / "r.csv")}))
+        assert run_cli([command, "--config", cfg]) == 3, command
+        assert "cap" in capsys.readouterr().err
+        assert not (tmp_path / "r.csv").exists()
 
 
 @pytest.mark.parametrize("command,doc", [

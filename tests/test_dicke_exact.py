@@ -12,7 +12,7 @@ from qptscale import (DickeParams, DomainError, InputError, ResourceError,
 
 def even_block_dense(spec):
     even, _ = parity_indices(spec)
-    return even, build_hamiltonian(spec).to_dense()[np.ix_(even, even)]
+    return even, build_hamiltonian(spec).toarray()[np.ix_(even, even)]
 
 
 def test_truncated_dicke_layout():
@@ -34,30 +34,30 @@ def test_truncated_dicke_validation():
 class TestBuildHamiltonian:
     def test_decoupled_is_diagonal(self):
         spec = TruncatedDicke(3, 5, 1.3, 0.7, 0.0)
-        h = build_hamiltonian(spec)
-        assert np.all(h.rows == h.cols)
+        h = build_hamiltonian(spec).tocoo()
+        assert np.all(h.row == h.col)
         j = spec.j
         for n in range(5):
             for k in range(4):
                 idx = spec.index(n, k)
                 expected = 1.3 * n + 0.7 * (k - j)
-                assert h.to_dense()[idx, idx] == pytest.approx(expected, abs=1e-14)
+                assert h.toarray()[idx, idx] == pytest.approx(expected, abs=1e-14)
 
     def test_hand_checked_coupling_element(self):
         # <n=1, m=0| H |n=0, m=-1> = (0.45/sqrt(2)) * 1 * sqrt(2) = 0.45
         spec = TruncatedDicke(2, 3, 1.0, 1.0, 0.45)
-        dense = build_hamiltonian(spec).to_dense()
+        dense = build_hamiltonian(spec).toarray()
         row = spec.index(1, 1)
         col = spec.index(0, 0)
         assert dense[row, col] == pytest.approx(0.45, abs=1e-14)
 
     def test_parity_blocks_decouple_exactly(self):
         spec = TruncatedDicke(5, 8, 1.0, 2.0, 0.9)
-        h = build_hamiltonian(spec)
+        h = build_hamiltonian(spec).tocoo()
         width = spec.n_atoms + 1
         par = lambda idx: (idx // width + idx % width) % 2
-        off = h.rows != h.cols
-        assert np.all(par(h.rows[off]) == par(h.cols[off]))
+        off = h.row != h.col
+        assert np.all(par(h.row[off]) == par(h.col[off]))
         even, odd = parity_indices(spec)
         assert even.size + odd.size == spec.dim
 
@@ -106,7 +106,7 @@ class TestGroundStateExact:
         from qptscale import lanczos_ground
         spec = TruncatedDicke(2, 6, 1.0, 1.0, 0.0)
         h = build_hamiltonian(spec)
-        energy, _, _ = lanczos_ground(h, spec.dim, 1e-10)
+        energy, _, _ = lanczos_ground(h, 1e-10)
         assert energy == pytest.approx(-1.0, abs=1e-10)
 
 

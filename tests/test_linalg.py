@@ -1,37 +1,28 @@
 import numpy as np
 import pytest
+import scipy.sparse
+from scipy.sparse.linalg import LinearOperator
 
-from qptscale import (EigenDecomposition, InputError, NumericError,
-                      SymmetricMatrix, eigh_dense, lanczos_ground,
-                      lanczos_survival, spectral_propagate)
+from qptscale import (EigenDecomposition, InputError, NumericError, eigh_dense,
+                      lanczos_ground, lanczos_survival, spectral_propagate)
 from conftest import random_sparse_symmetric
 
 
-class TestSymmetricMatrix:
-    def test_from_dense_reads_upper_triangle_only(self):
+class TestEighDense:
+    def test_reads_upper_triangle_only(self):
         a = np.array([[1.0, 2.0], [99.0, 3.0]])
-        m = SymmetricMatrix.from_dense(a)
-        assert m.dense[1, 0] == 2.0
-
-    def test_from_upper_sums_duplicates_and_matches_dense(self, rng):
-        m = random_sparse_symmetric(rng, 40)
-        x = rng.standard_normal(40)
-        assert np.allclose(m.matvec(x), m.to_dense() @ x, atol=1e-13)
-        assert m.frobenius() == pytest.approx(np.linalg.norm(m.to_dense()), rel=1e-12)
+        upper = np.array([[1.0, 2.0], [2.0, 3.0]])
+        dec, ref = eigh_dense(a), eigh_dense(upper)
+        assert np.array_equal(dec.values, ref.values)
+        assert np.array_equal(dec.vectors, ref.vectors)
+        dec.validate(a)
 
     def test_rejects_nonfinite(self):
         with pytest.raises(InputError):
-            SymmetricMatrix.from_dense(np.array([[np.nan, 0.0], [0.0, 1.0]]))
+            eigh_dense(np.array([[np.nan, 0.0], [0.0, 1.0]]))
         with pytest.raises(InputError):
-            SymmetricMatrix.from_upper(3, [0], [1], [np.inf])
+            eigh_dense(scipy.sparse.csr_array(([np.inf], ([0], [1])), shape=(3, 3)))
 
-    def test_rejects_lower_triangle_coordinates(self):
-        with pytest.raises(InputError):
-            SymmetricMatrix(dim=3, rows=np.array([2]), cols=np.array([0]),
-                            vals=np.array([1.0]))
-
-
-class TestEighDense:
     def test_diagonal_matrix(self):
         dec = eigh_dense(np.diag([3.0, 1.0, 2.0]))
         assert np.allclose(dec.values, [1.0, 2.0, 3.0])
@@ -50,12 +41,11 @@ class TestEighDense:
     def test_random_reconstruction_and_orthonormality(self, rng):
         a = rng.standard_normal((50, 50))
         a = (a + a.T) / 2
-        m = SymmetricMatrix.from_dense(a)
-        dec = eigh_dense(m)
+        dec = eigh_dense(a)
         rec = (dec.vectors * dec.values) @ dec.vectors.T
-        assert np.max(np.abs(rec - m.dense)) <= 1e-9 * m.frobenius()
+        assert np.max(np.abs(rec - a)) <= 1e-9 * np.linalg.norm(a)
         assert np.max(np.abs(dec.vectors.T @ dec.vectors - np.eye(50))) <= 1e-10
-        dec.validate(m)
+        dec.validate(a)
 
     def test_deterministic_on_degenerate_spectrum(self):
         a = np.diag([2.0, 2.0, 5.0])
@@ -63,11 +53,13 @@ class TestEighDense:
         d1 = eigh_dense(a)
         d2 = eigh_dense(a)
         assert np.array_equal(d1.vectors, d2.vectors)
-        d1.validate(SymmetricMatrix.from_dense(a))
+        d1.validate(a)
 
     def test_dense_threshold_enforced(self):
         with pytest.raises(InputError):
             eigh_dense(np.eye(10), dense_threshold=5)
+        with pytest.raises(InputError):  # refused before it is densified
+            eigh_dense(scipy.sparse.eye_array(10**6, format="csr"))
 
     def test_validate_catches_bad_decomposition(self):
         dec = EigenDecomposition(values=np.array([0.0, 1.0]),
@@ -78,7 +70,7 @@ class TestEighDense:
 
 class TestLanczos:
     def test_diagonal_operator(self):
-        e, v, _ = lanczos_ground(np.diag([5.0, -2.0, 7.0]), 3)
+        e, v, _ = lanczos_ground(np.diag([5.0, -2.0, 7.0]))
         assert e == pytest.approx(-2.0, abs=1e-10)
         assert np.abs(v[1]) == pytest.approx(1.0, abs=1e-8)
 
@@ -87,20 +79,20 @@ class TestLanczos:
             dim = int(rng.integers(30, 501))
             m = random_sparse_symmetric(rng, dim)
             e_dense = eigh_dense(m).values[0]
-            e_lr, v, _ = lanczos_ground(m, dim, 1e-10, seed=k)
+            e_lr, v, _ = lanczos_ground(m, 1e-10, seed=k)
             assert abs(e_lr - e_dense) <= 1e-8
             assert np.linalg.norm(v) == pytest.approx(1.0, abs=1e-12)
 
     def test_accepts_callable_oracle(self, rng):
         a = rng.standard_normal((60, 60))
         a = (a + a.T) / 2
-        e, _, _ = lanczos_ground(lambda x: a @ x, 60)
+        e, _, _ = lanczos_ground(LinearOperator((60, 60), matvec=lambda x: a @ x))
         assert e == pytest.approx(np.linalg.eigvalsh(a)[0], abs=1e-9)
 
     def test_residual_bound_holds(self, rng):
         m = random_sparse_symmetric(rng, 200)
-        e, v, info = lanczos_ground(m, 200, 1e-10)
-        resid = np.linalg.norm(m.matvec(v) - e * v)
+        e, v, info = lanczos_ground(m, 1e-10)
+        resid = np.linalg.norm(m @ v - e * v)
         assert resid <= 1e-9 * max(np.abs(eigh_dense(m).values).max(), 1.0)
         assert 1 <= info.iterations <= 200
         assert 0 <= info.residual <= 1e-9 * max(np.abs(eigh_dense(m).values).max(), 1.0)
@@ -108,13 +100,26 @@ class TestLanczos:
     def test_iteration_cap_raises(self, rng):
         m = random_sparse_symmetric(rng, 300)
         with pytest.raises(NumericError):
-            lanczos_ground(m, 300, 1e-14, max_iter=4, max_restarts=0)
+            lanczos_ground(m, 1e-14, max_iter=4)
+
+    def test_breakdown_counts_as_converged(self):
+        # two distinct eigenvalues: the Krylov space closes after two steps,
+        # with a residual above this tol
+        e, v, info = lanczos_ground(np.diag([1.0] * 10 + [3.0] * 10), 1e-17)
+        assert e == pytest.approx(1.0, abs=1e-12)
+        assert np.linalg.norm(v[10:]) <= 1e-12
+        assert info.iterations == 2
 
     def test_bad_inputs(self):
         with pytest.raises(InputError):
-            lanczos_ground(np.eye(3), 3, tol=0.0)
+            lanczos_ground(np.eye(3), tol=0.0)
+        for bad in (np.zeros((0, 0)), np.ones((2, 3)), np.ones(3)):
+            with pytest.raises(InputError):
+                lanczos_ground(bad)
+            with pytest.raises(InputError):
+                lanczos_survival(bad, np.ones(1), [0.0])
         with pytest.raises(InputError):
-            lanczos_ground(np.eye(3), 0)
+            lanczos_survival(np.eye(3), np.ones(4) / 2.0, [0.0])
 
 
 class TestLanczosSurvival:
