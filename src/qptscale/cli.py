@@ -13,7 +13,8 @@ from typing import Callable
 import numpy as np
 
 from . import __version__
-from .config import RunConfig, apply_overrides, config_hash, load_document, parse_document
+from .config import (RunConfig, _set_dotted, apply_overrides, config_hash, load_document,
+                     parse_document)
 from .dicke import (DickeParams, critical_coupling, fidelity_gaussian,
                     fidelity_scaling, mode_energies, scaling_eta)
 from .dicke_exact import convergence_gap, echo_exact, fidelity_exact
@@ -306,7 +307,7 @@ def _config_from_args(args) -> RunConfig:
         doc[key] = doc.get(key, "dicke") if value is None else value
     apply_overrides(doc, args.set)
     if args.output:
-        doc.setdefault("output", {})["path"] = args.output
+        _set_dotted(doc, "output.path", args.output)
     # Phases only shape the eta x scale grid; there they default to the model's
     # first phase.  Pair-only configs keep the old default, and so their hash.
     # A list, not the dict: an unhashable model value must reach the schema check.

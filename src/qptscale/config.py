@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 from dataclasses import asdict, dataclass, field
 from importlib import resources
 
@@ -70,6 +71,23 @@ def _set_dotted(doc: dict, dotted: str, value) -> None:
     node[keys[-1]] = value
 
 
+def _loads(text: str, where: str):
+    """``json.loads`` refusing NaN, Infinity, -Infinity and numbers that
+    overflow a float; text that is not JSON still raises JSONDecodeError."""
+    bad = []
+
+    def number(literal):
+        value = float(literal)
+        if not math.isfinite(value):
+            bad.append(literal)
+        return value
+
+    doc = json.loads(text, parse_constant=bad.append, parse_float=number)
+    if bad:
+        raise InputError(f"{where}: non-finite number {bad[0]}")
+    return doc
+
+
 def apply_overrides(doc: dict, overrides) -> dict:
     """Apply KEY=VALUE overrides (dotted keys, JSON-parsed values)."""
     for item in overrides:
@@ -77,7 +95,7 @@ def apply_overrides(doc: dict, overrides) -> dict:
         if not sep or not key:
             raise InputError(f"override {item!r} must look like key=value")
         try:
-            value = json.loads(raw)
+            value = _loads(raw, f"override {item!r}")
         except json.JSONDecodeError:
             value = raw
         _set_dotted(doc, key.strip(), value)
@@ -116,11 +134,12 @@ def parse_document(doc: dict) -> RunConfig:
 
 
 def load_document(path: str) -> dict:
-    """Read a JSON config file; parse errors carry line and column numbers."""
-    with open(path, "r") as handle:
-        text = handle.read()
+    """Read a UTF-8 JSON config file; parse errors carry line and column numbers."""
     try:
-        doc = json.loads(text)
+        with open(path, "r", encoding="utf-8") as handle:
+            doc = _loads(handle.read(), path)
+    except UnicodeDecodeError as err:
+        raise InputError(f"{path}: not UTF-8 ({err.reason} at byte {err.start})") from err
     except json.JSONDecodeError as err:
         raise InputError(
             f"{path}: line {err.lineno}, column {err.colno}: {err.msg}") from err

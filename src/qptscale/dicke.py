@@ -11,9 +11,6 @@ import numpy as np
 
 from .errors import CrossPhaseError, DomainError, InputError
 
-#: zero-mode energy vanishes as |distance to critical point|^PHI_EXPONENT
-PHI_EXPONENT = 0.5
-
 
 def critical_coupling(omega: float, omega0: float) -> float:
     """Critical coupling sqrt(omega * omega0) / 2."""
@@ -108,7 +105,6 @@ class ScalingPair:
     lambda_c: float
     eta: float
     phase: str
-    phi: float = PHI_EXPONENT
 
 
 def scaling_eta(lambda1: float, lambda2: float, lambda_c: float) -> ScalingPair:

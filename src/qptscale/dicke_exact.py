@@ -54,9 +54,6 @@ class TruncatedDicke:
     def index(self, boson_level: int, k: int) -> int:
         return boson_level * (self.n_atoms + 1) + k
 
-    def params(self) -> DickeParams:
-        return DickeParams(self.omega, self.omega0, self.coupling)
-
 
 def build_hamiltonian(system: TruncatedDicke, *,
                       max_dim: int = MAX_DIM_DEFAULT) -> scipy.sparse.csr_array:
@@ -200,13 +197,6 @@ class ConvergenceSeries:
     target: str
     meta: dict
 
-    def validate(self) -> None:
-        sizes = [e.n_atoms for e in self.entries]
-        if sizes != sorted(set(sizes)):
-            raise InputError("entries must be strictly ascending in n_atoms")
-        if any(e.gap < 0 for e in self.entries):
-            raise InputError("gaps must be nonnegative")
-
 
 def convergence_gap(omega: float, omega0: float, lambda1: float, lambda2: float,
                     n_list, *, target: str = "scaling",
@@ -239,13 +229,11 @@ def convergence_gap(omega: float, omega0: float, lambda1: float, lambda2: float,
         lp = fidelity_exact(omega, omega0, n, n, lambda1, lambda2, max_dim=max_dim)
         entries.append(ConvergenceEntry(n_atoms=n, n_boson=n, lp_exact=lp,
                                         gap=abs(lp - reference)))
-    series = ConvergenceSeries(entries=tuple(entries), reference=float(reference),
-                               target=target,
-                               meta={"omega": omega, "omega0": omega0,
-                                     "lambda1": lambda1, "lambda2": lambda2,
-                                     "eta": pair.eta, "phase": pair.phase})
-    series.validate()
-    return series
+    return ConvergenceSeries(entries=tuple(entries), reference=float(reference),
+                             target=target,
+                             meta={"omega": omega, "omega0": omega0,
+                                   "lambda1": lambda1, "lambda2": lambda2,
+                                   "eta": pair.eta, "phase": pair.phase})
 
 
 def echo_exact(omega: float, omega0: float, n_atoms: int, n_boson: int,
@@ -286,4 +274,4 @@ def echo_exact(omega: float, omega0: float, n_atoms: int, n_boson: int,
         "period": period,
         "covers_period": bool(math.isfinite(period) and t[-1] >= period * (1 - 1e-12)),
     }
-    return EchoSeries(t=t, tau=e1 * t, echo=m, omega1=e1, meta=meta)
+    return EchoSeries(t=t, echo=m, omega1=e1, meta=meta)

@@ -16,6 +16,8 @@ import numpy as np
 from .errors import DomainError, FitError, InputError
 from .squeeze import SqueezeMap
 
+FIT_MIN_SAMPLES = 10  # fewest samples an envelope-fit window may hold
+
 
 def _as_time_grid(t_grid) -> np.ndarray:
     t = np.asarray(t_grid, dtype=float)
@@ -32,21 +34,23 @@ def _as_time_grid(t_grid) -> np.ndarray:
 
 @dataclass(frozen=True)
 class EchoSeries:
-    """Sampled echo M(t) with the companion rescaled grid tau = omega1 * t."""
+    """Sampled echo M(t) and its critical-mode frequency omega1; the rescaled
+    grid ``tau`` = omega1 * t is derived, never stored."""
 
     t: np.ndarray
-    tau: np.ndarray
     echo: np.ndarray
     omega1: float
     meta: dict = field(default_factory=dict)
 
+    @property
+    def tau(self) -> np.ndarray:
+        return self.omega1 * self.t
+
     def validate(self) -> None:
-        if not (len(self.t) == len(self.tau) == len(self.echo)):
-            raise InputError("t, tau and echo must have equal length")
+        if len(self.t) != len(self.echo):
+            raise InputError("t and echo must have equal length")
         if abs(self.echo[0] - 1.0) > 1e-10:
             raise InputError("echo must start at 1")
-        if np.max(np.abs(self.tau - self.omega1 * self.t)) > 1e-12 * max(1.0, abs(self.omega1) * self.t[-1]):
-            raise InputError("tau grid is not omega1 * t")
         if np.min(self.echo) < -1e-12 or np.max(self.echo) > 1.0 + 1e-10:
             raise InputError("echo values leave [0, 1]")
 
@@ -79,7 +83,7 @@ def survival_closed(map: SqueezeMap, delta1: float, t_grid, *,
     }
     if meta:
         info.update(meta)
-    return EchoSeries(t=t, tau=delta1 * t, echo=m, omega1=delta1, meta=info)
+    return EchoSeries(t=t, echo=m, omega1=delta1, meta=info)
 
 
 @dataclass(frozen=True)
@@ -130,29 +134,25 @@ def semiclassical_envelope(params: SemiclassicalParams, t):
 
 @dataclass(frozen=True)
 class EnvelopeFit:
-    """Fitted envelope parameters plus log-domain residual diagnostics."""
+    """Fitted envelope parameters and the largest log-domain residual."""
 
     params: SemiclassicalParams
     max_log_residual: float
-    rms_log_residual: float
-    n_samples: int
-    window: tuple[float, float]
 
 
-def fit_envelope(series: EchoSeries, window: tuple[float, float], *,
-                 min_samples: int = 10) -> EnvelopeFit:
+def fit_envelope(series: EchoSeries, window: tuple[float, float]) -> EnvelopeFit:
     """Least-squares fit of the envelope to ln M over a time window.
 
     The window should stay inside the first echo period and hold at least
-    ``min_samples`` samples.  Raises FitError when no start converges.
+    FIT_MIN_SAMPLES samples.  Raises FitError when no start converges.
     """
     lo, hi = float(window[0]), float(window[1])
     if not hi > lo:
         raise InputError("window must satisfy hi > lo")
     mask = (series.t >= lo) & (series.t <= hi)
     n_in = int(np.count_nonzero(mask))
-    if n_in < min_samples:
-        raise InputError(f"window holds {n_in} samples; need at least {min_samples}")
+    if n_in < FIT_MIN_SAMPLES:
+        raise InputError(f"window holds {n_in} samples; need at least {FIT_MIN_SAMPLES}")
     tt = series.t[mask]
     mm = series.echo[mask]
     if np.any(mm <= 0):
@@ -190,20 +190,16 @@ def fit_envelope(series: EchoSeries, window: tuple[float, float], *,
     g, x, b = (float(v) for v in best.x)
     fitted = SemiclassicalParams(gamma=g, xi=x, b0=b,
                                  omega1=series.omega1 if series.omega1 > 0 else 1.0)
-    r = residual(best.x)
     return EnvelopeFit(params=fitted,
-                       max_log_residual=float(np.max(np.abs(r))),
-                       rms_log_residual=float(np.sqrt(np.mean(r**2))),
-                       n_samples=n_in,
-                       window=(lo, hi))
+                       max_log_residual=float(np.max(np.abs(residual(best.x)))))
 
 
 def rescale_time(series: EchoSeries, omega1: float) -> EchoSeries:
-    """Replace the rescaled grid with tau = omega1 * t; echo values unchanged."""
+    """The same echo with frequency omega1, so tau = omega1 * t."""
     if not (math.isfinite(omega1) and omega1 > 0):
         raise InputError("omega1 must be positive and finite")
-    return EchoSeries(t=series.t, tau=omega1 * series.t, echo=series.echo,
-                      omega1=float(omega1), meta=dict(series.meta))
+    return EchoSeries(t=series.t, echo=series.echo, omega1=float(omega1),
+                      meta=dict(series.meta))
 
 
 def min_echo(series: EchoSeries) -> float:
@@ -237,20 +233,15 @@ def mp_scaling(eta: float) -> float:
     return 2.0 * math.sqrt(eta) / (1.0 + eta)
 
 
-_MEMBER_KEYS = ("lambda1", "lambda2", "h1", "h2", "scale", "eta")
-
-
 @dataclass(frozen=True)
 class GroupCollapse:
     """Collapse diagnostics for one group of echo series at equal eta."""
 
     eta: float
     n_members: int
-    members: tuple[dict, ...]
     tau_lo: float
     tau_hi: float
     spread: float
-    deviations: tuple[tuple[float, float], ...]
     trend_decreasing: bool | None
 
 
@@ -264,39 +255,31 @@ def collapse_check(groups) -> CollapseReport:
 
     ``groups`` is an iterable of (eta, [EchoSeries, ...]).  Members are
     linearly interpolated onto the intersection of their tau ranges; the
-    spread is the largest pointwise gap between members.  When every member
-    carries a ``scale`` meta key, per-member deviations from the
-    smallest-scale member are reported together with a flag stating whether
-    they shrink as the scale does.
+    spread is the largest pointwise gap between members.  When a group has
+    more than two members and each carries a ``scale`` meta key,
+    ``trend_decreasing`` states whether their distances from the
+    smallest-scale member shrink as the scale does.
     """
     out = []
     for eta, members in groups:
         members = list(members)
         if not members:
             raise InputError("collapse group has no member series")
-        lo = max(float(s.tau[0]) for s in members)
-        hi = min(float(s.tau[-1]) for s in members)
+        taus = [s.tau for s in members]
+        lo = max(float(tau[0]) for tau in taus)
+        hi = min(float(tau[-1]) for tau in taus)
         if not hi > lo:
             raise InputError(f"no overlapping rescaled-time window for eta={eta}")
-        n = max(len(s.tau) for s in members)
-        grid = np.linspace(lo, hi, n)
-        curves = np.vstack([np.interp(grid, s.tau, s.echo) for s in members])
+        grid = np.linspace(lo, hi, max(len(tau) for tau in taus))
+        curves = np.vstack([np.interp(grid, tau, s.echo) for tau, s in zip(taus, members)])
         spread = float(np.max(curves.max(axis=0) - curves.min(axis=0)))
         scales = [s.meta.get("scale") for s in members]
-        deviations: tuple = ()
         trend = None
-        if len(members) > 1 and all(sc is not None for sc in scales):
+        if len(members) > 2 and all(sc is not None for sc in scales):
             order = sorted(range(len(members)), key=lambda i: -scales[i])
             ref = curves[order[-1]]
-            devs = [(float(scales[i]), float(np.max(np.abs(curves[i] - ref))))
-                    for i in order]
-            deviations = tuple(devs)
-            gaps = [d for _, d in devs[:-1]]
-            trend = all(gaps[i] >= gaps[i + 1] for i in range(len(gaps) - 1)) if len(gaps) > 1 else None
-        descriptors = tuple({k: s.meta[k] for k in _MEMBER_KEYS if k in s.meta}
-                            for s in members)
-        out.append(GroupCollapse(eta=float(eta), n_members=len(members),
-                                 members=descriptors, tau_lo=lo, tau_hi=hi,
-                                 spread=spread, deviations=deviations,
-                                 trend_decreasing=trend))
+            gaps = [np.max(np.abs(curves[i] - ref)) for i in order[:-1]]
+            trend = all(a >= b for a, b in zip(gaps, gaps[1:]))
+        out.append(GroupCollapse(eta=float(eta), n_members=len(members), tau_lo=lo,
+                                 tau_hi=hi, spread=spread, trend_decreasing=trend))
     return CollapseReport(groups=tuple(out))

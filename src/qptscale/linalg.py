@@ -27,6 +27,8 @@ from .errors import InputError, NumericError
 DENSE_THRESHOLD_DEFAULT = 4096
 SURVIVAL_TOL = 1e-12
 SURVIVAL_CHECK_EVERY = 20
+ORTHO_TOL = 1e-10     # largest |V^T V - I| entry EigenDecomposition.validate accepts
+RESIDUAL_TOL = 1e-8   # largest eigenpair residual it accepts, relative to |A|_F
 
 
 def _symmetric_dense(a) -> np.ndarray:
@@ -50,61 +52,23 @@ class EigenDecomposition:
     def ground(self) -> tuple[float, np.ndarray]:
         return float(self.values[0]), self.vectors[:, 0]
 
-    def validate(self, matrix=None, *,
-                 ortho_tol: float = 1e-10, residual_tol: float = 1e-8) -> None:
+    def validate(self, matrix=None) -> None:
         """Raise NumericError if ordering, orthonormality or the residuals
         against ``matrix`` (when given, read as :func:`eigh_dense` reads it) fail."""
         if np.any(np.diff(self.values) < 0):
             raise NumericError("eigenvalues are not non-decreasing")
         gram = self.vectors.T @ self.vectors
         dev = float(np.max(np.abs(gram - np.eye(gram.shape[0]))))
-        if dev > ortho_tol:
+        if dev > ORTHO_TOL:
             raise NumericError(f"eigenvector set not orthonormal: max deviation {dev:.3e}")
         if matrix is not None:
             a = _symmetric_dense(matrix)
             scale = float(np.linalg.norm(a))
             resid = a @ self.vectors - self.vectors * self.values
             worst = float(np.max(np.linalg.norm(resid, axis=0)))
-            if worst > residual_tol * max(scale, 1e-300):
+            if worst > RESIDUAL_TOL * max(scale, 1e-300):
                 raise NumericError(
-                    f"eigenpair residual {worst:.3e} exceeds {residual_tol:.1e} * |A|_F")
-
-
-def _first_significant(v: np.ndarray, thresh: float) -> int:
-    idx = np.nonzero(np.abs(v) > thresh)[0]
-    return int(idx[0]) if idx.size else v.size
-
-
-def _canonical_order(values: np.ndarray, vectors: np.ndarray, scale: float):
-    """Deterministic post-pass: re-orthonormalize degenerate clusters, break
-    exact ordering ties by first significant component, fix global signs."""
-    n = values.size
-    cluster_gap = 1e-10 * max(scale, 1.0)
-    start = 0
-    while start < n:
-        stop = start + 1
-        while stop < n and values[stop] - values[stop - 1] < cluster_gap:
-            stop += 1
-        if stop - start > 1:
-            block = vectors[:, start:stop]
-            gram = block.T @ block
-            if np.max(np.abs(gram - np.eye(stop - start))) > 1e-13:
-                q, _ = np.linalg.qr(block)
-                vectors[:, start:stop] = q
-            # exact ties: order deterministically by leading support
-            exact = np.nonzero(np.diff(values[start:stop]) == 0.0)[0]
-            if exact.size:
-                keys = [_first_significant(vectors[:, k], 1e-8) for k in range(start, stop)]
-                order = np.argsort(np.asarray(keys), kind="stable")
-                if np.all(values[start:stop][order] == values[start:stop]):
-                    vectors[:, start:stop] = vectors[:, start:stop][:, order]
-        start = stop
-    for k in range(n):
-        col = vectors[:, k]
-        lead = _first_significant(col, 1e-8 * max(np.max(np.abs(col)), 1e-300))
-        if lead < col.size and col[lead] < 0:
-            vectors[:, k] = -col
-    return values, vectors
+                    f"eigenpair residual {worst:.3e} exceeds {RESIDUAL_TOL:.1e} * |A|_F")
 
 
 def eigh_dense(matrix, *,
@@ -123,9 +87,7 @@ def eigh_dense(matrix, *,
         values, vectors = np.linalg.eigh(a)
     except np.linalg.LinAlgError as err:
         raise NumericError(f"dense eigensolver failed to converge: {err}") from err
-    values, vectors = _canonical_order(values, vectors, float(np.linalg.norm(a)))
-    return EigenDecomposition(np.ascontiguousarray(values),
-                              np.ascontiguousarray(vectors))
+    return EigenDecomposition(values, vectors)
 
 
 def _operator_dim(a) -> int:

@@ -16,7 +16,8 @@ import numpy as np
 
 from .errors import DomainError, InputError, NumericError
 
-R_CAP_DEFAULT = 20.0
+R_CAP = 20.0               # largest |r| ground_expansion accepts
+OVERLAP_TRUNC_TOL = 1e-10  # weight an overlap column may lose to truncation
 
 
 @dataclass(frozen=True)
@@ -29,16 +30,12 @@ class SqueezeMap:
     """
 
     r: float
-    theta_c: float = 0.0
-    theta_r: float = 0.0
 
     def __post_init__(self):
         if not math.isfinite(self.r):
             raise InputError("squeeze parameter must be finite")
         if abs(self.r) > 700.0:
             raise InputError("squeeze parameter too large: cosh(r) overflows")
-        if self.theta_c != 0.0 or self.theta_r != 0.0:
-            raise InputError("phase angles are fixed to zero for metric quantities")
 
     @property
     def P11(self) -> float:
@@ -84,13 +81,10 @@ class GroundExpansion:
     """
 
     amplitudes: np.ndarray
-    n_max: int
     tail_bound: float
-    r: float
 
 
-def ground_expansion(map: SqueezeMap, n_max: int, *,
-                     r_cap: float = R_CAP_DEFAULT) -> GroundExpansion:
+def ground_expansion(map: SqueezeMap, n_max: int) -> GroundExpansion:
     """Expansion of the mapped vacuum over even number states.
 
     a_{2n} = (cosh r)^{-1/2} * sqrt((2n-1)!!/(2n)!!) * tanh(r)^n, accumulated
@@ -98,16 +92,16 @@ def ground_expansion(map: SqueezeMap, n_max: int, *,
     """
     if n_max < 0:
         raise InputError("n_max must be nonnegative")
-    if abs(map.r) >= r_cap:
+    if abs(map.r) >= R_CAP:
         raise DomainError(
-            f"|r| = {abs(map.r):.3f} >= cap {r_cap}: refine the parameter step")
+            f"|r| = {abs(map.r):.3f} >= cap {R_CAP}: refine the parameter step")
     q = map.q
     amps = np.empty(n_max + 1)
     amps[0] = math.cosh(map.r) ** -0.5
     for n in range(n_max):
         amps[n + 1] = amps[n] * q * math.sqrt((2 * n + 1) / (2 * n + 2))
     tail = float(amps[-1] ** 2 * math.sinh(map.r) ** 2)
-    return GroundExpansion(amplitudes=amps, n_max=n_max, tail_bound=tail, r=map.r)
+    return GroundExpansion(amplitudes=amps, tail_bound=tail)
 
 
 def fidelity(map: SqueezeMap) -> float:
@@ -137,15 +131,15 @@ def _signed_overlaps(map: SqueezeMap, n_rows: int, n_cols: int) -> np.ndarray:
     return s
 
 
-def overlap_matrix(map: SqueezeMap, n_max: int, *, m_max: int | None = None,
-                   tol_trunc: float = 1e-10) -> np.ndarray:
+def overlap_matrix(map: SqueezeMap, n_max: int, *,
+                   m_max: int | None = None) -> np.ndarray:
     """Metric overlaps C[n, m] = |<n_1|m_2>| for n <= n_max, m <= m_max.
 
     Entries with odd n+m vanish identically (parity selection of the
     quadratic Bogoliubov relation).  Every returned column must carry at
-    least 1 - tol_trunc of its probability within the n_max rows, otherwise
-    a NumericError names the first offending column; pass more rows or fewer
-    columns in that case.
+    least 1 - OVERLAP_TRUNC_TOL of its probability within the n_max rows,
+    otherwise a NumericError names the first offending column; pass more rows
+    or fewer columns in that case.
     """
     if n_max < 0:
         raise InputError("n_max must be nonnegative")
@@ -153,13 +147,12 @@ def overlap_matrix(map: SqueezeMap, n_max: int, *, m_max: int | None = None,
     if m_max < 0:
         raise InputError("m_max must be nonnegative")
     c = np.abs(_signed_overlaps(map, n_max, m_max))
-    if tol_trunc is not None:
-        sums = np.sum(c * c, axis=0)
-        bad = np.nonzero(sums < 1.0 - tol_trunc)[0]
-        if bad.size:
-            raise NumericError(
-                f"overlap column {bad[0]} holds weight {sums[bad[0]]:.12f} "
-                f"< 1 - {tol_trunc:g}; increase n_max or reduce m_max")
+    sums = np.sum(c * c, axis=0)
+    bad = np.nonzero(sums < 1.0 - OVERLAP_TRUNC_TOL)[0]
+    if bad.size:
+        raise NumericError(
+            f"overlap column {bad[0]} holds weight {sums[bad[0]]:.12f} "
+            f"< 1 - {OVERLAP_TRUNC_TOL:g}; increase n_max or reduce m_max")
     return c
 
 

@@ -144,7 +144,7 @@ def test_criterion_6_echo_shape():
     grid = np.linspace(0.0, 20.0, 400)
     synthetic = semiclassical_envelope(SemiclassicalParams(0.5, 0.2, 1.0), grid)
     round_trip = fit_envelope(
-        EchoSeries(t=grid, tau=grid, echo=synthetic, omega1=1.0, meta={}),
+        EchoSeries(t=grid, echo=synthetic, omega1=1.0, meta={}),
         (0.0, 20.0))
     assert round_trip.params.gamma == pytest.approx(0.5, rel=0.01)
     assert round_trip.params.xi == pytest.approx(0.2, rel=0.01)

@@ -5,6 +5,7 @@ import pytest
 
 from qptscale.cli import main
 from qptscale.config import config_hash, parse_document
+from qptscale.lmg import LmgParams, gap_angle
 from qptscale.tables import read_table
 
 CONFIG_DIR = os.path.join(os.path.dirname(__file__), os.pardir, "configs")
@@ -80,6 +81,23 @@ def test_lmg_grid_defaults_to_an_lmg_phase(tmp_path):
     assert read_table(str(out)).columns["phase"] == ["symmetric"]
 
 
+def test_lmg_echo_subcommand(tmp_path):
+    out = tmp_path / "echo.csv"
+    assert run_cli(["lmg-echo", "--set", "lmg_gamma=0", "--set", "etas=[0.1]",
+                    "--set", "scales=[0.01]", "--set", 'phases=["symmetric","broken"]',
+                    "--set", "time_grid.samples_per_period=64",
+                    "--output", str(out)]) == 0
+    table = read_table(str(out))
+    assert list(table.columns) == ["pair", "eta", "h1", "h2", "t", "tau", "M"]
+    cols = table.columns
+    assert sorted(set(cols["pair"])) == [0, 1]
+    for pair in (0, 1):
+        assert cols["M"][cols["pair"].index(pair)] == 1.0
+    for h1, t, tau, m in zip(cols["h1"], cols["t"], cols["tau"], cols["M"]):
+        assert 0.0 <= m <= 1.0
+        assert tau == gap_angle(LmgParams(0.0, h1)).delta * t
+
+
 @pytest.mark.parametrize("model", ["bogus", [1]], ids=["unknown", "unhashable"])
 def test_unknown_model_is_usage_error(tmp_path, capsys, model):
     assert run_cli(["sweep", "--set", f"model={json.dumps(model)}", "--set", "etas=[0.1]",
@@ -141,6 +159,46 @@ def test_invalid_json_reports_line_number(tmp_path, capsys):
     path.write_text('{\n  "model": "dicke",\n  "task": }\n')
     assert run_cli(["dicke-fidelity", "--config", str(path)]) == 2
     assert "line 3" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("route,payload", [
+    ("set", "time_grid.periods=Infinity"),
+    ("set", "time_grid.periods=NaN"),
+    ("set", "time_grid.periods=1e400"),
+    ("set", "omega=Infinity"),
+    ("file", b'{"etas": [0.1], "scales": [0.01], "time_grid": {"periods": Infinity}}'),
+    ("file", b'{"etas": [0.1], "scales": [0.01], "time_grid": {"periods": NaN}}'),
+    ("file", b'{"etas": [0.1], "scales": [0.01], "time_grid": {"periods": 1e400}}'),
+    ("file", b'{"etas": [0.1], "scales": [0.01], "output": {"path": "\xff.csv"}}'),
+], ids=["set-inf", "set-nan", "set-overflow", "set-ignored-key", "file-inf", "file-nan",
+        "file-overflow", "file-not-utf8"])
+def test_nonfinite_or_undecodable_input_is_usage_error(tmp_path, capsys, route, payload):
+    out = tmp_path / "e.csv"
+    if route == "set":
+        args = [f"--set={item}" for item in ("etas=[0.1]", "scales=[0.01]", payload)]
+    else:
+        path = tmp_path / "cfg.json"
+        path.write_bytes(payload)
+        args = ["--config", str(path)]
+    assert run_cli(["lmg-echo", *args, "--output", str(out)]) == 2
+    assert "error" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_override_value_that_only_starts_like_a_number_stays_a_string(tmp_path,
+                                                                      monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    assert run_cli(["lmg-fidelity", "--set", "etas=[0.1]", "--set", "scales=[0.01]",
+                    "--set", "output.path=Infinity.csv"]) == 0
+    assert (tmp_path / "Infinity.csv").exists()
+
+
+def test_output_flag_over_non_object_output_is_usage_error(tmp_path, capsys):
+    out = tmp_path / "x.csv"
+    assert run_cli(["sweep", "--set", "etas=[0.1]", "--set", "scales=[0.01]",
+                    "--set", "output=3", "--output", str(out)]) == 2
+    assert "output.path" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_schema_violation_reports_path(tmp_path, capsys):

@@ -93,7 +93,6 @@ class TestScalingEta:
         pair = scaling_eta(0.495, 0.45, 0.5)
         assert pair.eta == pytest.approx(0.1, abs=1e-12)
         assert pair.phase == "normal"
-        assert pair.phi == 0.5
 
     def test_equal_couplings(self):
         assert scaling_eta(0.3, 0.3, 0.5).eta == 1.0

@@ -117,7 +117,7 @@ class TestFitEnvelope:
     def synthetic(self, gamma, xi, b0, t_max=20.0, n=400):
         t = np.linspace(0.0, t_max, n)
         data = semiclassical_envelope(SemiclassicalParams(gamma, xi, b0), t)
-        return EchoSeries(t=t, tau=t, echo=data, omega1=1.0,
+        return EchoSeries(t=t, echo=data, omega1=1.0,
                           meta={"covers_period": True})
 
     def test_round_trip_within_one_percent(self):
@@ -130,7 +130,7 @@ class TestFitEnvelope:
 
     def test_constant_series_fits_to_no_decay(self):
         t = np.linspace(0.0, 5.0, 60)
-        series = EchoSeries(t=t, tau=t, echo=np.ones_like(t), omega1=1.0, meta={})
+        series = EchoSeries(t=t, echo=np.ones_like(t), omega1=1.0, meta={})
         fit = fit_envelope(series, (0.0, 5.0))
         assert fit.params.gamma <= 1e-6
         assert fit.params.xi <= 1e-3
@@ -263,6 +263,6 @@ class TestCollapseCheck:
             collapse_check([(0.1, [])])
         t = np.linspace(0.0, 1.0, 11)
         a = survival_closed(ratio_map(0.2), 1.0, t)
-        b = EchoSeries(t=t, tau=t + 5.0, echo=a.echo, omega1=1.0, meta={})
+        b = EchoSeries(t=t + 5.0, echo=a.echo, omega1=1.0, meta={})
         with pytest.raises(InputError):
             collapse_check([(0.2, [a, b])])

@@ -57,10 +57,6 @@ def test_squeeze_map_invariant_and_phases():
     for t1, t2 in [(0.0, 0.1), (1.1989476, 0.8958797), (-2.0, 3.5), (4.0, -2.0)]:
         m = relative_map(t1, t2)
         assert abs((m.P11 - m.Q11) * (m.P11 + m.Q11) - 1.0) <= 1e-12
-    with pytest.raises(InputError):
-        SqueezeMap(0.5, theta_c=0.1)
-    with pytest.raises(InputError):
-        SqueezeMap(0.5, theta_r=-0.1)
 
 
 class TestGroundExpansion:
