@@ -17,8 +17,7 @@ from .echo import (CollapseReport, EchoSeries, EnvelopeFit, GroupCollapse,
                    survival_closed)
 from .errors import (CrossPhaseError, DomainError, FitError, InputError,
                      NumericError, QptError, ResourceError)
-from .linalg import (EigenDecomposition, eigh_dense, lanczos_ground,
-                     lanczos_survival, spectral_propagate)
+from .linalg import lanczos_ground, lanczos_survival
 from .lmg import LmgMode, LmgParams, echo_lmg, eta_lmg, fidelity_lmg, gap_angle
 from .squeeze import (GroundExpansion, SqueezeMap, ground_expansion,
                       overlap_matrix, participation_ratio, relative_map)
@@ -27,18 +26,18 @@ from .squeeze import fidelity as squeeze_fidelity
 __all__ = [
     "CollapseReport", "ConvergenceEntry", "ConvergenceSeries",
     "CrossPhaseError", "DickeParams", "DomainError", "EchoSeries",
-    "EigenDecomposition", "EnvelopeFit", "FitError", "GroundExpansion",
+    "EnvelopeFit", "FitError", "GroundExpansion",
     "GroundState", "GroupCollapse", "InputError", "LmgMode", "LmgParams",
     "ModeSpectrum", "NumericError", "QptError", "ResourceError",
     "ScalingPair", "SemiclassicalParams", "SqueezeMap",
     "TruncatedDicke", "build_hamiltonian", "collapse_check",
     "convergence_gap", "critical_coupling", "echo_exact", "echo_lmg",
-    "eigh_dense", "eta_lmg", "fidelity_exact", "fidelity_gaussian",
+    "eta_lmg", "fidelity_exact", "fidelity_gaussian",
     "fidelity_lmg", "fidelity_scaling", "fit_envelope", "gap_angle",
     "ground_expansion", "ground_state_exact", "lanczos_ground",
     "lanczos_survival", "min_echo",
     "mode_energies", "mp_scaling", "near_critical_gap", "overlap_matrix",
     "parity_indices", "participation_ratio", "relative_map", "rescale_time",
-    "scaling_eta", "semiclassical_envelope", "spectral_propagate",
+    "scaling_eta", "semiclassical_envelope",
     "squeeze_fidelity", "survival_closed",
 ]

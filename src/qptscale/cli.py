@@ -39,6 +39,8 @@ _EXIT_USAGE = 2
 _EXIT_RESOURCE = 3
 _EXIT_NUMERIC = 4
 
+MAX_TIME_SAMPLES = 10**6  # samples in one echo time grid
+
 
 @dataclass(frozen=True)
 class _Model:
@@ -146,7 +148,11 @@ def _grid_only(cfg: RunConfig) -> None:
 
 def _time_grid(cfg: RunConfig, omega1: float):
     """cfg.time_grid.periods echo periods pi/omega1, sampled uniformly."""
-    n = max(int(round(cfg.time_grid.periods * cfg.time_grid.samples_per_period)), 8)
+    samples = cfg.time_grid.periods * cfg.time_grid.samples_per_period
+    if samples > MAX_TIME_SAMPLES:
+        raise ResourceError(
+            f"time grid of {samples:.3g} samples exceeds the cap {MAX_TIME_SAMPLES}")
+    n = max(int(round(samples)), 8)
     return np.linspace(0.0, cfg.time_grid.periods * (math.pi / omega1), n + 1)
 
 

@@ -7,10 +7,6 @@ stopped on its residual; and :func:`lanczos_survival`, the survival amplitude
 quadrature of psi0's spectral measure.  Both take any real symmetric
 operator with ``.shape`` and ``@`` (an ndarray, a ``scipy.sparse`` array or a
 ``LinearOperator``), so sparse Hamiltonians are never densified.
-
-The dense eigendecomposition (:func:`eigh_dense`, through LAPACK's
-``numpy.linalg.eigh``) and :func:`spectral_propagate` remain as the reference
-the Krylov solvers are tested against.
 """
 
 from __future__ import annotations
@@ -20,74 +16,12 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
-import scipy.sparse
 
 from .errors import InputError, NumericError
 
-DENSE_THRESHOLD_DEFAULT = 4096
 SURVIVAL_TOL = 1e-12
 SURVIVAL_CHECK_EVERY = 20
-ORTHO_TOL = 1e-10     # largest |V^T V - I| entry EigenDecomposition.validate accepts
-RESIDUAL_TOL = 1e-8   # largest eigenpair residual it accepts, relative to |A|_F
-
-
-def _symmetric_dense(a) -> np.ndarray:
-    """Square float array from a dense or ``scipy.sparse`` matrix, symmetrized
-    from its upper triangle; the lower triangle is never read."""
-    _operator_dim(a)
-    a = a.toarray() if scipy.sparse.issparse(a) else np.asarray(a, dtype=float)
-    a = np.triu(a) + np.triu(a, 1).T
-    if not np.all(np.isfinite(a)):
-        raise InputError("matrix entries must be finite")
-    return a
-
-
-@dataclass(frozen=True)
-class EigenDecomposition:
-    """Full spectrum of a real symmetric matrix, eigenvalues ascending."""
-
-    values: np.ndarray
-    vectors: np.ndarray
-
-    def ground(self) -> tuple[float, np.ndarray]:
-        return float(self.values[0]), self.vectors[:, 0]
-
-    def validate(self, matrix=None) -> None:
-        """Raise NumericError if ordering, orthonormality or the residuals
-        against ``matrix`` (when given, read as :func:`eigh_dense` reads it) fail."""
-        if np.any(np.diff(self.values) < 0):
-            raise NumericError("eigenvalues are not non-decreasing")
-        gram = self.vectors.T @ self.vectors
-        dev = float(np.max(np.abs(gram - np.eye(gram.shape[0]))))
-        if dev > ORTHO_TOL:
-            raise NumericError(f"eigenvector set not orthonormal: max deviation {dev:.3e}")
-        if matrix is not None:
-            a = _symmetric_dense(matrix)
-            scale = float(np.linalg.norm(a))
-            resid = a @ self.vectors - self.vectors * self.values
-            worst = float(np.max(np.linalg.norm(resid, axis=0)))
-            if worst > RESIDUAL_TOL * max(scale, 1e-300):
-                raise NumericError(
-                    f"eigenpair residual {worst:.3e} exceeds {RESIDUAL_TOL:.1e} * |A|_F")
-
-
-def eigh_dense(matrix, *,
-               dense_threshold: int = DENSE_THRESHOLD_DEFAULT) -> EigenDecomposition:
-    """Full eigendecomposition of a real symmetric matrix.
-
-    ``matrix`` is a square ndarray or ``scipy.sparse`` array; only its upper
-    triangle is read.  It must fit below ``dense_threshold``; larger problems
-    belong to :func:`lanczos_ground`.
-    """
-    dim = _operator_dim(matrix)  # checked before anything is densified
-    if dim > dense_threshold:
-        raise InputError(f"dim {dim} exceeds dense threshold {dense_threshold}")
-    a = _symmetric_dense(matrix)
-    try:
-        values, vectors = np.linalg.eigh(a)
-    except np.linalg.LinAlgError as err:
-        raise NumericError(f"dense eigensolver failed to converge: {err}") from err
-    return EigenDecomposition(values, vectors)
+KRYLOV_MAX_STEPS = 600  # Lanczos steps either solver may take
 
 
 def _operator_dim(a) -> int:
@@ -114,18 +48,20 @@ def _norm_estimate(alphas: np.ndarray, betas: np.ndarray) -> float:
                  + (np.max(np.abs(betas)) if betas.size else 0.0)) or 1.0
 
 
-def _lanczos(a, start: np.ndarray, cap: int):
+def _lanczos(a, start: np.ndarray):
     """Lanczos recurrence on ``a`` with two-pass full reorthogonalization.
 
     Yields ``(basis, alphas, betas, beta)`` after each step: the k Lanczos
     vectors as the rows of ``basis``, the k x k tridiagonal projection
     (diagonal ``alphas``, off-diagonal ``betas``) and the norm ``beta`` of the
     next residual vector.  The views are only valid until the next step.
-    Ends after ``cap`` steps, when the Krylov space fills the whole space, or
-    at a breakdown (``beta`` negligible against the projection's norm), where
-    the Krylov space is invariant and the projection exact on it.
+    Ends after ``KRYLOV_MAX_STEPS`` steps, when the Krylov space fills the
+    whole space, or at a breakdown (``beta`` negligible against the
+    projection's norm), where the Krylov space is invariant and the
+    projection exact on it.
     """
     dim = start.size
+    cap = min(dim, KRYLOV_MAX_STEPS)
     basis = np.empty((cap, dim))
     alphas = np.empty(cap)
     betas = np.empty(cap)
@@ -159,15 +95,14 @@ class LanczosInfo:
     residual: float
 
 
-def lanczos_ground(a, tol: float = 1e-10, *, max_iter: int | None = None,
-                   seed: int = 0):
+def lanczos_ground(a, tol: float = 1e-10, *, seed: int = 0):
     """Lowest eigenpair of the operator ``a`` by one Lanczos run from a
     random start drawn with ``seed``.
 
     The run stops when the residual |A v - E v| is within ``tol`` times a
     Gershgorin estimate of |A|, or when the Krylov space fills the space or
     closes at a breakdown, where the projection is exact.  Reaching
-    ``max_iter`` steps (default min(dim, 600)) first raises NumericError.
+    ``KRYLOV_MAX_STEPS`` steps first raises NumericError.
 
     Returns ``(energy, vector, info)``: the Ritz value, the unit-norm Ritz
     vector with its largest component positive, and a :class:`LanczosInfo`.
@@ -175,9 +110,8 @@ def lanczos_ground(a, tol: float = 1e-10, *, max_iter: int | None = None,
     dim = _operator_dim(a)
     if not tol > 0:
         raise InputError("tol must be positive")
-    cap = int(max_iter) if max_iter else min(dim, 600)
     start = np.random.default_rng(seed).standard_normal(dim)
-    for basis, alphas, betas, beta in _lanczos(a, start, cap):
+    for basis, alphas, betas, beta in _lanczos(a, start):
         w, v = scipy.linalg.eigh_tridiagonal(alphas, betas, select="i",
                                              select_range=(0, 0))
         theta, s = float(w[0]), v[:, 0]
@@ -186,9 +120,9 @@ def lanczos_ground(a, tol: float = 1e-10, *, max_iter: int | None = None,
         if resid <= bound:
             break
     k = alphas.size
-    if resid > bound and k == cap < dim:
+    if resid > bound and k == KRYLOV_MAX_STEPS < dim:
         raise NumericError(
-            f"Lanczos did not converge within {cap} iterations: residual "
+            f"Lanczos did not converge within {k} iterations: residual "
             f"{resid:.3e} vs bound {bound:.3e}")
     vector = s @ basis
     vector = vector / np.linalg.norm(vector)
@@ -198,8 +132,7 @@ def lanczos_ground(a, tol: float = 1e-10, *, max_iter: int | None = None,
     return theta, vector, LanczosInfo(iterations=k, residual=float(resid))
 
 
-def lanczos_survival(a, psi0: np.ndarray, t, *,
-                     max_iter: int | None = None) -> tuple[np.ndarray, int]:
+def lanczos_survival(a, psi0: np.ndarray, t) -> tuple[np.ndarray, int]:
     """Survival amplitude <psi0| exp(-i A t) |psi0> on a time grid by Lanczos
     tridiagonalization of the operator ``a`` seeded with ``psi0``.
 
@@ -215,21 +148,20 @@ def lanczos_survival(a, psi0: np.ndarray, t, *,
 
     Returns ``(amplitude, depth)`` with ``depth`` the number of Lanczos
     steps.  Raises NumericError if the echo has not settled within
-    ``max_iter`` steps (default min(dim, 600)).
+    ``KRYLOV_MAX_STEPS`` steps.
     """
     dim = _operator_dim(a)
     psi0 = _unit_state(psi0, dim)
     t = np.asarray(t, dtype=float)
-    cap = int(max_iter) if max_iter else min(dim, 600)
 
     def amplitude(alphas, betas):
         theta, s = scipy.linalg.eigh_tridiagonal(alphas, betas)
         return np.exp(-1j * np.multiply.outer(t, theta)) @ (s[0] ** 2)
 
     previous, change = None, math.inf
-    for _, alphas, betas, _ in _lanczos(a, psi0, cap):
+    for _, alphas, betas, _ in _lanczos(a, psi0):
         k = alphas.size
-        if k % SURVIVAL_CHECK_EVERY and k < cap:
+        if k % SURVIVAL_CHECK_EVERY and k < KRYLOV_MAX_STEPS:
             continue
         amp = amplitude(alphas, betas)
         echo = np.abs(amp) ** 2
@@ -238,24 +170,9 @@ def lanczos_survival(a, psi0: np.ndarray, t, *,
             if change <= SURVIVAL_TOL:
                 return amp, k
         previous = echo
-    if k == dim or k < cap:
+    if k == dim or k < KRYLOV_MAX_STEPS:
         return amplitude(alphas, betas), k
     raise NumericError(
-        f"Lanczos echo did not settle within {cap} steps: last change "
+        f"Lanczos echo did not settle within {k} steps: last change "
         f"{change:.3e} vs tolerance {SURVIVAL_TOL:.1e}")
 
-
-def spectral_propagate(decomp: EigenDecomposition, psi0: np.ndarray, t):
-    """Survival amplitude <psi0| exp(-i H t) |psi0> from a full spectrum.
-
-    ``t`` may be a scalar or an array; the amplitude is returned with the
-    matching shape.
-    """
-    psi0 = _unit_state(psi0, decomp.values.size)
-    weights = (decomp.vectors.T @ psi0) ** 2
-    t_in = np.asarray(t, dtype=float)
-    phases = np.exp(-1j * np.multiply.outer(np.atleast_1d(t_in), decomp.values))
-    amp = phases @ weights
-    if t_in.ndim == 0:
-        return complex(amp[0])
-    return amp

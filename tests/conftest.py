@@ -22,3 +22,9 @@ def random_sparse_symmetric(rng, dim, nnz_factor=4):
         (np.concatenate([vals, vals[off]]),
          (np.concatenate([lo, hi[off]]), np.concatenate([hi, lo[off]]))),
         shape=(dim, dim))
+
+
+def spectral_sum(values, vectors, psi, t):
+    """Survival amplitude sum_j <j|psi>^2 exp(-i t E_j) from a full spectrum,
+    the reference the Krylov echoes are checked against."""
+    return np.exp(-1j * np.multiply.outer(t, values)) @ (vectors.T @ psi) ** 2

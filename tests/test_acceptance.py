@@ -9,14 +9,14 @@ import numpy as np
 import pytest
 
 from qptscale import (DickeParams, SqueezeMap, collapse_check,
-                      convergence_gap, critical_coupling, echo_exact, eigh_dense,
+                      convergence_gap, critical_coupling, echo_exact,
                       fidelity_gaussian, fidelity_lmg, fidelity_scaling,
-                      fit_envelope, ground_expansion, lanczos_ground, min_echo,
-                      mode_energies, mp_scaling, overlap_matrix,
-                      semiclassical_envelope, spectral_propagate,
-                      squeeze_fidelity, survival_closed)
+                      fit_envelope, ground_expansion, lanczos_ground,
+                      lanczos_survival, min_echo, mode_energies, mp_scaling,
+                      overlap_matrix, semiclassical_envelope, squeeze_fidelity,
+                      survival_closed)
 from qptscale.echo import EchoSeries, SemiclassicalParams
-from conftest import random_sparse_symmetric
+from conftest import random_sparse_symmetric, spectral_sum
 
 
 def ratio_map(eta):
@@ -165,12 +165,12 @@ def test_criterion_7_solver_integrity():
         dim = int(rng.integers(5, 201))
         a = rng.standard_normal((dim, dim))
         sym = (a + a.T) / 2.0
-        m = eigh_dense(sym)
-        rec = (m.vectors * m.values) @ m.vectors.T
+        values, vectors = np.linalg.eigh(sym)
+        rec = (vectors * values) @ vectors.T
         worst_rec = max(worst_rec, float(np.max(np.abs(rec - sym))
                                          / np.linalg.norm(sym)))
         worst_orth = max(worst_orth, float(np.max(np.abs(
-            m.vectors.T @ m.vectors - np.eye(dim)))))
+            vectors.T @ vectors - np.eye(dim)))))
     assert worst_rec <= 1e-9
     assert worst_orth <= 1e-10
 
@@ -178,28 +178,36 @@ def test_criterion_7_solver_integrity():
     for k in range(100):
         dim = int(rng.integers(20, 501))
         sym = random_sparse_symmetric(rng, dim)
-        e_dense = eigh_dense(sym).values[0]
+        e_dense = np.linalg.eigh(sym.toarray())[0][0]
         e_kry, _, _ = lanczos_ground(sym, 1e-10, seed=k)
         worst_gap = max(worst_gap, abs(e_dense - e_kry))
     assert worst_gap <= 1e-8
 
-    worst_unit = 0.0
+    worst_unit, worst_echo = 0.0, 0.0
+    t = np.linspace(0.0, 1.3, 14)
     for _ in range(100):
         dim = int(rng.integers(4, 120))
         a = rng.standard_normal((dim, dim))
-        dec = eigh_dense((a + a.T) / 2.0)
+        sym = (a + a.T) / 2.0
+        values, vectors = np.linalg.eigh(sym)
         psi = rng.standard_normal(dim)
         psi /= np.linalg.norm(psi)
-        weights = (dec.vectors.T @ psi) ** 2
+        weights = (vectors.T @ psi) ** 2
         worst_unit = max(worst_unit, abs(float(weights.sum()) - 1.0))
-        assert abs(spectral_propagate(dec, psi, 1.3)) <= 1.0 + 1e-12
+        dense = spectral_sum(values, vectors, psi, t)
+        assert np.max(np.abs(dense)) <= 1.0 + 1e-12
+        krylov, _ = lanczos_survival(sym, psi, t)
+        worst_echo = max(worst_echo, float(np.max(np.abs(
+            np.abs(krylov) ** 2 - np.abs(dense) ** 2))))
     assert worst_unit <= 1e-10
+    assert worst_echo <= 1e-10
 
     elapsed = time.perf_counter() - start
     assert elapsed < 120.0
     print(f"ACCEPTANCE 7 PASS solver integrity: rec {worst_rec:.2e}, orth "
           f"{worst_orth:.2e}, lanczos/dense {worst_gap:.2e}, unitarity "
-          f"{worst_unit:.2e} ({elapsed:.1f}s)")
+          f"{worst_unit:.2e}, echo lanczos/dense {worst_echo:.2e} "
+          f"({elapsed:.1f}s)")
 
 
 def test_criterion_8_cross_module_identities():

@@ -245,6 +245,20 @@ def test_resource_cap_exit_code(tmp_path, capsys):
         assert not (tmp_path / "r.csv").exists()
 
 
+@pytest.mark.parametrize("grid", [
+    ["time_grid.samples_per_period=1000000000000000000000000000000"],
+    ["time_grid.periods=1e300", "time_grid.samples_per_period=10000000000"],
+], ids=["too-many-samples", "infinite-samples"])
+def test_time_grid_cap_exit_code(tmp_path, capsys, grid):
+    out = tmp_path / "e.csv"
+    args = ["lmg-echo", "--set", "etas=[0.1]", "--set", "scales=[0.01]"]
+    for item in grid:
+        args += ["--set", item]
+    assert run_cli(args + ["--output", str(out)]) == 3
+    assert "cap" in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("command,doc", [
     ("sweep", {"etas": [0.5], "scales": [0.2], "phases": ["super"],
                "exact": {"n_atoms": 8, "include": True}}),
@@ -313,3 +327,19 @@ def test_dicke_echo_subcommand(tmp_path):
     table = read_table(str(tmp_path / "echo.csv"))
     assert table.columns["M"][0] == pytest.approx(1.0, abs=1e-12)
     assert max(table.columns["M"]) <= 1.0 + 1e-10
+
+
+@pytest.mark.parametrize("command,args", [
+    ("collapse", ["--config", os.path.join(CONFIG_DIR, "fig3.json"),
+                  "--set", "time_grid.samples_per_period=64",
+                  "--set", "exact.include=true", "--set", "exact.n_atoms=8"]),
+    ("dicke-converge", ["--config", os.path.join(CONFIG_DIR, "fig2.json"),
+                        "--set", "converge.n_list=[8,16]"]),
+])
+def test_reruns_are_byte_identical(tmp_path, command, args):
+    for name in ("a.csv", "b.csv"):
+        assert run_cli([command, *args, "--output", str(tmp_path / name)]) == 0
+    first = sorted(tmp_path.glob("a*.csv"))  # collapse adds a_summary.csv
+    assert len(first) == len(list(tmp_path.glob("b*.csv"))) >= 1
+    for path in first:
+        assert path.read_bytes() == (tmp_path / ("b" + path.name[1:])).read_bytes()
