@@ -61,8 +61,6 @@ class TestLanczos:
                 lanczos_survival(bad, np.ones(1), [0.0])
         with pytest.raises(InputError):
             lanczos_survival(np.eye(3), np.ones(4) / 2.0, [0.0])
-        with pytest.raises(InputError):
-            lanczos_survival(np.eye(4), np.ones(4), [0.0])
 
 
 class TestLanczosSurvival:
@@ -106,3 +104,11 @@ class TestSpectralPropagate:
         psi /= np.linalg.norm(psi)
         amp, _ = lanczos_survival(m, psi, np.linspace(0, 50, 500))
         assert np.max(np.abs(amp)) <= 1.0 + 1e-12
+
+    def test_dimension_mismatch(self):
+        with pytest.raises(InputError):
+            lanczos_survival(np.eye(4), np.ones(5) / np.sqrt(5), [1.0])
+
+    def test_requires_unit_norm(self):
+        with pytest.raises(InputError):
+            lanczos_survival(np.eye(4), np.ones(4), [1.0])
