@@ -8,7 +8,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse
 
 from .dicke import (DickeParams, critical_coupling, fidelity_gaussian,
                     fidelity_scaling, mode_energies, scaling_eta)
@@ -64,6 +63,8 @@ def build_hamiltonian(system: TruncatedDicke, *,
     (n, m) to (n +/- 1, m +/- 1) with amplitude
     (coupling / sqrt(n_atoms)) * sqrt(boson factor) * sqrt(j(j+1) - m(m +/- 1)).
     """
+    import scipy.sparse  # deferred: only exact tasks pay its import
+
     if system.dim > max_dim:
         raise ResourceError(f"dim {system.dim} exceeds the memory cap {max_dim}")
     na, nb = system.n_atoms, system.n_boson

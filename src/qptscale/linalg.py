@@ -15,7 +15,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .errors import InputError, NumericError
 
@@ -107,6 +106,8 @@ def lanczos_ground(a, tol: float = 1e-10, *, seed: int = 0):
     Returns ``(energy, vector, info)``: the Ritz value, the unit-norm Ritz
     vector with its largest component positive, and a :class:`LanczosInfo`.
     """
+    import scipy.linalg  # deferred: only exact tasks pay its import
+
     dim = _operator_dim(a)
     if not tol > 0:
         raise InputError("tol must be positive")
@@ -150,6 +151,8 @@ def lanczos_survival(a, psi0: np.ndarray, t) -> tuple[np.ndarray, int]:
     steps.  Raises NumericError if the echo has not settled within
     ``KRYLOV_MAX_STEPS`` steps.
     """
+    import scipy.linalg  # deferred: only exact tasks pay its import
+
     dim = _operator_dim(a)
     psi0 = _unit_state(psi0, dim)
     t = np.asarray(t, dtype=float)

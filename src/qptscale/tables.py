@@ -4,14 +4,16 @@ from __future__ import annotations
 
 import os
 import re
-import tempfile
+import secrets
 from dataclasses import dataclass, field
+from itertools import islice
 
 from .errors import InputError
 
 # 17 significant digits: exact float64 round-trip
 _FLOAT_FMT = "{:.16e}"
 _INT_RE = re.compile(r"^[+-]?\d+$")
+_CHUNK_ROWS = 4096  # rows joined per write: bounded memory, few write calls
 
 
 @dataclass
@@ -34,18 +36,50 @@ class ResultTable:
         return len(next(iter(self.columns.values()))) if self.columns else 0
 
 
-def _format_cell(value) -> str:
-    if isinstance(value, bool):
+def _check_text(value: str) -> str:
+    if "," in value or "\n" in value or value.startswith("#"):
+        raise InputError(f"string cell {value!r} would break the CSV dialect")
+    return value
+
+
+def _formatter(kind: type):
+    """The function that writes cells of type ``kind``; refuses bools and
+    any type other than int, float and str."""
+    if issubclass(kind, bool):
         raise InputError("boolean cells are not supported; use strings")
-    if isinstance(value, int):
-        return str(value)
-    if isinstance(value, float):
-        return _FLOAT_FMT.format(value)
-    if isinstance(value, str):
-        if "," in value or "\n" in value or value.startswith("#"):
-            raise InputError(f"string cell {value!r} would break the CSV dialect")
-        return value
-    raise InputError(f"unsupported cell type {type(value).__name__}")
+    if issubclass(kind, int):
+        return str
+    if issubclass(kind, float):
+        return _FLOAT_FMT.format
+    if issubclass(kind, str):
+        return _check_text
+    raise InputError(f"unsupported cell type {kind.__name__}")
+
+
+def _format_column(values) -> list:
+    """The text of every cell of one column.  Each cell type is checked once
+    and each distinct value formatted once.  Values that compare equal but
+    print differently never share a memo entry: a column of several types is
+    keyed by (type, value), so 1 and 1.0 stay apart, and zeros are
+    formatted every time, since 0.0 == -0.0."""
+    formatters = {kind: _formatter(kind) for kind in set(map(type, values))}
+    if len(formatters) == 1:
+        (fmt,) = formatters.values()
+        keys = values
+    else:
+        def fmt(value):
+            return formatters[type(value)](value)
+        keys = list(zip(map(type, values), values))
+    memo = {}
+    cells = []
+    for key, value in zip(keys, values):
+        text = memo.get(key)
+        if text is None:
+            text = fmt(value)
+            if value:
+                memo[key] = text
+        cells.append(text)
+    return cells
 
 
 def _parse_cell(text: str):
@@ -57,28 +91,35 @@ def _parse_cell(text: str):
         return text
 
 
-def _render(table: ResultTable) -> str:
-    lines = []
-    for key in sorted(table.provenance):
-        lines.append(f"# provenance: {key} = {table.provenance[key]}")
-    for key in sorted(table.units):
-        lines.append(f"# unit: {key} = {table.units[key]}")
-    names = list(table.columns)
-    lines.append(",".join(names))
-    for i in range(table.n_rows):
-        lines.append(",".join(_format_cell(table.columns[name][i]) for name in names))
+def _head(table: ResultTable) -> str:
+    """Provenance and unit comments, then the header row."""
+    lines = [f"# provenance: {key} = {table.provenance[key]}"
+             for key in sorted(table.provenance)]
+    lines += [f"# unit: {key} = {table.units[key]}" for key in sorted(table.units)]
+    lines.append(",".join(table.columns))
     return "\n".join(lines) + "\n"
 
 
 def write_table(table: ResultTable, path: str) -> str:
-    """Write atomically (temp file + rename); returns the path."""
-    text = _render(table)
+    """Write atomically (temp file + rename); returns the path.
+
+    Every cell is formatted and checked before the temp file is created, so a
+    refused cell leaves ``path`` as it was.  The rows are then written
+    ``_CHUNK_ROWS`` at a time.  The file gets the mode a plain ``open`` gives
+    a new file: 0o666 less the umask.
+    """
+    head = _head(table)
+    columns = [_format_column(values) for values in table.columns.values()]
+    rows = map(",".join, zip(*columns))
     directory = os.path.dirname(os.path.abspath(path))
     os.makedirs(directory, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".qptscale_", suffix=".tmp")
+    tmp = os.path.join(directory, f".qptscale_{secrets.token_hex(8)}.tmp")
+    handle = open(tmp, "x")  # O_EXCL, so an existing file is never taken over
     try:
-        with os.fdopen(fd, "w") as handle:
-            handle.write(text)
+        with handle:
+            handle.write(head)
+            while chunk := list(islice(rows, _CHUNK_ROWS)):
+                handle.write("\n".join(chunk) + "\n")
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):

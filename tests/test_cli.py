@@ -1,5 +1,7 @@
 import json
 import os
+import subprocess
+import sys
 
 import pytest
 
@@ -9,6 +11,7 @@ from qptscale.lmg import LmgParams, gap_angle
 from qptscale.tables import read_table
 
 CONFIG_DIR = os.path.join(os.path.dirname(__file__), os.pardir, "configs")
+SRC_DIR = os.path.join(os.path.dirname(__file__), os.pardir, "src")
 
 
 def run_cli(args):
@@ -343,3 +346,35 @@ def test_reruns_are_byte_identical(tmp_path, command, args):
     assert len(first) == len(list(tmp_path.glob("b*.csv"))) >= 1
     for path in first:
         assert path.read_bytes() == (tmp_path / ("b" + path.name[1:])).read_bytes()
+
+
+_IMPORT_PROBE = """\
+import json, sys
+from qptscale.cli import main
+codes = [main(args) for args in json.loads(sys.argv[1])]
+print(json.dumps([codes, sorted(m for m in sys.modules if m.split(".")[0] == "scipy")]))
+"""
+
+
+@pytest.mark.parametrize("runs,exact", [
+    ([["lmg-echo", "--set", "etas=[0.1]", "--set", "scales=[0.01]"],
+      ["collapse", "--config", os.path.join(CONFIG_DIR, "fig3.json"),
+       "--set", "time_grid.samples_per_period=64"],
+      ["dicke-fidelity", "--config", os.path.join(CONFIG_DIR, "fig1.json")],
+      ["lmg-fidelity", "--set", "etas=[0.01,0.1]", "--set", "scales=[1e-3]"],
+      ["sweep", "--set", "etas=[0.1]", "--set", "scales=[1e-2,1e-3]"]], False),
+    ([["dicke-echo", "--set", "pairs=[[0.45,0.4]]", "--set", "exact.n_atoms=8"]], True),
+], ids=["analytic", "dicke-echo"])
+def test_scipy_loads_only_for_exact_tasks(tmp_path, runs, exact):
+    runs = [[*args, "--output", str(tmp_path / f"{i}.csv")] for i, args in enumerate(runs)]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [os.path.abspath(SRC_DIR), os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-c", _IMPORT_PROBE, json.dumps(runs)],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    codes, scipy_modules = json.loads(proc.stdout.splitlines()[-1])
+    assert codes == [0] * len(runs)
+    if exact:
+        assert {"scipy.linalg", "scipy.sparse"} <= set(scipy_modules)
+    else:
+        assert scipy_modules == []

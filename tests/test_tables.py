@@ -1,7 +1,11 @@
+import math
+import os
+import stat
+
 import numpy as np
 import pytest
 
-from qptscale import InputError
+from qptscale import InputError, tables
 from qptscale.tables import ResultTable, read_table, write_table
 
 
@@ -66,3 +70,81 @@ def test_no_temp_files_left_behind(tmp_path):
     write_table(sample_table(), str(path))
     leftovers = [p for p in tmp_path.iterdir() if p.name != "t.csv"]
     assert leftovers == []
+
+
+def _per_cell_text(table):
+    """Reference rendering: every cell formatted on its own, no memo."""
+    def cell(value):
+        return "{:.16e}".format(value) if isinstance(value, float) else str(value)
+    lines = [f"# provenance: {k} = {table.provenance[k]}" for k in sorted(table.provenance)]
+    lines += [f"# unit: {k} = {table.units[k]}" for k in sorted(table.units)]
+    lines.append(",".join(table.columns))
+    lines += [",".join(cell(col[i]) for col in table.columns.values())
+              for i in range(table.n_rows)]
+    return "\n".join(lines) + "\n"
+
+
+def test_streamed_rows_match_per_cell_rendering(tmp_path):
+    rng = np.random.default_rng(5)
+    n = 2 * tables._CHUNK_ROWS + 7  # two full chunks and a partial one
+    pool = [0.0, -0.0, 0.5, -2.25e-300, 1e300, 3.0]
+    table = ResultTable(columns={
+        "f": [pool[i] for i in rng.integers(0, len(pool), n)],
+        "x": [float(x) for x in rng.standard_normal(n)],
+        "mixed": [[1, 1.0, -0.0, 0, "s"][i] for i in rng.integers(0, 5, n)],
+        "k": [["a", "b"][i] for i in rng.integers(0, 2, n)],
+    }, units={"x": "energy"}, provenance={"k": "v"})
+    path = tmp_path / "s.csv"
+    write_table(table, str(path))
+    assert path.read_text() == _per_cell_text(table)
+
+
+def test_signed_zeros_keep_their_signs(tmp_path):
+    table = ResultTable(columns={"z": [0.0, -0.0, 0.0]}, provenance={"k": "v"})
+    path = tmp_path / "z.csv"
+    write_table(table, str(path))
+    assert path.read_text().splitlines()[-3:] == [
+        "0.0000000000000000e+00", "-0.0000000000000000e+00", "0.0000000000000000e+00"]
+    back = read_table(str(path)).columns["z"]
+    assert [math.copysign(1.0, v) for v in back] == [1.0, -1.0, 1.0]
+
+
+def test_equal_values_of_different_types_print_apart(tmp_path):
+    table = ResultTable(columns={"v": [1, 1.0, 1]}, provenance={"k": "v"})
+    path = tmp_path / "v.csv"
+    write_table(table, str(path))
+    assert path.read_text().splitlines()[-3:] == ["1", "1.0000000000000000e+00", "1"]
+    assert [type(v) for v in read_table(str(path)).columns["v"]] == [int, float, int]
+
+
+def test_bool_deep_in_a_long_column_rejected(tmp_path):
+    values = list(range(3 * tables._CHUNK_ROWS))
+    values[-2] = True  # equal to 1, which the column already holds
+    table = ResultTable(columns={"n": values}, provenance={"k": "v"})
+    with pytest.raises(InputError, match="boolean"):
+        write_table(table, str(tmp_path / "new" / "b.csv"))
+    assert list(tmp_path.iterdir()) == []  # refused before any directory or file is made
+
+
+def test_bad_last_cell_leaves_existing_file_untouched(tmp_path):
+    path = tmp_path / "t.csv"
+    path.write_bytes(b"previous contents\n")
+    n = 3 * tables._CHUNK_ROWS
+    table = ResultTable(columns={"x": [float(i) for i in range(n)],
+                                 "tag": ["ok"] * (n - 1) + ["a,b"]},
+                        provenance={"k": "v"})
+    with pytest.raises(InputError, match="dialect"):
+        write_table(table, str(path))
+    assert path.read_bytes() == b"previous contents\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["t.csv"]
+
+
+def test_new_file_mode_follows_the_umask(tmp_path):
+    path = tmp_path / "t.csv"
+    for umask, mode in ((0o022, 0o644), (0o027, 0o640)):  # the second replaces the first
+        previous = os.umask(umask)
+        try:
+            write_table(sample_table(), str(path))
+        finally:
+            os.umask(previous)
+        assert stat.S_IMODE(path.stat().st_mode) == mode
