@@ -17,9 +17,10 @@ from .config import (RunConfig, _set_dotted, apply_overrides, config_hash, load_
                      parse_document)
 from .dicke import (DickeParams, critical_coupling, fidelity_gaussian,
                     fidelity_scaling, mode_energies, scaling_eta)
-from .dicke_exact import convergence_gap, echo_exact, fidelity_exact
+from .dicke_exact import GROUND_TOL, convergence_gap, echo_exact, fidelity_exact
 from .echo import collapse_check, survival_closed
 from .errors import DomainError, InputError, NumericError, ResourceError
+from .linalg import SURVIVAL_TOL
 from .lmg import LmgParams, echo_lmg, eta_lmg, fidelity_lmg, gap_angle
 from .squeeze import SqueezeMap
 from .tables import ResultTable, write_table
@@ -59,6 +60,7 @@ class _Model:
     exact_fidelity: Callable | None  # (cfg, p1, p2) -> finite-size Lp^N
     fidelity_info: Callable  # (cfg) -> model provenance of fidelity tables
     echo_info: Callable      # (cfg) -> model provenance of echo tables
+    solver_info: dict        # provenance of tables with exact results
 
 
 def _n_boson(cfg: RunConfig) -> int:
@@ -93,6 +95,7 @@ _MODELS = {
         fidelity_info=lambda cfg: {"omega": cfg.omega, "omega0": cfg.omega0,
                                    "lambda_c": critical_coupling(cfg.omega, cfg.omega0)},
         echo_info=lambda cfg: {"n_atoms": cfg.exact.n_atoms, "n_boson": _n_boson(cfg)},
+        solver_info={"ground_tol": GROUND_TOL, "survival_tol": SURVIVAL_TOL},
     ),
     "lmg": _Model(
         tasks=frozenset({"fidelity", "echo", "sweep"}),
@@ -107,6 +110,7 @@ _MODELS = {
         exact_fidelity=None,
         fidelity_info=lambda cfg: {"gamma": cfg.lmg_gamma},
         echo_info=lambda cfg: {"gamma": cfg.lmg_gamma},
+        solver_info={},  # the LMG echo is closed-form
     ),
 }
 
@@ -196,7 +200,7 @@ def _run_converge(cfg: RunConfig, model: _Model):
     return [(cfg.output.path, _table(
         cfg, _columns(("N", "n_b", "LpN", "D"), rows), model=cfg.model, task="converge",
         lambda1=l1, lambda2=l2, eta=series.meta["eta"], reference=series.reference,
-        target=series.target))]
+        target=series.target, **model.solver_info))]
 
 
 def _run_echo(cfg: RunConfig, model: _Model):
@@ -210,7 +214,7 @@ def _run_echo(cfg: RunConfig, model: _Model):
     columns = _series_columns(("pair", "eta", *model.params), items)
     units = {"t": "1/energy"} | dict.fromkeys(model.params, model.unit)
     return [(cfg.output.path, _table(cfg, columns, units, model=cfg.model, task="echo",
-                                     **model.echo_info(cfg)))]
+                                     **model.echo_info(cfg), **model.solver_info))]
 
 
 def _run_collapse(cfg: RunConfig, model: _Model):
@@ -241,7 +245,8 @@ def _run_collapse(cfg: RunConfig, model: _Model):
     series = _series_columns(("eta", "kind", "scale"), [
         ((eta, kind, scale), s) for eta, kind, group in groups for scale, s in group])
     info = dict(model=cfg.model, task="collapse", **model.echo_info(cfg),
-                exact_included=cfg.exact.include)
+                exact_included=cfg.exact.include,
+                **(model.solver_info if cfg.exact.include else {}))
     root, ext = os.path.splitext(cfg.output.path)
     return [(cfg.output.path,
              _table(cfg, series, {"kind": "label", "t": "1/energy"}, **info)),
@@ -265,7 +270,8 @@ def _run_sweep(cfg: RunConfig, model: _Model):
              "Lp_scaling") + (("Lp_exact",) if cfg.exact.include else ())
     return [(cfg.output.path, _table(cfg, _columns(names, rows),
                                      {"model": "label", "phase": "label"},
-                                     task="sweep", model=cfg.model))]
+                                     task="sweep", model=cfg.model,
+                                     **(model.solver_info if cfg.exact.include else {})))]
 
 
 _RUNNERS = {

@@ -1,6 +1,7 @@
 """Exact numerics for the spin-boson Hamiltonian on a truncated basis:
-sparse matrix assembly, parity-resolved ground states, finite-size fidelity,
-the truncation-convergence series, and exact echo curves."""
+matrix-free parity-block operators, parity-resolved ground states,
+finite-size fidelity, the truncation-convergence series, and exact echo
+curves.  numpy only."""
 
 from __future__ import annotations
 
@@ -54,49 +55,68 @@ class TruncatedDicke:
         return boson_level * (self.n_atoms + 1) + k
 
 
-def build_hamiltonian(system: TruncatedDicke, *,
-                      max_dim: int = MAX_DIM_DEFAULT) -> scipy.sparse.csr_array:
-    """Sparse symmetric matrix of the truncated Hamiltonian, both triangles
-    stored.
+class ParityBlock:
+    """One parity block of the truncated Hamiltonian as a matrix-free real
+    symmetric operator with ``.shape`` and ``@``.
+
+    ``indices`` are the block's basis indices in the full basis, ascending;
+    ``block @ x`` is the diagonal times ``x`` plus one gather from each of
+    the four neighbours (n +/- 1, k +/- 1), which share the block's parity.
+    A missing neighbour points at entry 0 with amplitude 0.
+    """
+
+    def __init__(self, indices: np.ndarray, diagonal: np.ndarray,
+                 neighbours: np.ndarray, amplitudes: np.ndarray):
+        self.indices = indices
+        self.diagonal = diagonal
+        self.neighbours = neighbours  # (4, dim) block positions
+        self.amplitudes = amplitudes  # (4, dim) matrix elements
+        self.shape = (indices.size, indices.size)
+
+    def __matmul__(self, x: np.ndarray) -> np.ndarray:
+        return self.diagonal * x + np.einsum("ij,ij->j", self.amplitudes,
+                                             x[self.neighbours])
+
+
+def build_hamiltonian(system: TruncatedDicke, parity: str = "even", *,
+                      max_dim: int = MAX_DIM_DEFAULT) -> ParityBlock:
+    """The ``parity`` block ("even" or "odd", see :func:`parity_indices`) of
+    the truncated Hamiltonian, as a :class:`ParityBlock`.
 
     Diagonal entries are omega * n + omega0 * m; the coupling connects
     (n, m) to (n +/- 1, m +/- 1) with amplitude
-    (coupling / sqrt(n_atoms)) * sqrt(boson factor) * sqrt(j(j+1) - m(m +/- 1)).
+    (coupling / sqrt(n_atoms)) * sqrt(boson factor) * sqrt(j(j+1) - m(m +/- 1)),
+    where the boson factor is n + 1 for n -> n + 1 and n for n -> n - 1.
+    Both moves change n + m + j by an even number, so the parity blocks
+    decouple.  ``max_dim`` caps the full basis dimension (ResourceError
+    above it).
     """
-    import scipy.sparse  # deferred: only exact tasks pay its import
-
     if system.dim > max_dim:
         raise ResourceError(f"dim {system.dim} exceeds the memory cap {max_dim}")
-    na, nb = system.n_atoms, system.n_boson
+    if parity not in ("even", "odd"):
+        raise InputError(f"parity must be 'even' or 'odd', got {parity!r}")
+    na, nb, j = system.n_atoms, system.n_boson, system.j
     width = na + 1
-    j = system.j
-    ks = np.arange(width)
-    ms = ks - j
-    ns = np.arange(nb)
-
-    diag_rows = (ns[:, None] * width + ks[None, :]).ravel()
-    diag_vals = (system.omega * ns[:, None] + system.omega0 * ms[None, :]).ravel()
-
-    rows = [diag_rows]
-    cols = [diag_rows]
-    vals = [diag_vals]
+    idx = parity_indices(system)[parity == "odd"]
+    n, k = np.divmod(idx, width)
+    m = k - j
+    diagonal = system.omega * n + system.omega0 * m
+    position = np.zeros(system.dim, dtype=np.intp)
+    position[idx] = np.arange(idx.size)
     g = system.coupling / math.sqrt(na)
-    if g:
-        bos = np.sqrt(ns[:nb - 1] + 1.0)
-        up = np.sqrt((j - ms[:na]) * (j + ms[:na] + 1.0))
-        rows.append((ns[:nb - 1, None] * width + ks[None, :na]).ravel())
-        cols.append(((ns[:nb - 1, None] + 1) * width + ks[None, :na] + 1).ravel())
-        vals.append(g * (bos[:, None] * up[None, :]).ravel())
-        down = np.sqrt((j + ms[1:]) * (j - ms[1:] + 1.0))
-        rows.append((ns[:nb - 1, None] * width + ks[None, 1:]).ravel())
-        cols.append(((ns[:nb - 1, None] + 1) * width + ks[None, 1:] - 1).ravel())
-        vals.append(g * (bos[:, None] * down[None, :]).ravel())
-    rows, cols, vals = (np.concatenate(x) for x in (rows, cols, vals))
-    off = rows < cols  # mirror the coupling entries into the lower triangle
-    return scipy.sparse.csr_array(
-        (np.concatenate([vals, vals[off]]),
-         (np.concatenate([rows, cols[off]]), np.concatenate([cols, rows[off]]))),
-        shape=(system.dim, system.dim))
+    raising = lambda m: np.sqrt((j - m) * (j + m + 1.0))  # <m + 1| J+ |m>
+    lowering = lambda m: np.sqrt((j + m) * (j - m + 1.0))  # <m - 1| J- |m>
+    moves = ((1, 1, np.sqrt(n + 1.0) * raising(m)),
+             (-1, -1, np.sqrt(n) * raising(m - 1)),
+             (1, -1, np.sqrt(n + 1.0) * lowering(m)),
+             (-1, 1, np.sqrt(n) * lowering(m + 1)))
+    neighbours = np.zeros((len(moves), idx.size), dtype=np.intp)
+    amplitudes = np.zeros((len(moves), idx.size))
+    for row, (dn, dk, factor) in enumerate(moves):
+        ok = (n + dn >= 0) & (n + dn < nb) & (k + dk >= 0) & (k + dk <= na)
+        neighbours[row, ok] = position[idx[ok] + dn * width + dk]
+        amplitudes[row, ok] = g * factor[ok]
+    return ParityBlock(idx, diagonal, neighbours, amplitudes)
 
 
 def parity_indices(system: TruncatedDicke) -> tuple[np.ndarray, np.ndarray]:
@@ -126,27 +146,26 @@ def ground_state_exact(system: TruncatedDicke, *,
     ground state lives there); at and above it both blocks are solved, the
     global minimum is returned, and near-degeneracy of the two blocks is
     reported in the metadata, with the Lanczos step count and final residual
-    of the returned block.
+    of the returned block.  The step count is that of the first residual
+    check that passed: a multiple of ``KRYLOV_CHECK_EVERY`` unless the
+    Krylov space closed first (see :func:`qptscale.linalg.lanczos_ground`).
     """
-    h = build_hamiltonian(system, max_dim=max_dim)
-    even, odd = parity_indices(system)
     lc = critical_coupling(system.omega, system.omega0)
-    blocks = [("even", even)]
-    if system.coupling >= lc:
-        blocks.append(("odd", odd))
+    parities = ["even", "odd"] if system.coupling >= lc else ["even"]
     solved = []
-    for name, idx in blocks:
-        e, v, info = lanczos_ground(h[idx][:, idx], GROUND_TOL, seed=GROUND_SEED)
-        solved.append((e, v, name, idx, info, idx.size))
+    for name in parities:
+        block = build_hamiltonian(system, name, max_dim=max_dim)
+        e, v, info = lanczos_ground(block, GROUND_TOL, seed=GROUND_SEED)
+        solved.append((e, v, name, block.indices, info))
     solved.sort(key=lambda item: (item[0], item[2]))
-    e0, v0, name, idx, info, block_dim = solved[0]
+    e0, v0, name, idx, info = solved[0]
     parity_gap = abs(solved[1][0] - solved[0][0]) if len(solved) > 1 else None
     vector = np.zeros(system.dim)
     vector[idx] = v0  # largest component positive, as lanczos_ground returns it
     meta = {
         "iterations": info.iterations,
         "residual": info.residual,
-        "block_dim": block_dim,
+        "block_dim": idx.size,
         "parity_gap": parity_gap,
         "quasi_degenerate": bool(parity_gap is not None and parity_gap < QUASI_DEGENERATE_GAP),
         "n_boson": system.n_boson,
@@ -254,10 +273,10 @@ def echo_exact(omega: float, omega0: float, n_atoms: int, n_boson: int,
     t = _as_time_grid(t_grid)
     gs2 = ground_state_exact(
         TruncatedDicke(n_atoms, n_boson, omega, omega0, lambda2), max_dim=max_dim)
-    spec1 = TruncatedDicke(n_atoms, n_boson, omega, omega0, lambda1)
-    idx, _ = parity_indices(spec1)  # below lc the ground state is even
-    h1 = build_hamiltonian(spec1, max_dim=max_dim)
-    amp, depth = lanczos_survival(h1[idx][:, idx], gs2.vector[idx], t)
+    # below lc the ground state is even
+    h1 = build_hamiltonian(TruncatedDicke(n_atoms, n_boson, omega, omega0, lambda1),
+                           "even", max_dim=max_dim)
+    amp, depth = lanczos_survival(h1, gs2.vector[h1.indices], t)
     m = np.abs(amp) ** 2
     e1 = mode_energies(DickeParams(omega, omega0, lambda1)).e1
     lc = critical_coupling(omega, omega0)

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 import scipy.sparse
@@ -28,3 +30,28 @@ def spectral_sum(values, vectors, psi, t):
     """Survival amplitude sum_j <j|psi>^2 exp(-i t E_j) from a full spectrum,
     the reference the Krylov echoes are checked against."""
     return np.exp(-1j * np.multiply.outer(t, values)) @ (vectors.T @ psi) ** 2
+
+
+def dicke_reference(spec):
+    """Dense truncated Dicke Hamiltonian written out element by element, the
+    oracle for ``build_hamiltonian``: basis index n * (N + 1) + (m + j),
+    omega * n + omega0 * m on the diagonal, and between (n, m) and
+    (n +/- 1, m +/- 1) the amplitude (coupling / sqrt(N)) * sqrt(boson
+    factor) * sqrt(j(j+1) - m(m +/- 1)), the boson factor being n + 1 going
+    up and n going down."""
+    n_atoms, n_boson = spec.n_atoms, spec.n_boson
+    j = n_atoms / 2.0
+    width = n_atoms + 1
+    g = spec.coupling / math.sqrt(n_atoms)
+    h = np.zeros((n_boson * width, n_boson * width))
+    for n in range(n_boson):
+        for k in range(width):
+            m = k - j
+            row = n * width + k
+            h[row, row] = spec.omega * n + spec.omega0 * m
+            for dn, boson in ((1, n + 1), (-1, n)):
+                for dm in (1, -1):
+                    if 0 <= n + dn < n_boson and 0 <= k + dm < width:
+                        col = (n + dn) * width + k + dm
+                        h[row, col] = g * math.sqrt(boson) * math.sqrt(j * (j + 1) - m * (m + dm))
+    return h

@@ -8,15 +8,16 @@ import time
 import numpy as np
 import pytest
 
-from qptscale import (DickeParams, SqueezeMap, collapse_check,
+from qptscale import (DickeParams, SqueezeMap, TruncatedDicke,
+                      build_hamiltonian, collapse_check,
                       convergence_gap, critical_coupling, echo_exact,
                       fidelity_gaussian, fidelity_lmg, fidelity_scaling,
                       fit_envelope, ground_expansion, lanczos_ground,
                       lanczos_survival, min_echo, mode_energies, mp_scaling,
-                      overlap_matrix, semiclassical_envelope, squeeze_fidelity,
-                      survival_closed)
+                      overlap_matrix, parity_indices, semiclassical_envelope,
+                      squeeze_fidelity, survival_closed)
 from qptscale.echo import EchoSeries, SemiclassicalParams
-from conftest import random_sparse_symmetric, spectral_sum
+from conftest import dicke_reference, random_sparse_symmetric, spectral_sum
 
 
 def ratio_map(eta):
@@ -202,12 +203,32 @@ def test_criterion_7_solver_integrity():
     assert worst_unit <= 1e-10
     assert worst_echo <= 1e-10
 
+    # Dicke parity blocks against the element-by-element dense Hamiltonian,
+    # on a separate stream so the draws above stay as they were
+    dicke_rng = np.random.default_rng(77)
+    worst_block, worst_dicke = 0.0, 0.0
+    for _ in range(20):
+        spec = TruncatedDicke(int(dicke_rng.integers(1, 11)), int(dicke_rng.integers(2, 13)),
+                              *dicke_rng.uniform(0.5, 1.5, 2), dicke_rng.uniform(0.0, 1.2))
+        reference = dicke_reference(spec)
+        for parity, idx in zip(("even", "odd"), parity_indices(spec)):
+            block = build_hamiltonian(spec, parity)
+            dense = np.column_stack([block @ e for e in np.eye(idx.size)])
+            worst_block = max(worst_block, float(np.max(np.abs(
+                dense - reference[np.ix_(idx, idx)]))))
+            e_kry, _, _ = lanczos_ground(block, 1e-10)
+            worst_dicke = max(worst_dicke, abs(
+                np.linalg.eigvalsh(reference[np.ix_(idx, idx)])[0] - e_kry))
+    assert worst_block <= 1e-12
+    assert worst_dicke <= 1e-8
+
     elapsed = time.perf_counter() - start
     assert elapsed < 120.0
     print(f"ACCEPTANCE 7 PASS solver integrity: rec {worst_rec:.2e}, orth "
           f"{worst_orth:.2e}, lanczos/dense {worst_gap:.2e}, unitarity "
-          f"{worst_unit:.2e}, echo lanczos/dense {worst_echo:.2e} "
-          f"({elapsed:.1f}s)")
+          f"{worst_unit:.2e}, echo lanczos/dense {worst_echo:.2e}, dicke "
+          f"block/reference {worst_block:.2e}, dicke lanczos/dense "
+          f"{worst_dicke:.2e} ({elapsed:.1f}s)")
 
 
 def test_criterion_8_cross_module_identities():

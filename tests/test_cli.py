@@ -348,6 +348,32 @@ def test_reruns_are_byte_identical(tmp_path, command, args):
         assert path.read_bytes() == (tmp_path / ("b" + path.name[1:])).read_bytes()
 
 
+@pytest.mark.parametrize("args,exact", [
+    (["dicke-converge", "--config", os.path.join(CONFIG_DIR, "fig2.json"),
+      "--set", "converge.n_list=[8]"], True),
+    (["dicke-echo", "--set", "pairs=[[0.45,0.4]]", "--set", "exact.n_atoms=8"], True),
+    (["collapse", "--config", os.path.join(CONFIG_DIR, "fig3.json"),
+      "--set", "time_grid.samples_per_period=16",
+      "--set", "exact.include=true", "--set", "exact.n_atoms=8"], True),
+    (["sweep", "--set", "etas=[0.1]", "--set", "scales=[1e-2]",
+      "--set", "exact.include=true", "--set", "exact.n_atoms=8"], True),
+    (["collapse", "--config", os.path.join(CONFIG_DIR, "fig3.json"),
+      "--set", "time_grid.samples_per_period=16"], False),
+    (["sweep", "--set", "etas=[0.1]", "--set", "scales=[1e-2]"], False),
+    (["lmg-echo", "--set", "etas=[0.1]", "--set", "scales=[0.01]"], False),
+], ids=["dicke-converge", "dicke-echo", "collapse-exact", "sweep-exact",
+        "collapse", "sweep", "lmg-echo"])
+def test_exact_tables_record_solver_tolerances(tmp_path, args, exact):
+    assert run_cli([*args, "--output", str(tmp_path / "out.csv")]) == 0
+    for path in tmp_path.glob("out*.csv"):  # collapse adds out_summary.csv
+        provenance = read_table(str(path)).provenance
+        if exact:
+            assert provenance["ground_tol"] == "1e-11"
+            assert provenance["survival_tol"] == "1e-12"
+        else:
+            assert "ground_tol" not in provenance and "survival_tol" not in provenance
+
+
 _IMPORT_PROBE = """\
 import json, sys
 from qptscale.cli import main
@@ -356,16 +382,23 @@ print(json.dumps([codes, sorted(m for m in sys.modules if m.split(".")[0] == "sc
 """
 
 
-@pytest.mark.parametrize("runs,exact", [
-    ([["lmg-echo", "--set", "etas=[0.1]", "--set", "scales=[0.01]"],
-      ["collapse", "--config", os.path.join(CONFIG_DIR, "fig3.json"),
-       "--set", "time_grid.samples_per_period=64"],
-      ["dicke-fidelity", "--config", os.path.join(CONFIG_DIR, "fig1.json")],
-      ["lmg-fidelity", "--set", "etas=[0.01,0.1]", "--set", "scales=[1e-3]"],
-      ["sweep", "--set", "etas=[0.1]", "--set", "scales=[1e-2,1e-3]"]], False),
-    ([["dicke-echo", "--set", "pairs=[[0.45,0.4]]", "--set", "exact.n_atoms=8"]], True),
-], ids=["analytic", "dicke-echo"])
-def test_scipy_loads_only_for_exact_tasks(tmp_path, runs, exact):
+@pytest.mark.parametrize("runs", [
+    [["lmg-echo", "--set", "etas=[0.1]", "--set", "scales=[0.01]"],
+     ["collapse", "--config", os.path.join(CONFIG_DIR, "fig3.json"),
+      "--set", "time_grid.samples_per_period=64"],
+     ["dicke-fidelity", "--config", os.path.join(CONFIG_DIR, "fig1.json")],
+     ["lmg-fidelity", "--set", "etas=[0.01,0.1]", "--set", "scales=[1e-3]"],
+     ["sweep", "--set", "etas=[0.1]", "--set", "scales=[1e-2,1e-3]"]],
+    [["dicke-echo", "--set", "pairs=[[0.45,0.4]]", "--set", "exact.n_atoms=8"]],
+    [["dicke-converge", "--config", os.path.join(CONFIG_DIR, "fig2.json"),
+      "--set", "converge.n_list=[8,16]"]],
+    [["collapse", "--config", os.path.join(CONFIG_DIR, "fig3.json"),
+      "--set", "time_grid.samples_per_period=64",
+      "--set", "exact.include=true", "--set", "exact.n_atoms=8"]],
+    [["sweep", "--set", "etas=[0.1]", "--set", "scales=[1e-2,1e-3]",
+      "--set", "exact.include=true", "--set", "exact.n_atoms=8"]],
+], ids=["analytic", "dicke-echo", "dicke-converge", "collapse-exact", "sweep-exact"])
+def test_no_task_loads_scipy(tmp_path, runs):
     runs = [[*args, "--output", str(tmp_path / f"{i}.csv")] for i, args in enumerate(runs)]
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [os.path.abspath(SRC_DIR), os.environ.get("PYTHONPATH")])))
@@ -374,7 +407,4 @@ def test_scipy_loads_only_for_exact_tasks(tmp_path, runs, exact):
     assert proc.returncode == 0, proc.stderr
     codes, scipy_modules = json.loads(proc.stdout.splitlines()[-1])
     assert codes == [0] * len(runs)
-    if exact:
-        assert {"scipy.linalg", "scipy.sparse"} <= set(scipy_modules)
-    else:
-        assert scipy_modules == []
+    assert scipy_modules == []

@@ -7,12 +7,17 @@ from qptscale import (DickeParams, DomainError, InputError, ResourceError,
                       TruncatedDicke, build_hamiltonian, convergence_gap,
                       echo_exact, fidelity_exact, fidelity_gaussian,
                       ground_state_exact, mode_energies, parity_indices)
-from conftest import spectral_sum
+from conftest import dicke_reference, spectral_sum
+
+
+def block_dense(block):
+    """Dense matrix of a block operator, one column per unit vector."""
+    return np.column_stack([block @ e for e in np.eye(block.shape[0])])
 
 
 def even_block_dense(spec):
     even, _ = parity_indices(spec)
-    return even, build_hamiltonian(spec).toarray()[np.ix_(even, even)]
+    return even, dicke_reference(spec)[np.ix_(even, even)]
 
 
 def test_truncated_dicke_layout():
@@ -34,32 +39,54 @@ def test_truncated_dicke_validation():
 class TestBuildHamiltonian:
     def test_decoupled_is_diagonal(self):
         spec = TruncatedDicke(3, 5, 1.3, 0.7, 0.0)
-        h = build_hamiltonian(spec).tocoo()
-        assert np.all(h.row == h.col)
         j = spec.j
-        for n in range(5):
-            for k in range(4):
-                idx = spec.index(n, k)
+        for parity in ("even", "odd"):
+            block = build_hamiltonian(spec, parity)
+            dense = block_dense(block)
+            assert np.all(dense == np.diag(np.diag(dense)))
+            for pos, idx in enumerate(block.indices):
+                n, k = divmod(int(idx), spec.n_atoms + 1)
                 expected = 1.3 * n + 0.7 * (k - j)
-                assert h.toarray()[idx, idx] == pytest.approx(expected, abs=1e-14)
+                assert dense[pos, pos] == pytest.approx(expected, abs=1e-14)
 
     def test_hand_checked_coupling_element(self):
         # <n=1, m=0| H |n=0, m=-1> = (0.45/sqrt(2)) * 1 * sqrt(2) = 0.45
         spec = TruncatedDicke(2, 3, 1.0, 1.0, 0.45)
-        dense = build_hamiltonian(spec).toarray()
         row = spec.index(1, 1)
         col = spec.index(0, 0)
-        assert dense[row, col] == pytest.approx(0.45, abs=1e-14)
+        assert dicke_reference(spec)[row, col] == pytest.approx(0.45, abs=1e-14)
+        block = build_hamiltonian(spec, "even")
+        pos = {int(idx): p for p, idx in enumerate(block.indices)}
+        assert block_dense(block)[pos[row], pos[col]] == pytest.approx(0.45, abs=1e-14)
 
     def test_parity_blocks_decouple_exactly(self):
         spec = TruncatedDicke(5, 8, 1.0, 2.0, 0.9)
-        h = build_hamiltonian(spec).tocoo()
-        width = spec.n_atoms + 1
-        par = lambda idx: (idx // width + idx % width) % 2
-        off = h.row != h.col
-        assert np.all(par(h.row[off]) == par(h.col[off]))
+        h = dicke_reference(spec)
+        assert np.array_equal(h, h.T)
         even, odd = parity_indices(spec)
         assert even.size + odd.size == spec.dim
+        assert np.all(h[np.ix_(even, odd)] == 0.0)
+        assert np.count_nonzero(h[np.ix_(even, even)] - np.diag(np.diag(h)[even])) > 0
+
+    @pytest.mark.parametrize("spec", [
+        TruncatedDicke(5, 8, 1.0, 2.0, 0.9),
+        TruncatedDicke(4, 9, 1.3, 0.7, 0.45),
+        TruncatedDicke(6, 3, 0.8, 1.1, 0.3),
+        TruncatedDicke(1, 6, 1.0, 1.0, 0.45),
+        TruncatedDicke(3, 5, 1.3, 0.7, 0.0),
+    ], ids=["N5-nb8", "N4-nb9", "N6-nb3", "N1-nb6", "uncoupled"])
+    def test_blocks_match_reference(self, spec):
+        reference = dicke_reference(spec)
+        for parity, idx in zip(("even", "odd"), parity_indices(spec)):
+            block = build_hamiltonian(spec, parity)
+            assert np.array_equal(block.indices, idx)
+            assert block.shape == (idx.size, idx.size)
+            assert np.allclose(block_dense(block), reference[np.ix_(idx, idx)],
+                               rtol=0.0, atol=1e-14)
+
+    def test_bad_parity(self):
+        with pytest.raises(InputError):
+            build_hamiltonian(TruncatedDicke(2, 3, 1.0, 1.0, 0.45), "both")
 
     def test_memory_cap(self):
         with pytest.raises(ResourceError):

@@ -3,8 +3,22 @@ import pytest
 from scipy.sparse.linalg import LinearOperator
 
 import qptscale.linalg
-from qptscale import InputError, NumericError, lanczos_ground, lanczos_survival
-from conftest import random_sparse_symmetric
+from qptscale import (InputError, NumericError, TruncatedDicke, build_hamiltonian,
+                      lanczos_ground, lanczos_survival)
+from conftest import random_sparse_symmetric, spectral_sum
+
+
+def krylov_run(a, start, steps=None):
+    """Basis, off-diagonal and last residual norm of the Lanczos core after
+    ``steps`` steps (default: until it ends)."""
+    for basis, _, betas, beta, _ in qptscale.linalg._lanczos(a, start):
+        if steps is not None and basis.shape[0] >= steps:
+            break
+    return basis.copy(), betas.copy(), beta
+
+
+def orthogonality(basis):
+    return float(np.max(np.abs(basis @ basis.T - np.eye(basis.shape[0]))))
 
 
 class TestLanczos:
@@ -61,6 +75,61 @@ class TestLanczos:
                 lanczos_survival(bad, np.ones(1), [0.0])
         with pytest.raises(InputError):
             lanczos_survival(np.eye(3), np.ones(4) / 2.0, [0.0])
+
+
+class TestKrylovCore:
+    def test_dicke_block_stays_orthogonal(self):
+        block = build_hamiltonian(TruncatedDicke(64, 64, 1.0, 1.0, 0.495))
+        start = np.random.default_rng(0).standard_normal(block.shape[0])
+        basis, _, _ = krylov_run(block, start, 300)
+        assert basis.shape[0] == 300
+        assert orthogonality(basis) <= 1e-12
+
+    def test_random_sparse_stays_orthogonal_where_second_pass_fires(self, monkeypatch):
+        rng = np.random.default_rng(7)
+        for _ in range(10):
+            dim = int(rng.integers(20, 501))
+            m = random_sparse_symmetric(rng, dim)
+            start = rng.standard_normal(dim)
+            basis, betas, beta = krylov_run(m, start)
+            assert basis.shape[0] == dim
+            assert orthogonality(basis) <= 1e-12
+            # the Krylov space fills the space: the last residual is pure
+            # cancellation, so the conditioned second pass runs and moves it
+            monkeypatch.setattr(qptscale.linalg, "DGKS_RATIO", 0.0)
+            single, single_betas, single_beta = krylov_run(m, start)
+            monkeypatch.undo()
+            assert np.array_equal(basis, single) and np.array_equal(betas, single_betas)
+            assert beta != single_beta
+
+    def test_breakdown_between_checks(self):
+        e, v, info = lanczos_ground(np.diag([1.0] * 5 + [2.0] * 5 + [4.0] * 5), 1e-17)
+        assert info.iterations == 3
+        assert e == pytest.approx(1.0, abs=1e-12)
+        assert np.linalg.norm(v[5:]) <= 1e-12
+
+    def test_space_fills_between_checks(self, rng):
+        a = rng.standard_normal((36, 36))
+        a = (a + a.T) / 2
+        values, vectors = np.linalg.eigh(a)
+        e, _, info = lanczos_ground(a, 1e-17)
+        assert info.iterations == 36
+        assert e == pytest.approx(values[0], abs=1e-10)
+        psi = rng.standard_normal(36)
+        psi /= np.linalg.norm(psi)
+        t = np.linspace(0.0, 20.0, 41)
+        amp, depth = lanczos_survival(a, psi, t)
+        assert depth == 36
+        assert np.max(np.abs(amp - spectral_sum(values, vectors, psi, t))) <= 1e-10
+
+    def test_survival_step_cap_below_check_cadence_raises(self, rng, monkeypatch):
+        # lanczos_ground at a cap of 4: TestLanczos.test_iteration_cap_raises
+        m = random_sparse_symmetric(rng, 300)
+        psi = rng.standard_normal(300)
+        psi /= np.linalg.norm(psi)
+        monkeypatch.setattr(qptscale.linalg, "KRYLOV_MAX_STEPS", 4)
+        with pytest.raises(NumericError, match="within 4 steps"):
+            lanczos_survival(m, psi, np.linspace(0.0, 50.0, 101))
 
 
 class TestLanczosSurvival:
