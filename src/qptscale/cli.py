@@ -244,9 +244,9 @@ def _run_collapse(cfg: RunConfig, model: _Model):
     names = ("eta", "kind", "n_members", "spread", "trend_decreasing", "tau_lo", "tau_hi")
     series = _series_columns(("eta", "kind", "scale"), [
         ((eta, kind, scale), s) for eta, kind, group in groups for scale, s in group])
-    info = dict(model=cfg.model, task="collapse", **model.echo_info(cfg),
-                exact_included=cfg.exact.include,
-                **(model.solver_info if cfg.exact.include else {}))
+    info = dict(model=cfg.model, task="collapse", exact_included=cfg.exact.include,
+                **({**model.echo_info(cfg), **model.solver_info}
+                   if cfg.exact.include else {}))
     root, ext = os.path.splitext(cfg.output.path)
     return [(cfg.output.path,
              _table(cfg, series, {"kind": "label", "t": "1/energy"}, **info)),

@@ -18,7 +18,7 @@ from .linalg import lanczos_ground, lanczos_survival
 
 MAX_DIM_DEFAULT = 200_000
 GROUND_TOL = 1e-11        # Lanczos residual threshold, relative to |H|
-GROUND_SEED = 7           # seed of the Lanczos start vector
+GROUND_SEED = 7           # seed of the Lanczos start vector at and above lc
 QUASI_DEGENERATE_GAP = 1e-10  # parity gap below which blocks count as degenerate
 
 
@@ -149,13 +149,29 @@ def ground_state_exact(system: TruncatedDicke, *,
     of the returned block.  The step count is that of the first residual
     check that passed: a multiple of ``KRYLOV_CHECK_EVERY`` unless the
     Krylov space closed first (see :func:`qptscale.linalg.lanczos_ground`).
+
+    Below the critical coupling Lanczos starts from the bare vacuum
+    |n=0, m=-j>, position 0 of the even block.  It is the exact ground
+    state at coupling 0, and the normal-phase ground state, a squeezed
+    vacuum of the zero mode, stays piled up next to it.  The start always
+    overlaps the ground state: for any coupling > 0 the block is
+    irreducible, and after the gauge (-1)^n every off-diagonal element is
+    negative, so by Perron-Frobenius the ground state has no zero
+    component.  At and above the critical coupling the ground state is
+    displaced by ~sqrt(N) bosons, far from the vacuum, and both blocks
+    start from the Gaussian vector drawn with ``GROUND_SEED``.
     """
     lc = critical_coupling(system.omega, system.omega0)
-    parities = ["even", "odd"] if system.coupling >= lc else ["even"]
+    normal = system.coupling < lc
     solved = []
-    for name in parities:
+    for name in ["even"] if normal else ["even", "odd"]:
         block = build_hamiltonian(system, name, max_dim=max_dim)
-        e, v, info = lanczos_ground(block, GROUND_TOL, seed=GROUND_SEED)
+        if normal:
+            start = np.zeros(block.shape[0])
+            start[0] = 1.0  # |n=0, m=-j>
+        else:
+            start = np.random.default_rng(GROUND_SEED).standard_normal(block.shape[0])
+        e, v, info = lanczos_ground(block, GROUND_TOL, start=start)
         solved.append((e, v, name, block.indices, info))
     solved.sort(key=lambda item: (item[0], item[2]))
     e0, v0, name, idx, info = solved[0]

@@ -2,8 +2,9 @@
 alone.
 
 A single Lanczos loop with full reorthogonalization serves two solvers:
-:func:`lanczos_ground`, the lowest eigenpair from a random start, stopped on
-its residual; and :func:`lanczos_survival`, the survival amplitude
+:func:`lanczos_ground`, the lowest eigenpair from a caller's start vector (a
+fixed Gaussian draw by default), stopped on its residual; and
+:func:`lanczos_survival`, the survival amplitude
 <psi0| exp(-i A t) |psi0> on a time grid from a start at psi0, by Gauss
 quadrature of psi0's spectral measure.  Both take any real symmetric
 operator with ``.shape`` and ``@`` (an ndarray, a
@@ -124,9 +125,13 @@ class LanczosInfo:
     residual: float
 
 
-def lanczos_ground(a, tol: float = 1e-10, *, seed: int = 0):
-    """Lowest eigenpair of the operator ``a`` by one Lanczos run from a
-    random start drawn with ``seed``.
+def lanczos_ground(a, tol: float = 1e-10, *, start=None):
+    """Lowest eigenpair of the operator ``a`` by one Lanczos run from the
+    vector ``start`` (any nonzero length-dim vector; normalised here).  With
+    ``start=None`` the run starts from the Gaussian vector
+    ``np.random.default_rng(0).standard_normal(dim)``.  The start must
+    overlap the lowest eigenvector, which a random one does almost surely; a
+    start close to it cuts the steps taken.
 
     The residual |A v - E v| is tested every ``KRYLOV_CHECK_EVERY`` steps;
     the run stops at the first test where it is within ``tol`` times a
@@ -140,7 +145,11 @@ def lanczos_ground(a, tol: float = 1e-10, *, seed: int = 0):
     dim = _operator_dim(a)
     if not tol > 0:
         raise InputError("tol must be positive")
-    start = np.random.default_rng(seed).standard_normal(dim)
+    if start is None:
+        start = np.random.default_rng(0).standard_normal(dim)
+    start = np.asarray(start, dtype=float)
+    if start.shape != (dim,) or not 0 < np.linalg.norm(start) < math.inf:
+        raise InputError(f"start must be a nonzero finite vector of dimension {dim}")
     for basis, alphas, betas, beta, closed in _lanczos(a, start):
         values, vectors = _tridiagonal_eigh(alphas, betas)
         theta, s = float(values[0]), vectors[:, 0]

@@ -12,10 +12,10 @@ from qptscale import (DickeParams, SqueezeMap, TruncatedDicke,
                       build_hamiltonian, collapse_check,
                       convergence_gap, critical_coupling, echo_exact,
                       fidelity_gaussian, fidelity_lmg, fidelity_scaling,
-                      fit_envelope, ground_expansion, lanczos_ground,
-                      lanczos_survival, min_echo, mode_energies, mp_scaling,
-                      overlap_matrix, parity_indices, semiclassical_envelope,
-                      squeeze_fidelity, survival_closed)
+                      fit_envelope, ground_expansion, ground_state_exact,
+                      lanczos_ground, lanczos_survival, min_echo, mode_energies,
+                      mp_scaling, overlap_matrix, parity_indices,
+                      semiclassical_envelope, squeeze_fidelity, survival_closed)
 from qptscale.echo import EchoSeries, SemiclassicalParams
 from conftest import dicke_reference, random_sparse_symmetric, spectral_sum
 
@@ -180,7 +180,8 @@ def test_criterion_7_solver_integrity():
         dim = int(rng.integers(20, 501))
         sym = random_sparse_symmetric(rng, dim)
         e_dense = np.linalg.eigh(sym.toarray())[0][0]
-        e_kry, _, _ = lanczos_ground(sym, 1e-10, seed=k)
+        e_kry, _, _ = lanczos_ground(
+            sym, 1e-10, start=np.random.default_rng(k).standard_normal(dim))
         worst_gap = max(worst_gap, abs(e_dense - e_kry))
     assert worst_gap <= 1e-8
 
@@ -222,13 +223,37 @@ def test_criterion_7_solver_integrity():
     assert worst_block <= 1e-12
     assert worst_dicke <= 1e-8
 
+    # ground_state_exact (vacuum start below the critical coupling, Gaussian
+    # start at and above it) against the lowest eigenpair of the reference,
+    # on a stream of its own
+    gs_rng = np.random.default_rng(707)
+    worst_gs_energy, worst_gs_overlap, phases = 0.0, 0.0, set()
+    for _ in range(20):
+        spec = TruncatedDicke(int(gs_rng.integers(1, 11)), int(gs_rng.integers(2, 13)),
+                              *gs_rng.uniform(0.5, 1.5, 2), gs_rng.uniform(0.0, 1.2))
+        reference = dicke_reference(spec)
+        even, odd = parity_indices(spec)
+        values, vectors = np.linalg.eigh(reference[np.ix_(even, even)])
+        energy = min(values[0], np.linalg.eigvalsh(reference[np.ix_(odd, odd)])[0])
+        gs = ground_state_exact(spec)
+        worst_gs_energy = max(worst_gs_energy, abs(gs.energy - energy))
+        normal = spec.coupling < critical_coupling(spec.omega, spec.omega0)
+        phases.add(normal)
+        if normal:  # the even block holds the ground state
+            worst_gs_overlap = max(worst_gs_overlap,
+                                   1.0 - abs(gs.vector[even] @ vectors[:, 0]))
+    assert phases == {True, False}
+    assert worst_gs_energy <= 1e-8
+    assert worst_gs_overlap <= 1e-8
+
     elapsed = time.perf_counter() - start
     assert elapsed < 120.0
     print(f"ACCEPTANCE 7 PASS solver integrity: rec {worst_rec:.2e}, orth "
           f"{worst_orth:.2e}, lanczos/dense {worst_gap:.2e}, unitarity "
           f"{worst_unit:.2e}, echo lanczos/dense {worst_echo:.2e}, dicke "
           f"block/reference {worst_block:.2e}, dicke lanczos/dense "
-          f"{worst_dicke:.2e} ({elapsed:.1f}s)")
+          f"{worst_dicke:.2e}, ground state energy/dense {worst_gs_energy:.2e}, "
+          f"1 - overlap {worst_gs_overlap:.2e} ({elapsed:.1f}s)")
 
 
 def test_criterion_8_cross_module_identities():

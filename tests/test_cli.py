@@ -319,6 +319,22 @@ def test_collapse_emits_series_and_summary(tmp_path):
     assert all(s <= 1e-4 for s in summary.columns["spread"])
 
 
+@pytest.mark.parametrize("include", [False, True], ids=["analytic", "exact"])
+def test_collapse_names_the_basis_only_with_exact_echoes(tmp_path, include):
+    out = tmp_path / "c.csv"
+    assert run_cli(["collapse", "--config", os.path.join(CONFIG_DIR, "fig3.json"),
+                    "--set", "time_grid.samples_per_period=16",
+                    "--set", f"exact.include={str(include).lower()}",
+                    "--set", "exact.n_atoms=8", "--output", str(out)]) == 0
+    for path in (out, tmp_path / "c_summary.csv"):
+        provenance = read_table(str(path)).provenance
+        assert provenance["exact_included"] == str(include)
+        if include:
+            assert (provenance["n_atoms"], provenance["n_boson"]) == ("8", "8")
+        else:
+            assert "n_atoms" not in provenance and "n_boson" not in provenance
+
+
 def test_dicke_echo_subcommand(tmp_path):
     cfg = write_config(tmp_path, {
         "pairs": [[0.45, 0.4]],

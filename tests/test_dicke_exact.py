@@ -95,13 +95,24 @@ class TestBuildHamiltonian:
 
 class TestGroundStateExact:
     def test_decoupled_ground_state(self):
-        spec = TruncatedDicke(2, 4, 1.0, 1.0, 0.0)
-        gs = ground_state_exact(spec)
-        assert gs.energy == pytest.approx(-1.0, abs=1e-12)
-        expected = np.zeros(spec.dim)
-        expected[spec.index(0, 0)] = 1.0
-        assert np.allclose(gs.vector, expected, atol=1e-10)
-        assert gs.parity == "even"
+        # the bare vacuum |n=0, m=-j> is the exact ground state, with energy
+        # -omega0 * N / 2, and the Lanczos run starts there: one step
+        for spec, energy in ((TruncatedDicke(2, 4, 1.0, 1.0, 0.0), -1.0),
+                             (TruncatedDicke(8, 6, 1.0, 2.0, 0.0), -8.0)):
+            gs = ground_state_exact(spec)
+            assert gs.energy == pytest.approx(energy, abs=1e-12)
+            expected = np.zeros(spec.dim)
+            expected[spec.index(0, 0)] = 1.0
+            assert np.allclose(gs.vector, expected, atol=1e-10)
+            assert gs.parity == "even"
+            assert gs.meta["iterations"] == 1
+
+    @pytest.mark.parametrize("n_atoms,cap", [(64, 100), (128, 120)])
+    def test_normal_phase_step_count(self, n_atoms, cap):
+        # the vacuum start takes 80 and 100 steps here; a random start
+        # takes 140 and 220
+        gs = ground_state_exact(TruncatedDicke(n_atoms, n_atoms, 1.0, 1.0, 0.495))
+        assert gs.meta["iterations"] <= cap
 
     def test_cutoff_convergence(self):
         e64 = ground_state_exact(TruncatedDicke(1, 64, 1.0, 1.0, 0.45)).energy

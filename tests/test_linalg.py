@@ -32,7 +32,8 @@ class TestLanczos:
             dim = int(rng.integers(30, 501))
             m = random_sparse_symmetric(rng, dim)
             e_dense = np.linalg.eigh(m.toarray())[0][0]
-            e_lr, v, _ = lanczos_ground(m, 1e-10, seed=k)
+            e_lr, v, _ = lanczos_ground(
+                m, 1e-10, start=np.random.default_rng(k).standard_normal(dim))
             assert abs(e_lr - e_dense) <= 1e-8
             assert np.linalg.norm(v) == pytest.approx(1.0, abs=1e-12)
 
@@ -75,6 +76,15 @@ class TestLanczos:
                 lanczos_survival(bad, np.ones(1), [0.0])
         with pytest.raises(InputError):
             lanczos_survival(np.eye(3), np.ones(4) / 2.0, [0.0])
+        for bad in (np.ones(4), np.zeros(3), np.array([1.0, np.inf, 0.0])):
+            with pytest.raises(InputError):
+                lanczos_ground(np.eye(3), start=bad)
+
+    def test_default_start_is_seed_zero_gaussian(self, rng):
+        m = random_sparse_symmetric(rng, 80)
+        e, v, info = lanczos_ground(m)
+        e2, v2, info2 = lanczos_ground(m, start=np.random.default_rng(0).standard_normal(80))
+        assert e == e2 and np.array_equal(v, v2) and info == info2
 
 
 class TestKrylovCore:
