@@ -322,7 +322,7 @@ def _config_from_args(args) -> RunConfig:
         _set_dotted(doc, "output.path", args.output)
     # Phases only shape the eta x scale grid; there they default to the model's
     # first phase.  Pair-only configs keep the old default, and so their hash.
-    # A list, not the dict: an unhashable model value must reach the schema check.
+    # A list, not the dict: an unhashable model value must reach parse_document.
     if doc.get("etas") and doc.get("model") in list(_MODELS):
         doc.setdefault("phases", [next(iter(_MODELS[doc["model"]].signs))])
     return parse_document(doc)

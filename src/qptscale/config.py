@@ -1,15 +1,15 @@
-"""Run configuration: JSON document, schema validation, dotted overrides."""
+"""Run configuration: JSON document, validation against the dataclasses,
+dotted overrides."""
 
 from __future__ import annotations
 
 import hashlib
 import json
 import math
-from dataclasses import asdict, dataclass, field
-from importlib import resources
+import typing
+from dataclasses import MISSING, asdict, dataclass, field, fields, is_dataclass
 
-import jsonschema
-
+from .dicke_exact import MAX_DIM_DEFAULT
 from .errors import InputError
 
 
@@ -24,7 +24,7 @@ class ExactOpts:
     n_atoms: int = 16
     n_boson: int | None = None
     include: bool = False
-    max_dim: int = 200_000
+    max_dim: int = MAX_DIM_DEFAULT
 
 
 @dataclass(frozen=True)
@@ -55,10 +55,91 @@ class RunConfig:
     output: OutputOpts = field(default_factory=OutputOpts)
 
 
-def _schema() -> dict:
-    text = resources.files("qptscale").joinpath(
-        "schemas/runconfig.schema.json").read_text()
-    return json.loads(text)
+def _number(value) -> bool:
+    # JSON true/false arrive as bool, a subclass of int; they are not numbers.
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def _integer(value) -> bool:
+    return _number(value) and isinstance(value, int)
+
+
+def _positive():
+    return "a number > 0", lambda v: _number(v) and v > 0
+
+
+def _at_least(n: int):
+    return f"an integer >= {n}", lambda v: _integer(v) and v >= n
+
+
+def _one_of(*choices):
+    return "one of " + ", ".join(map(repr, choices)), lambda v: v in choices
+
+
+def _list_of(rule, non_empty: bool = False):
+    text, test = rule
+    return (("a non-empty list" if non_empty else "a list") + f", each item {text}",
+            lambda v: isinstance(v, list) and (len(v) > 0 or not non_empty)
+            and all(map(test, v)))
+
+
+# What each value must be, by dotted key: one entry per dataclass field that
+# is not itself a dataclass (those are checked key by key).
+_RULES = {
+    "model": _one_of("dicke", "lmg"),
+    "task": _one_of("fidelity", "echo", "converge", "collapse", "sweep"),
+    "omega": _positive(),
+    "omega0": _positive(),
+    "lmg_gamma": ("a number in [0, 1)", lambda v: _number(v) and 0 <= v < 1),
+    "pairs": _list_of(("a pair of numbers", lambda v: isinstance(v, list)
+                       and len(v) == 2 and all(map(_number, v)))),
+    "etas": _list_of(_positive()),
+    "scales": _list_of(_positive()),
+    "phases": _list_of(_one_of("normal", "super", "symmetric", "broken"), non_empty=True),
+    "time_grid.periods": _positive(),
+    "time_grid.samples_per_period": _at_least(8),
+    "exact.n_atoms": _at_least(1),
+    "exact.n_boson": ("null or an integer >= 2", lambda v: v is None or _integer(v) and v >= 2),
+    "exact.include": ("true or false", lambda v: isinstance(v, bool)),
+    "exact.max_dim": _at_least(16),
+    # each N runs with n_boson = N, and a truncation needs two boson levels
+    "converge.n_list": _list_of(_at_least(2), non_empty=True),
+    "converge.target": _one_of("effective", "scaling"),
+    "output.path": ("a non-empty string", lambda v: isinstance(v, str) and v != ""),
+}
+
+
+def _frozen(value):
+    """Lists become tuples; the inner lists (the pairs) become float pairs."""
+    if not isinstance(value, list):
+        return value
+    return tuple(tuple(map(float, v)) if isinstance(v, list) else v for v in value)
+
+
+def _build(cls, doc, where: str = ""):
+    """``cls`` from the object ``doc`` found at dotted path ``where``: every
+    field without a default must be given, every key must be a field, and
+    every value must pass its ``_RULES`` entry; lists become tuples."""
+    if not isinstance(doc, dict):
+        raise InputError(f"config error at {where or '(top level)'}: {doc!r} is not an object")
+    prefix = where and where + "."
+    for spec in fields(cls):
+        if spec.name not in doc and spec.default is spec.default_factory is MISSING:
+            raise InputError(f"config error at {prefix + spec.name}: required key is missing")
+    types = typing.get_type_hints(cls)
+    kwargs = {}
+    for key, value in doc.items():
+        path = prefix + key
+        if key not in types:
+            raise InputError(f"config error at {path}: unknown key")
+        if is_dataclass(types[key]):
+            kwargs[key] = _build(types[key], value, path)
+            continue
+        text, test = _RULES[path]
+        if not test(value):
+            raise InputError(f"config error at {path}: {value!r} is not {text}")
+        kwargs[key] = _frozen(value)
+    return cls(**kwargs)
 
 
 def _set_dotted(doc: dict, dotted: str, value) -> None:
@@ -102,35 +183,9 @@ def apply_overrides(doc: dict, overrides) -> dict:
     return doc
 
 
-def validate_document(doc: dict) -> None:
-    validator = jsonschema.Draft202012Validator(_schema())
-    errors = sorted(validator.iter_errors(doc), key=lambda e: list(e.absolute_path))
-    if errors:
-        err = errors[0]
-        where = "/".join(str(p) for p in err.absolute_path) or "(top level)"
-        raise InputError(f"config error at {where}: {err.message}")
-
-
 def parse_document(doc: dict) -> RunConfig:
-    validate_document(doc)
-    kwargs = dict(doc)
-    if "pairs" in kwargs:
-        kwargs["pairs"] = tuple((float(a), float(b)) for a, b in kwargs["pairs"])
-    for name in ("etas", "scales", "phases"):
-        if name in kwargs:
-            kwargs[name] = tuple(kwargs[name])
-    if "time_grid" in kwargs:
-        kwargs["time_grid"] = TimeGridOpts(**kwargs["time_grid"])
-    if "exact" in kwargs:
-        kwargs["exact"] = ExactOpts(**kwargs["exact"])
-    if "converge" in kwargs:
-        sub = dict(kwargs["converge"])
-        if "n_list" in sub:
-            sub["n_list"] = tuple(sub["n_list"])
-        kwargs["converge"] = ConvergeOpts(**sub)
-    if "output" in kwargs:
-        kwargs["output"] = OutputOpts(**kwargs["output"])
-    return RunConfig(**kwargs)
+    """Validate a config document and build its :class:`RunConfig`."""
+    return _build(RunConfig, doc)
 
 
 def load_document(path: str) -> dict:

@@ -37,6 +37,10 @@ class TruncatedDicke:
     coupling: float
 
     def __post_init__(self):
+        for name in ("n_atoms", "n_boson"):
+            value = getattr(self, name)
+            if not isinstance(value, int) or isinstance(value, bool):
+                raise InputError(f"{name} must be an integer, got {value!r}")
         if self.n_atoms < 1:
             raise InputError("n_atoms must be at least 1")
         if self.n_boson < 2:

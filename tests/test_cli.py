@@ -2,11 +2,13 @@ import json
 import os
 import subprocess
 import sys
+from dataclasses import asdict
 
 import pytest
 
 from qptscale.cli import main
-from qptscale.config import config_hash, parse_document
+from qptscale.config import RunConfig, config_hash, parse_document
+from qptscale.errors import InputError
 from qptscale.lmg import LmgParams, gap_angle
 from qptscale.tables import read_table
 
@@ -211,6 +213,55 @@ def test_schema_violation_reports_path(tmp_path, capsys):
     assert "omega" in capsys.readouterr().err
 
 
+_BASE_DOC = {"model": "dicke", "task": "sweep"}
+
+
+# One document per rule the run config enforces; each refusal names its key.
+@pytest.mark.parametrize("doc,key", [
+    (dict(_BASE_DOC, omega=0), "omega"),
+    (dict(_BASE_DOC, omega=-1.0), "omega"),
+    (dict(_BASE_DOC, omega=True), "omega"),
+    (dict(_BASE_DOC, omega0=0.0), "omega0"),
+    (dict(_BASE_DOC, omega0=True), "omega0"),
+    (dict(_BASE_DOC, lmg_gamma=1), "lmg_gamma"),
+    (dict(_BASE_DOC, pairs=[[0.45, 0.4, 0.3]]), "pairs"),
+    (dict(_BASE_DOC, etas=[0.0]), "etas"),
+    (dict(_BASE_DOC, scales=[0]), "scales"),
+    (dict(_BASE_DOC, phases=[]), "phases"),
+    (dict(_BASE_DOC, phases=["sideways"]), "phases"),
+    (dict(_BASE_DOC, time_grid={"samples_per_period": 7}), "samples_per_period"),
+    (dict(_BASE_DOC, exact={"max_dim": 15}), "max_dim"),
+    (dict(_BASE_DOC, exact={"n_boson": 1}), "n_boson"),
+    (dict(_BASE_DOC, exact={"include": 1}), "include"),
+    (dict(_BASE_DOC, converge={"n_list": []}), "n_list"),
+    (dict(_BASE_DOC, converge={"target": "exact"}), "target"),
+    (dict(_BASE_DOC, output={"path": ""}), "path"),
+    (dict(_BASE_DOC, time_grid={"period": 1.0}), "period"),
+    (dict(_BASE_DOC, exact={"n_atom": 8}), "n_atom"),
+    (dict(_BASE_DOC, converge={"nlist": [8]}), "nlist"),
+    (dict(_BASE_DOC, output={"file": "a.csv"}), "file"),
+    (dict(_BASE_DOC, exact=8), "exact"),
+    ({"task": "sweep"}, "model"),
+    ({"model": "dicke"}, "task"),
+])
+def test_parse_document_refuses_each_rule_naming_the_key(doc, key):
+    with pytest.raises(InputError, match=key):
+        parse_document(doc)
+
+
+@pytest.mark.parametrize("override", [
+    "time_grid.samples_per_period=64.0", "exact.n_atoms=8.0", "exact.n_boson=8.0",
+    "exact.max_dim=1e5", "converge.n_list=[8.0]", "converge.n_list=[1]"],
+    ids=["samples_per_period", "n_atoms", "n_boson", "max_dim", "n_list", "n_list-one"])
+def test_sizes_are_json_integers_in_range(tmp_path, capsys, override):
+    out = tmp_path / "i.csv"
+    key = override.partition("=")[0]
+    assert run_cli(["dicke-echo", "--set", "pairs=[[0.45,0.4]]", "--set", "exact.n_atoms=8",
+                    "--set", override, "--output", str(out)]) == 2
+    assert key in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("key,value", [("omgea", 1.0), ("threads", 2)],
                          ids=["omgea", "threads"])
 def test_unknown_key_rejected(tmp_path, capsys, key, value):
@@ -275,6 +326,12 @@ def test_super_radiant_exact_is_usage_error(tmp_path, capsys, command, doc):
     assert run_cli([command, "--config", cfg]) == 2
     assert "critical" in capsys.readouterr().err
     assert not (tmp_path / "s.csv").exists()
+
+
+def test_defaults_written_out_parse_back():
+    # every key the dataclasses declare, at its default: each passes its rule
+    default = RunConfig("dicke", "sweep")
+    assert parse_document(json.loads(json.dumps(asdict(default)))) == default
 
 
 def test_config_hash_ignores_output():
@@ -394,7 +451,8 @@ _IMPORT_PROBE = """\
 import json, sys
 from qptscale.cli import main
 codes = [main(args) for args in json.loads(sys.argv[1])]
-print(json.dumps([codes, sorted(m for m in sys.modules if m.split(".")[0] == "scipy")]))
+print(json.dumps([codes, sorted(m for m in sys.modules
+                                if m.split(".")[0] in ("scipy", "jsonschema"))]))
 """
 
 
@@ -421,6 +479,6 @@ def test_no_task_loads_scipy(tmp_path, runs):
     proc = subprocess.run([sys.executable, "-c", _IMPORT_PROBE, json.dumps(runs)],
                           capture_output=True, text=True, env=env, timeout=120)
     assert proc.returncode == 0, proc.stderr
-    codes, scipy_modules = json.loads(proc.stdout.splitlines()[-1])
+    codes, heavy_modules = json.loads(proc.stdout.splitlines()[-1])
     assert codes == [0] * len(runs)
-    assert scipy_modules == []
+    assert heavy_modules == []

@@ -36,6 +36,13 @@ def test_truncated_dicke_validation():
         TruncatedDicke(2, 4, -1.0, 1.0, 0.1)
 
 
+@pytest.mark.parametrize("n_atoms,n_boson", [(8.0, 8), (8.5, 8), (True, 8), (8, 8.0)],
+                         ids=["atoms-float", "atoms-fraction", "atoms-bool", "bosons-float"])
+def test_truncated_dicke_sizes_are_integers(n_atoms, n_boson):
+    with pytest.raises(InputError, match="must be an integer"):
+        TruncatedDicke(n_atoms, n_boson, 1.0, 1.0, 0.4)
+
+
 class TestBuildHamiltonian:
     def test_decoupled_is_diagonal(self):
         spec = TruncatedDicke(3, 5, 1.3, 0.7, 0.0)
