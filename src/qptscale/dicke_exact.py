@@ -251,7 +251,10 @@ def convergence_gap(omega: float, omega0: float, lambda1: float, lambda2: float,
     cutoff equals N; ``max_dim`` caps the truncated basis dimension
     (ResourceError above it).
     """
-    n_list = [int(n) for n in n_list]
+    n_list = list(n_list)
+    for n in n_list:
+        if not isinstance(n, int) or isinstance(n, bool):
+            raise InputError(f"n_list entries must be integers, got {n!r}")
     if n_list != sorted(set(n_list)):
         raise InputError("n_list must be strictly ascending")
     lc = critical_coupling(omega, omega0)

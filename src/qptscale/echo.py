@@ -1,8 +1,9 @@
 """Loschmidt-echo analytics and post-processing.
 
 Closed-form single-mode echo, the Gaussian-to-power-law envelope model and
-its fit, time rescaling by the critical-mode frequency, minimum extraction,
-the echo-minimum law, and multi-series collapse checks.
+its variable-projection fit (numpy only), time rescaling by the critical-mode
+frequency, minimum extraction, the echo-minimum law, and multi-series
+collapse checks.
 """
 
 from __future__ import annotations
@@ -17,6 +18,10 @@ from .errors import DomainError, FitError, InputError
 from .squeeze import SqueezeMap
 
 FIT_MIN_SAMPLES = 10  # fewest samples an envelope-fit window may hold
+FIT_B0_BOUNDS = (1e-6, 1.2)  # envelope amplitude b0 allowed by the fit
+FIT_XI_SPAN = (1e-4, 1e3)  # xi scanned, in units of 1 / (window end)
+FIT_XI_GRID = 65  # log-spaced xi samples per scan
+FIT_XI_ROUNDS = 8  # scans, each over two grid steps of the last
 
 
 def _as_time_grid(t_grid) -> np.ndarray:
@@ -140,11 +145,40 @@ class EnvelopeFit:
     max_log_residual: float
 
 
+def _fit_at_xi(tt, y, xi):
+    """Best (ln b0, gamma) for a fixed xi, and the log residual there.
+
+    At fixed xi the residual ln b0 - ln(1 + xi^2 t^2)/2 - gamma u - ln M,
+    u = t^2 / (1 + xi^2 t^2), is linear in (ln b0, gamma): a convex problem
+    whose bounded minimum is the unconstrained one when feasible, else the
+    best point on an edge (gamma = 0, or ln b0 at either bound).
+    """
+    den = 1.0 + (xi * tt) ** 2
+    u = tt**2 / den
+    z = y + 0.5 * np.log(den)
+    lo, hi = (math.log(b) for b in FIT_B0_BOUNDS)
+    zm, um = float(z.mean()), float(u.mean())
+    du = u - um
+    g = float(du @ (zm - z)) / float(du @ du)
+    c = zm + g * um
+    candidates = [(min(max(zm, lo), hi), 0.0)]
+    candidates += [(cb, max(float(u @ (cb - z)) / float(u @ u), 0.0)) for cb in (lo, hi)]
+    if g >= 0.0 and lo <= c <= hi:
+        candidates.append((c, g))
+    residuals = [cb - gb * u - z for cb, gb in candidates]
+    k = int(np.argmin([r @ r for r in residuals]))
+    return candidates[k], residuals[k]
+
+
 def fit_envelope(series: EchoSeries, window: tuple[float, float]) -> EnvelopeFit:
     """Least-squares fit of the envelope to ln M over a time window.
 
-    The window should stay inside the first echo period and hold at least
-    FIT_MIN_SAMPLES samples.  Raises FitError when no start converges.
+    Variable projection: (ln b0, gamma) are solved exactly for each xi, and
+    xi is found by log-spaced scans over FIT_XI_SPAN / (window end), each
+    narrowed to the two grid steps around the previous best.  The window
+    should stay inside the first echo period and hold at least
+    FIT_MIN_SAMPLES samples.  Raises FitError when the windowed echo is not
+    finite.
     """
     lo, hi = float(window[0]), float(window[1])
     if not hi > lo:
@@ -157,41 +191,25 @@ def fit_envelope(series: EchoSeries, window: tuple[float, float]) -> EnvelopeFit
     mm = series.echo[mask]
     if np.any(mm <= 0):
         raise InputError("echo must stay positive for a log-domain fit")
+    if not np.all(np.isfinite(mm)):
+        raise FitError("echo is not finite inside the fit window")
     y = np.log(mm)
 
-    def residual(p):
-        g, x, b = p
-        den = 1.0 + (x * tt) ** 2
-        return math.log(b) - 0.5 * np.log(den) - g * tt**2 / den - y
+    def cost(s):
+        residual = _fit_at_xi(tt, y, math.exp(s))[1]
+        return float(residual @ residual)
 
-    t_end = tt[-1]
-    drop = max(-float(y[-1]), 1e-8)
-    starts = [
-        (drop / t_end**2, 1.0 / t_end, 1.0),
-        (1e-8, math.sqrt(2.0 * drop) / t_end, 1.0),
-        (0.5 * drop / t_end**2, 4.0 / t_end, 1.0),
-    ]
-    import scipy.optimize  # deferred: the only user, and slow to import
-
-    best = None
-    trace = []
-    for x0 in starts:
-        try:
-            res = scipy.optimize.least_squares(
-                residual, x0, bounds=([0.0, 0.0, 1e-6], [np.inf, np.inf, 1.2]))
-        except Exception as err:  # scipy raises ValueError on pathological input
-            trace.append(f"start {x0}: {err}")
-            continue
-        trace.append(f"start {x0}: cost {res.cost:.3e}, success {res.success}")
-        if res.success and (best is None or res.cost < best.cost):
-            best = res
-    if best is None:
-        raise FitError("envelope fit did not converge; " + "; ".join(trace))
-    g, x, b = (float(v) for v in best.x)
-    fitted = SemiclassicalParams(gamma=g, xi=x, b0=b,
+    s_lo, s_hi = (math.log(x / tt[-1]) for x in FIT_XI_SPAN)
+    for _ in range(FIT_XI_ROUNDS):
+        grid = np.linspace(s_lo, s_hi, FIT_XI_GRID)
+        k = int(np.argmin([cost(s) for s in grid]))
+        s_lo, s_hi = grid[max(k - 1, 0)], grid[min(k + 1, FIT_XI_GRID - 1)]
+    xi = math.exp(grid[k])
+    (c, g), residual = _fit_at_xi(tt, y, xi)
+    b0 = min(max(math.exp(c), FIT_B0_BOUNDS[0]), FIT_B0_BOUNDS[1])
+    fitted = SemiclassicalParams(gamma=g, xi=xi, b0=b0,
                                  omega1=series.omega1 if series.omega1 > 0 else 1.0)
-    return EnvelopeFit(params=fitted,
-                       max_log_residual=float(np.max(np.abs(residual(best.x)))))
+    return EnvelopeFit(params=fitted, max_log_residual=float(np.max(np.abs(residual))))
 
 
 def rescale_time(series: EchoSeries, omega1: float) -> EchoSeries:

@@ -456,29 +456,58 @@ print(json.dumps([codes, sorted(m for m in sys.modules
 """
 
 
-@pytest.mark.parametrize("runs", [
-    [["lmg-echo", "--set", "etas=[0.1]", "--set", "scales=[0.01]"],
-     ["collapse", "--config", os.path.join(CONFIG_DIR, "fig3.json"),
-      "--set", "time_grid.samples_per_period=64"],
-     ["dicke-fidelity", "--config", os.path.join(CONFIG_DIR, "fig1.json")],
-     ["lmg-fidelity", "--set", "etas=[0.01,0.1]", "--set", "scales=[1e-3]"],
-     ["sweep", "--set", "etas=[0.1]", "--set", "scales=[1e-2,1e-3]"]],
-    [["dicke-echo", "--set", "pairs=[[0.45,0.4]]", "--set", "exact.n_atoms=8"]],
-    [["dicke-converge", "--config", os.path.join(CONFIG_DIR, "fig2.json"),
-      "--set", "converge.n_list=[8,16]"]],
-    [["collapse", "--config", os.path.join(CONFIG_DIR, "fig3.json"),
-      "--set", "time_grid.samples_per_period=64",
-      "--set", "exact.include=true", "--set", "exact.n_atoms=8"]],
-    [["sweep", "--set", "etas=[0.1]", "--set", "scales=[1e-2,1e-3]",
-      "--set", "exact.include=true", "--set", "exact.n_atoms=8"]],
-], ids=["analytic", "dicke-echo", "dicke-converge", "collapse-exact", "sweep-exact"])
-def test_no_task_loads_scipy(tmp_path, runs):
+_PROBE_RUNS = {
+    "analytic": [
+        ["lmg-echo", "--set", "etas=[0.1]", "--set", "scales=[0.01]"],
+        ["collapse", "--config", os.path.join(CONFIG_DIR, "fig3.json"),
+         "--set", "time_grid.samples_per_period=64"],
+        ["dicke-fidelity", "--config", os.path.join(CONFIG_DIR, "fig1.json")],
+        ["lmg-fidelity", "--set", "etas=[0.01,0.1]", "--set", "scales=[1e-3]"],
+        ["sweep", "--set", "etas=[0.1]", "--set", "scales=[1e-2,1e-3]"]],
+    "dicke-echo": [["dicke-echo", "--set", "pairs=[[0.45,0.4]]", "--set", "exact.n_atoms=8"]],
+    "dicke-converge": [["dicke-converge", "--config", os.path.join(CONFIG_DIR, "fig2.json"),
+                        "--set", "converge.n_list=[8,16]"]],
+    "collapse-exact": [["collapse", "--config", os.path.join(CONFIG_DIR, "fig3.json"),
+                        "--set", "time_grid.samples_per_period=64",
+                        "--set", "exact.include=true", "--set", "exact.n_atoms=8"]],
+    "sweep-exact": [["sweep", "--set", "etas=[0.1]", "--set", "scales=[1e-2,1e-3]",
+                     "--set", "exact.include=true", "--set", "exact.n_atoms=8"]],
+}
+
+
+def _run_probe(probe, runs, tmp_path):
     runs = [[*args, "--output", str(tmp_path / f"{i}.csv")] for i, args in enumerate(runs)]
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [os.path.abspath(SRC_DIR), os.environ.get("PYTHONPATH")])))
-    proc = subprocess.run([sys.executable, "-c", _IMPORT_PROBE, json.dumps(runs)],
+    proc = subprocess.run([sys.executable, "-c", probe, json.dumps(runs)],
                           capture_output=True, text=True, env=env, timeout=120)
     assert proc.returncode == 0, proc.stderr
-    codes, heavy_modules = json.loads(proc.stdout.splitlines()[-1])
+    return runs, json.loads(proc.stdout.splitlines()[-1])
+
+
+@pytest.mark.parametrize("runs", _PROBE_RUNS.values(), ids=_PROBE_RUNS.keys())
+def test_no_task_loads_scipy(tmp_path, runs):
+    runs, (codes, heavy_modules) = _run_probe(_IMPORT_PROBE, runs, tmp_path)
     assert codes == [0] * len(runs)
     assert heavy_modules == []
+
+
+_NO_SCIPY_PROBE = """\
+import json, sys
+sys.modules["scipy"] = None  # any scipy import now raises ImportError
+import numpy as np
+from qptscale import EchoSeries, SemiclassicalParams, fit_envelope, semiclassical_envelope
+from qptscale.cli import main
+t = np.linspace(0.0, 20.0, 400)
+echo = semiclassical_envelope(SemiclassicalParams(0.5, 0.2, 1.0), t)
+fit = fit_envelope(EchoSeries(t=t, echo=echo, omega1=1.0), (0.0, 20.0))
+codes = [main(args) for args in json.loads(sys.argv[1])]
+print(json.dumps([codes, fit.max_log_residual]))
+"""
+
+
+def test_every_task_and_the_envelope_fit_run_without_scipy(tmp_path):
+    all_runs = [args for runs in _PROBE_RUNS.values() for args in runs]
+    runs, (codes, fit_residual) = _run_probe(_NO_SCIPY_PROBE, all_runs, tmp_path)
+    assert codes == [0] * len(runs)
+    assert fit_residual <= 1e-8

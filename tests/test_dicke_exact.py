@@ -208,6 +208,11 @@ class TestConvergenceGap:
                                 DickeParams(1.0, 1.0, 0.45), shared_rotation=True)
         assert s.reference == pytest.approx(ref, abs=1e-15)
 
+    @pytest.mark.parametrize("sizes", [[8.5, 16.9], [8, 16.0], [True, 8]])
+    def test_non_integer_sizes_rejected(self, sizes):
+        with pytest.raises(InputError):
+            convergence_gap(1.0, 1.0, 0.495, 0.45, sizes)
+
 
 class TestEchoExact:
     def test_starts_at_one(self):
