@@ -8,17 +8,20 @@ import secrets
 from dataclasses import dataclass, field
 from itertools import islice
 
+import numpy as np
+
 from .errors import InputError
 
 # 17 significant digits: exact float64 round-trip
-_FLOAT_FMT = "{:.16e}"
+_FLOAT_FMT = "%.16e"
 _INT_RE = re.compile(r"^[+-]?\d+$")
 _CHUNK_ROWS = 4096  # rows joined per write: bounded memory, few write calls
 
 
 @dataclass
 class ResultTable:
-    """Columns of int/float/str cells plus units and a provenance block."""
+    """Columns plus units and a provenance block.  A column is a list of
+    int/float/str cells or a 1-D numpy array of one such type."""
 
     columns: dict
     units: dict = field(default_factory=dict)
@@ -37,7 +40,7 @@ class ResultTable:
 
 
 def _check_text(value: str) -> str:
-    if "," in value or "\n" in value or value.startswith("#"):
+    if "," in value or "\n" in value or "\r" in value or value.startswith("#"):
         raise InputError(f"string cell {value!r} would break the CSV dialect")
     return value
 
@@ -50,36 +53,39 @@ def _formatter(kind: type):
     if issubclass(kind, int):
         return str
     if issubclass(kind, float):
-        return _FLOAT_FMT.format
+        return _FLOAT_FMT.__mod__
     if issubclass(kind, str):
         return _check_text
     raise InputError(f"unsupported cell type {kind.__name__}")
 
 
-def _format_column(values) -> list:
-    """The text of every cell of one column.  Each cell type is checked once
-    and each distinct value formatted once.  Values that compare equal but
-    print differently never share a memo entry: a column of several types is
-    keyed by (type, value), so 1 and 1.0 stay apart, and zeros are
-    formatted every time, since 0.0 == -0.0."""
+def _format_cells(values: list) -> list:
+    """The text of each cell of a list, by the cell's own type, so a column
+    may mix int, float and str cells.  Each type is checked once; a column
+    of floats alone is formatted in one call."""
     formatters = {kind: _formatter(kind) for kind in set(map(type, values))}
-    if len(formatters) == 1:
-        (fmt,) = formatters.values()
-        keys = values
+    if formatters.keys() == {float}:
+        return ((_FLOAT_FMT + "\n") * len(values) % tuple(values)).splitlines()
+    return [formatters[type(value)](value) for value in values]
+
+
+def _format_column(values) -> list:
+    """The text of every cell of one column.  A 1-D array of one type is
+    reduced to its distinct values first, so each is checked and formatted
+    once; floats are told apart by their float64 bits, so 0.0 and -0.0 keep
+    their signs.  A list, or an array numpy holds as objects, is formatted
+    cell by cell."""
+    if not isinstance(values, np.ndarray):
+        return _format_cells(values)
+    if values.ndim != 1 or values.dtype == object:
+        return _format_cells(values.tolist())
+    if values.dtype.kind == "f" and values.itemsize <= 8:  # widening is exact
+        keys, inverse = np.unique(values.astype(np.float64, copy=False).view(np.int64),
+                                  return_inverse=True)
+        keys = keys.view(np.float64)
     else:
-        def fmt(value):
-            return formatters[type(value)](value)
-        keys = list(zip(map(type, values), values))
-    memo = {}
-    cells = []
-    for key, value in zip(keys, values):
-        text = memo.get(key)
-        if text is None:
-            text = fmt(value)
-            if value:
-                memo[key] = text
-        cells.append(text)
-    return cells
+        keys, inverse = np.unique(values, return_inverse=True)
+    return np.array(_format_cells(keys.tolist()), dtype=object)[inverse].tolist()
 
 
 def _parse_cell(text: str):

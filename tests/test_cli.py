@@ -376,6 +376,21 @@ def test_collapse_emits_series_and_summary(tmp_path):
     assert all(s <= 1e-4 for s in summary.columns["spread"])
 
 
+def test_collapse_series_prints_int_and_float_etas_as_given(tmp_path):
+    # eta 1 (a JSON integer) and eta 0.5 share one column, which therefore
+    # cannot be a single numpy array without reprinting 1 as a float
+    out = tmp_path / "c.csv"
+    assert run_cli(["collapse", "--set", "etas=[1,0.5]", "--set", "scales=[0.01,0.001]",
+                    "--set", "time_grid.samples_per_period=64", "--output", str(out)]) == 0
+    lines = [line for line in out.read_text().splitlines() if not line.startswith("#")]
+    eta = lines[0].split(",").index("eta")
+    cells = [line.split(",")[eta] for line in lines[1:]]
+    assert cells.count("1") == cells.count("5.0000000000000000e-01") == len(cells) // 2
+    assert cells == sorted(cells, key=lambda cell: cell != "1")  # eta 1 rows first
+    assert [type(v) for v in read_table(str(out)).columns["eta"][::len(cells) // 2]] == [
+        int, float]
+
+
 @pytest.mark.parametrize("include", [False, True], ids=["analytic", "exact"])
 def test_collapse_names_the_basis_only_with_exact_echoes(tmp_path, include):
     out = tmp_path / "c.csv"

@@ -54,9 +54,12 @@ def test_provenance_required():
 
 
 def test_cells_that_break_the_dialect_rejected(tmp_path):
-    table = ResultTable(columns={"a": ["x,y"]}, provenance={"k": "v"})
-    with pytest.raises(InputError):
-        write_table(table, str(tmp_path / "bad.csv"))
+    # read_table reads in universal-newline mode, so "\r" would end a row too
+    for cell in ("x,y", "x\ny", "x\ry", "#x"):
+        table = ResultTable(columns={"a": [cell], "b": [1]}, provenance={"k": "v"})
+        with pytest.raises(InputError, match="dialect"):
+            write_table(table, str(tmp_path / "bad.csv"))
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_write_creates_parent_directories(tmp_path):
@@ -73,14 +76,16 @@ def test_no_temp_files_left_behind(tmp_path):
 
 
 def _per_cell_text(table):
-    """Reference rendering: every cell formatted on its own, no memo."""
+    """Reference rendering: every cell of every list or array formatted on
+    its own."""
     def cell(value):
         return "{:.16e}".format(value) if isinstance(value, float) else str(value)
     lines = [f"# provenance: {k} = {table.provenance[k]}" for k in sorted(table.provenance)]
     lines += [f"# unit: {k} = {table.units[k]}" for k in sorted(table.units)]
     lines.append(",".join(table.columns))
-    lines += [",".join(cell(col[i]) for col in table.columns.values())
-              for i in range(table.n_rows)]
+    columns = [col.tolist() if isinstance(col, np.ndarray) else col
+               for col in table.columns.values()]
+    lines += [",".join(cell(col[i]) for col in columns) for i in range(table.n_rows)]
     return "\n".join(lines) + "\n"
 
 
@@ -88,11 +93,18 @@ def test_streamed_rows_match_per_cell_rendering(tmp_path):
     rng = np.random.default_rng(5)
     n = 2 * tables._CHUNK_ROWS + 7  # two full chunks and a partial one
     pool = [0.0, -0.0, 0.5, -2.25e-300, 1e300, 3.0]
+    special = np.array([0.0, -0.0, math.nan, math.inf, -math.inf, 5e-324,
+                        2.2250738585072014e-308, 1e300])
     table = ResultTable(columns={
         "f": [pool[i] for i in rng.integers(0, len(pool), n)],
         "x": [float(x) for x in rng.standard_normal(n)],
         "mixed": [[1, 1.0, -0.0, 0, "s"][i] for i in rng.integers(0, 5, n)],
         "k": [["a", "b"][i] for i in rng.integers(0, 2, n)],
+        # arrays: each value repeats in every chunk, next to values met once
+        "af": np.where(rng.random(n) < 0.5, special[rng.integers(0, len(special), n)],
+                       rng.standard_normal(n)),
+        "ai": rng.integers(-3, 2**40, n) * rng.integers(0, 2, n),
+        "as": np.array(["a", "bb", "c-1"])[rng.integers(0, 3, n)],
     }, units={"x": "energy"}, provenance={"k": "v"})
     path = tmp_path / "s.csv"
     write_table(table, str(path))
@@ -100,13 +112,14 @@ def test_streamed_rows_match_per_cell_rendering(tmp_path):
 
 
 def test_signed_zeros_keep_their_signs(tmp_path):
-    table = ResultTable(columns={"z": [0.0, -0.0, 0.0]}, provenance={"k": "v"})
-    path = tmp_path / "z.csv"
-    write_table(table, str(path))
-    assert path.read_text().splitlines()[-3:] == [
-        "0.0000000000000000e+00", "-0.0000000000000000e+00", "0.0000000000000000e+00"]
-    back = read_table(str(path)).columns["z"]
-    assert [math.copysign(1.0, v) for v in back] == [1.0, -1.0, 1.0]
+    for column in ([0.0, -0.0, 0.0], np.array([0.0, -0.0, 0.0])):
+        table = ResultTable(columns={"z": column}, provenance={"k": "v"})
+        path = tmp_path / "z.csv"
+        write_table(table, str(path))
+        assert path.read_text().splitlines()[-3:] == [
+            "0.0000000000000000e+00", "-0.0000000000000000e+00", "0.0000000000000000e+00"]
+        back = read_table(str(path)).columns["z"]
+        assert [math.copysign(1.0, v) for v in back] == [1.0, -1.0, 1.0]
 
 
 def test_equal_values_of_different_types_print_apart(tmp_path):
@@ -124,6 +137,15 @@ def test_bool_deep_in_a_long_column_rejected(tmp_path):
     with pytest.raises(InputError, match="boolean"):
         write_table(table, str(tmp_path / "new" / "b.csv"))
     assert list(tmp_path.iterdir()) == []  # refused before any directory or file is made
+
+
+def test_bool_array_rejected(tmp_path):
+    n = 3 * tables._CHUNK_ROWS
+    table = ResultTable(columns={"x": np.arange(n, dtype=float),
+                                 "b": np.arange(n) % 7 == 0}, provenance={"k": "v"})
+    with pytest.raises(InputError, match="boolean"):
+        write_table(table, str(tmp_path / "new" / "b.csv"))
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_bad_last_cell_leaves_existing_file_untouched(tmp_path):
