@@ -21,7 +21,7 @@ from .dicke_exact import GROUND_TOL, convergence_gap, echo_exact, fidelity_exact
 from .echo import collapse_check, survival_closed
 from .errors import DomainError, InputError, NumericError, ResourceError
 from .linalg import SURVIVAL_TOL
-from .lmg import LmgParams, echo_lmg, eta_lmg, fidelity_lmg, gap_angle
+from .lmg import LmgParams, echo_lmg, fidelity_lmg, gap_angle
 from .squeeze import SqueezeMap
 from .tables import ResultTable, write_table
 
@@ -53,7 +53,6 @@ class _Model:
     signs: dict              # phase -> sign of (p - pc)
     params: tuple            # (name of p1 column, name of p2 column)
     unit: str                # unit of the parameter columns
-    label: Callable          # (cfg, p1, p2) -> (eta, phase)
     fidelity: Callable       # (cfg, p1, p2) -> analytic Lp
     omega1: Callable         # (cfg, p) -> zero-mode frequency at p
     echo: Callable           # (cfg, p1, p2, t) -> EchoSeries
@@ -71,11 +70,6 @@ def _dicke(cfg: RunConfig, coupling: float) -> DickeParams:
     return DickeParams(cfg.omega, cfg.omega0, coupling)
 
 
-def _dicke_label(cfg: RunConfig, l1: float, l2: float):
-    pair = scaling_eta(l1, l2, critical_coupling(cfg.omega, cfg.omega0))
-    return pair.eta, pair.phase
-
-
 _MODELS = {
     "dicke": _Model(
         tasks=frozenset({"fidelity", "echo", "converge", "collapse", "sweep"}),
@@ -83,7 +77,6 @@ _MODELS = {
         signs={"normal": -1.0, "super": 1.0},
         params=("lambda1", "lambda2"),
         unit="energy",
-        label=_dicke_label,
         fidelity=lambda cfg, l1, l2: fidelity_gaussian(_dicke(cfg, l1), _dicke(cfg, l2)),
         omega1=lambda cfg, l1: mode_energies(_dicke(cfg, l1)).e1,
         echo=lambda cfg, l1, l2, t: echo_exact(cfg.omega, cfg.omega0, cfg.exact.n_atoms,
@@ -103,7 +96,6 @@ _MODELS = {
         signs={"symmetric": 1.0, "broken": -1.0},
         params=("h1", "h2"),
         unit="1",
-        label=lambda cfg, h1, h2: (eta_lmg(h1, h2), LmgParams(cfg.lmg_gamma, h1).phase),
         fidelity=lambda cfg, h1, h2: fidelity_lmg(cfg.lmg_gamma, h1, h2),
         omega1=lambda cfg, h1: gap_angle(LmgParams(cfg.lmg_gamma, h1)).delta,
         echo=lambda cfg, h1, h2, t: echo_lmg(cfg.lmg_gamma, h1, h2, t),
@@ -117,11 +109,20 @@ _MODELS = {
 
 def _table(cfg: RunConfig, columns: dict, units=None, **info) -> ResultTable:
     """Columns are dimensionless ("1") unless ``units`` says otherwise; the
-    provenance block is the config hash, the versions and ``info``."""
+    provenance block is the config hash, the versions, the model, the task
+    and ``info``."""
     provenance = {"config_hash": config_hash(cfg), "package_version": __version__,
-                  "numpy_version": np.__version__}
+                  "numpy_version": np.__version__, "model": cfg.model, "task": cfg.task}
     return ResultTable(columns=columns, units=dict.fromkeys(columns, "1") | (units or {}),
                        provenance=provenance | {k: str(v) for k, v in info.items()})
+
+
+def _label(cfg: RunConfig, model: _Model, p1: float, p2: float):
+    """(eta, phase) of a pair: the phase is the one whose ``signs`` entry is
+    the sign of p1 - pc."""
+    pc = model.critical(cfg)
+    eta = scaling_eta(p1, p2, pc).eta
+    return eta, next(phase for phase, sign in model.signs.items() if sign * (p1 - pc) > 0)
 
 
 def _points(cfg: RunConfig, model: _Model):
@@ -189,13 +190,13 @@ def _columns(names, rows) -> dict:
 def _run_fidelity(cfg: RunConfig, model: _Model):
     rows = []
     for p1, p2, *_ in _points(cfg, model):
-        eta, phase = model.label(cfg, p1, p2)
+        eta, phase = _label(cfg, model, p1, p2)
         rows.append((eta, p1, p2, phase, model.fidelity(cfg, p1, p2),
                      fidelity_scaling(eta)))
     names = ("eta", *model.params, "phase", "Lp_analytic", "Lp_scaling")
     units = {"phase": "label"} | dict.fromkeys(model.params, model.unit)
-    return [(cfg.output.path, _table(cfg, _columns(names, rows), units, model=cfg.model,
-                                     task="fidelity", **model.fidelity_info(cfg)))]
+    return [(cfg.output.path, _table(cfg, _columns(names, rows), units,
+                                     **model.fidelity_info(cfg)))]
 
 
 def _run_converge(cfg: RunConfig, model: _Model):
@@ -208,9 +209,9 @@ def _run_converge(cfg: RunConfig, model: _Model):
                              max_dim=cfg.exact.max_dim)
     rows = [(e.n_atoms, e.n_boson, e.lp_exact, e.gap) for e in series.entries]
     return [(cfg.output.path, _table(
-        cfg, _columns(("N", "n_b", "LpN", "D"), rows), model=cfg.model, task="converge",
-        lambda1=l1, lambda2=l2, eta=series.meta["eta"], reference=series.reference,
-        target=series.target, **model.solver_info))]
+        cfg, _columns(("N", "n_b", "LpN", "D"), rows), lambda1=l1, lambda2=l2,
+        eta=series.meta["eta"], reference=series.reference, target=series.target,
+        **model.solver_info))]
 
 
 def _run_echo(cfg: RunConfig, model: _Model):
@@ -220,11 +221,11 @@ def _run_echo(cfg: RunConfig, model: _Model):
         if omega1 <= 0:
             raise InputError(f"echo needs {model.params[0]} off the critical point")
         series = model.echo(cfg, p1, p2, _time_grid(cfg, omega1))
-        items.append(((i, model.label(cfg, p1, p2)[0], p1, p2), series))
+        items.append(((i, _label(cfg, model, p1, p2)[0], p1, p2), series))
     columns = _series_columns(("pair", "eta", *model.params), items)
     units = {"t": "1/energy"} | dict.fromkeys(model.params, model.unit)
-    return [(cfg.output.path, _table(cfg, columns, units, model=cfg.model, task="echo",
-                                     **model.echo_info(cfg), **model.solver_info))]
+    return [(cfg.output.path, _table(cfg, columns, units, **model.echo_info(cfg),
+                                     **model.solver_info))]
 
 
 def _run_collapse(cfg: RunConfig, model: _Model):
@@ -254,7 +255,7 @@ def _run_collapse(cfg: RunConfig, model: _Model):
     names = ("eta", "kind", "n_members", "spread", "trend_decreasing", "tau_lo", "tau_hi")
     series = _series_columns(("eta", "kind", "scale"), [
         ((eta, kind, scale), s) for eta, kind, group in groups for scale, s in group])
-    info = dict(model=cfg.model, task="collapse", exact_included=cfg.exact.include,
+    info = dict(exact_included=cfg.exact.include,
                 **({**model.echo_info(cfg), **model.solver_info}
                    if cfg.exact.include else {}))
     root, ext = os.path.splitext(cfg.output.path)
@@ -280,7 +281,6 @@ def _run_sweep(cfg: RunConfig, model: _Model):
              "Lp_scaling") + (("Lp_exact",) if cfg.exact.include else ())
     return [(cfg.output.path, _table(cfg, _columns(names, rows),
                                      {"model": "label", "phase": "label"},
-                                     task="sweep", model=cfg.model,
                                      **(model.solver_info if cfg.exact.include else {})))]
 
 

@@ -108,7 +108,8 @@ class ScalingPair:
 
 
 def scaling_eta(lambda1: float, lambda2: float, lambda_c: float) -> ScalingPair:
-    """Critical-distance ratio eta = (lambda1 - lambda_c) / (lambda2 - lambda_c)."""
+    """Critical-distance ratio eta = (lambda1 - lambda_c) / (lambda2 - lambda_c)
+    of two control parameters of either model."""
     for name, value in (("lambda1", lambda1), ("lambda2", lambda2),
                         ("lambda_c", lambda_c)):
         if not math.isfinite(value):
@@ -116,10 +117,10 @@ def scaling_eta(lambda1: float, lambda2: float, lambda_c: float) -> ScalingPair:
     d1 = lambda1 - lambda_c
     d2 = lambda2 - lambda_c
     if d1 == 0.0 or d2 == 0.0:
-        raise InputError("couplings must differ from the critical point")
+        raise InputError(f"both parameters must differ from the critical point {lambda_c}")
     if d1 * d2 < 0.0:
         raise CrossPhaseError(
-            f"couplings {lambda1} and {lambda2} straddle the critical point {lambda_c}")
+            f"parameters {lambda1} and {lambda2} straddle the critical point {lambda_c}")
     return ScalingPair(lambda1=lambda1, lambda2=lambda2, lambda_c=lambda_c,
                        eta=d1 / d2, phase="normal" if d1 < 0 else "super")
 

@@ -18,7 +18,6 @@ from .linalg import lanczos_ground, lanczos_survival
 
 MAX_DIM_DEFAULT = 200_000
 GROUND_TOL = 1e-11        # Lanczos residual threshold, relative to |H|
-GROUND_SEED = 7           # seed of the Lanczos start vector at and above lc
 QUASI_DEGENERATE_GAP = 1e-10  # parity gap below which blocks count as degenerate
 
 
@@ -154,27 +153,22 @@ def ground_state_exact(system: TruncatedDicke, *,
     check that passed: a multiple of ``KRYLOV_CHECK_EVERY`` unless the
     Krylov space closed first (see :func:`qptscale.linalg.lanczos_ground`).
 
-    Below the critical coupling Lanczos starts from the bare vacuum
-    |n=0, m=-j>, position 0 of the even block.  It is the exact ground
-    state at coupling 0, and the normal-phase ground state, a squeezed
-    vacuum of the zero mode, stays piled up next to it.  The start always
-    overlaps the ground state: for any coupling > 0 the block is
-    irreducible, and after the gauge (-1)^n every off-diagonal element is
-    negative, so by Perron-Frobenius the ground state has no zero
-    component.  At and above the critical coupling the ground state is
-    displaced by ~sqrt(N) bosons, far from the vacuum, and both blocks
-    start from the Gaussian vector drawn with ``GROUND_SEED``.
+    Lanczos starts each block from its position 0, the block's lowest bare
+    state: |n=0, m=-j> (even) or |n=0, m=-j+1> (odd).  The even start is the
+    exact ground state at coupling 0, and the normal-phase ground state, a
+    squeezed vacuum of the zero mode, stays piled up next to it.  The start
+    overlaps the ground state of either block: for any coupling > 0 the
+    block is irreducible, and after the gauge (-1)^n every off-diagonal
+    element is negative, so by Perron-Frobenius the ground state has no
+    zero component.
     """
     lc = critical_coupling(system.omega, system.omega0)
     normal = system.coupling < lc
     solved = []
     for name in ["even"] if normal else ["even", "odd"]:
         block = build_hamiltonian(system, name, max_dim=max_dim)
-        if normal:
-            start = np.zeros(block.shape[0])
-            start[0] = 1.0  # |n=0, m=-j>
-        else:
-            start = np.random.default_rng(GROUND_SEED).standard_normal(block.shape[0])
+        start = np.zeros(block.shape[0])
+        start[0] = 1.0  # the block's lowest bare state
         e, v, info = lanczos_ground(block, GROUND_TOL, start=start)
         solved.append((e, v, name, block.indices, info))
     solved.sort(key=lambda item: (item[0], item[2]))

@@ -111,8 +111,8 @@ class SemiclassicalParams:
             raise InputError("gamma must be finite and nonnegative")
         if not (self.xi >= 0 and math.isfinite(self.xi)):
             raise InputError("xi must be finite and nonnegative")
-        if not 0.0 < self.b0 <= 1.2:
-            raise InputError("b0 must lie in (0, 1.2]")
+        if not 0.0 < self.b0 <= FIT_B0_BOUNDS[1]:
+            raise InputError(f"b0 must lie in (0, {FIT_B0_BOUNDS[1]}]")
         if not self.omega1 > 0:
             raise InputError("omega1 must be positive")
 

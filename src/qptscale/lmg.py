@@ -7,6 +7,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+from .dicke import scaling_eta
 from .echo import EchoSeries, survival_closed
 from .errors import CrossPhaseError, InputError
 from .squeeze import fidelity as squeeze_fidelity
@@ -86,13 +87,7 @@ def fidelity_lmg(gamma: float, h1: float, h2: float) -> float:
 
 def eta_lmg(h1: float, h2: float) -> float:
     """Field-distance ratio (h1 - 1) / (h2 - 1); both fields same phase."""
-    d1 = h1 - 1.0
-    d2 = h2 - 1.0
-    if d1 == 0.0 or d2 == 0.0:
-        raise InputError("fields must differ from the critical point h = 1")
-    if d1 * d2 < 0.0:
-        raise CrossPhaseError(f"fields {h1} and {h2} straddle the critical point")
-    return d1 / d2
+    return scaling_eta(h1, h2, 1.0).eta
 
 
 def echo_lmg(gamma: float, h1: float, h2: float, t_grid) -> EchoSeries:
@@ -104,7 +99,7 @@ def echo_lmg(gamma: float, h1: float, h2: float, t_grid) -> EchoSeries:
     """
     p1, p2 = _same_phase_pair(gamma, h1, h2)
     mode1 = gap_angle(p1)
-    m = relative_map(gap_angle(p1).theta, gap_angle(p2).theta)
+    m = relative_map(mode1.theta, gap_angle(p2).theta)
     meta = {
         "model": "lmg",
         "gamma": gamma,

@@ -85,7 +85,8 @@ class GroundExpansion:
 
 
 def ground_expansion(map: SqueezeMap, n_max: int) -> GroundExpansion:
-    """Expansion of the mapped vacuum over even number states.
+    """Expansion of the mapped vacuum over even number states, from column 0
+    of the overlap recursion :func:`_signed_overlaps`.
 
     a_{2n} = (cosh r)^{-1/2} * sqrt((2n-1)!!/(2n)!!) * tanh(r)^n, accumulated
     multiplicatively to avoid factorial overflow.
@@ -95,11 +96,7 @@ def ground_expansion(map: SqueezeMap, n_max: int) -> GroundExpansion:
     if abs(map.r) >= R_CAP:
         raise DomainError(
             f"|r| = {abs(map.r):.3f} >= cap {R_CAP}: refine the parameter step")
-    q = map.q
-    amps = np.empty(n_max + 1)
-    amps[0] = math.cosh(map.r) ** -0.5
-    for n in range(n_max):
-        amps[n + 1] = amps[n] * q * math.sqrt((2 * n + 1) / (2 * n + 2))
+    amps = _signed_overlaps(map, 2 * n_max, 0)[::2, 0]
     tail = float(amps[-1] ** 2 * math.sinh(map.r) ** 2)
     return GroundExpansion(amplitudes=amps, tail_bound=tail)
 
@@ -160,7 +157,7 @@ def participation_ratio(map: SqueezeMap, m: int, n_max: int) -> float:
     """Participation ratio chi = 1 / sum_n C_nm^4 of basis state m.
 
     Requires the overlap column to be converged (probability weight within
-    1e-10 of unity) at the given n_max.
+    OVERLAP_TRUNC_TOL of unity) at the given n_max.
     """
     if m < 0:
         raise InputError("m must be nonnegative")
@@ -168,7 +165,7 @@ def participation_ratio(map: SqueezeMap, m: int, n_max: int) -> float:
         raise InputError("n_max must be nonnegative")
     col = _signed_overlaps(map, n_max, m)[:, m]
     weight = float(np.sum(col**2))
-    if weight < 1.0 - 1e-10:
+    if weight < 1.0 - OVERLAP_TRUNC_TOL:
         raise NumericError(
             f"overlap column {m} unconverged at n_max={n_max}: weight {weight:.12f}")
     return float(1.0 / np.sum(col**4))
