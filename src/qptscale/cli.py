@@ -57,8 +57,8 @@ class _Model:
     omega1: Callable         # (cfg, p) -> zero-mode frequency at p
     echo: Callable           # (cfg, p1, p2, t) -> EchoSeries
     exact_fidelity: Callable | None  # (cfg, p1, p2) -> finite-size Lp^N
-    fidelity_info: Callable  # (cfg) -> model provenance of fidelity tables
-    echo_info: Callable      # (cfg) -> model provenance of echo tables
+    info: Callable           # (cfg) -> model parameters, recorded in every table
+    basis_info: Callable     # (cfg) -> truncated basis of exact echoes and fidelities
     solver_info: dict        # provenance of tables with exact results
 
 
@@ -85,9 +85,9 @@ _MODELS = {
         exact_fidelity=lambda cfg, l1, l2: fidelity_exact(
             cfg.omega, cfg.omega0, cfg.exact.n_atoms, _n_boson(cfg), l1, l2,
             max_dim=cfg.exact.max_dim),
-        fidelity_info=lambda cfg: {"omega": cfg.omega, "omega0": cfg.omega0,
-                                   "lambda_c": critical_coupling(cfg.omega, cfg.omega0)},
-        echo_info=lambda cfg: {"n_atoms": cfg.exact.n_atoms, "n_boson": _n_boson(cfg)},
+        info=lambda cfg: {"omega": cfg.omega, "omega0": cfg.omega0,
+                          "lambda_c": critical_coupling(cfg.omega, cfg.omega0)},
+        basis_info=lambda cfg: {"n_atoms": cfg.exact.n_atoms, "n_boson": _n_boson(cfg)},
         solver_info={"ground_tol": GROUND_TOL, "survival_tol": SURVIVAL_TOL},
     ),
     "lmg": _Model(
@@ -100,21 +100,27 @@ _MODELS = {
         omega1=lambda cfg, h1: gap_angle(LmgParams(cfg.lmg_gamma, h1)).delta,
         echo=lambda cfg, h1, h2, t: echo_lmg(cfg.lmg_gamma, h1, h2, t),
         exact_fidelity=None,
-        fidelity_info=lambda cfg: {"gamma": cfg.lmg_gamma},
-        echo_info=lambda cfg: {"gamma": cfg.lmg_gamma},
-        solver_info={},  # the LMG echo is closed-form
+        info=lambda cfg: {"gamma": cfg.lmg_gamma},
+        basis_info=lambda cfg: {},  # the LMG echo is closed-form
+        solver_info={},
     ),
 }
 
 
 def _table(cfg: RunConfig, columns: dict, units=None, **info) -> ResultTable:
     """Columns are dimensionless ("1") unless ``units`` says otherwise; the
-    provenance block is the config hash, the versions, the model, the task
-    and ``info``."""
+    provenance block is the config hash, the versions, the model, its
+    parameters, the task and ``info``."""
     provenance = {"config_hash": config_hash(cfg), "package_version": __version__,
                   "numpy_version": np.__version__, "model": cfg.model, "task": cfg.task}
+    info = _MODELS[cfg.model].info(cfg) | info
     return ResultTable(columns=columns, units=dict.fromkeys(columns, "1") | (units or {}),
                        provenance=provenance | {k: str(v) for k, v in info.items()})
+
+
+def _exact_info(cfg: RunConfig, model: _Model) -> dict:
+    """Provenance of a table holding exact echoes or fidelities."""
+    return model.basis_info(cfg) | model.solver_info
 
 
 def _label(cfg: RunConfig, model: _Model, p1: float, p2: float):
@@ -195,8 +201,7 @@ def _run_fidelity(cfg: RunConfig, model: _Model):
                      fidelity_scaling(eta)))
     names = ("eta", *model.params, "phase", "Lp_analytic", "Lp_scaling")
     units = {"phase": "label"} | dict.fromkeys(model.params, model.unit)
-    return [(cfg.output.path, _table(cfg, _columns(names, rows), units,
-                                     **model.fidelity_info(cfg)))]
+    return [(cfg.output.path, _table(cfg, _columns(names, rows), units))]
 
 
 def _run_converge(cfg: RunConfig, model: _Model):
@@ -224,8 +229,7 @@ def _run_echo(cfg: RunConfig, model: _Model):
         items.append(((i, _label(cfg, model, p1, p2)[0], p1, p2), series))
     columns = _series_columns(("pair", "eta", *model.params), items)
     units = {"t": "1/energy"} | dict.fromkeys(model.params, model.unit)
-    return [(cfg.output.path, _table(cfg, columns, units, **model.echo_info(cfg),
-                                     **model.solver_info))]
+    return [(cfg.output.path, _table(cfg, columns, units, **_exact_info(cfg, model)))]
 
 
 def _run_collapse(cfg: RunConfig, model: _Model):
@@ -256,8 +260,7 @@ def _run_collapse(cfg: RunConfig, model: _Model):
     series = _series_columns(("eta", "kind", "scale"), [
         ((eta, kind, scale), s) for eta, kind, group in groups for scale, s in group])
     info = dict(exact_included=cfg.exact.include,
-                **({**model.echo_info(cfg), **model.solver_info}
-                   if cfg.exact.include else {}))
+                **(_exact_info(cfg, model) if cfg.exact.include else {}))
     root, ext = os.path.splitext(cfg.output.path)
     return [(cfg.output.path,
              _table(cfg, series, {"kind": "label", "t": "1/energy"}, **info)),
@@ -279,9 +282,9 @@ def _run_sweep(cfg: RunConfig, model: _Model):
         rows.append(row)
     names = ("model", "eta", "scale", "phase", "param1", "param2", "Lp_analytic",
              "Lp_scaling") + (("Lp_exact",) if cfg.exact.include else ())
+    info = _exact_info(cfg, model) if cfg.exact.include else {}
     return [(cfg.output.path, _table(cfg, _columns(names, rows),
-                                     {"model": "label", "phase": "label"},
-                                     **(model.solver_info if cfg.exact.include else {})))]
+                                     {"model": "label", "phase": "label"}, **info))]
 
 
 _RUNNERS = {

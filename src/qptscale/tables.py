@@ -39,9 +39,9 @@ class ResultTable:
         return len(next(iter(self.columns.values()))) if self.columns else 0
 
 
-def _check_text(value: str) -> str:
+def _check_text(value: str, what: str = "string cell") -> str:
     if "," in value or "\n" in value or "\r" in value or value.startswith("#"):
-        raise InputError(f"string cell {value!r} would break the CSV dialect")
+        raise InputError(f"{what} {value!r} would break the CSV dialect")
     return value
 
 
@@ -98,11 +98,17 @@ def _parse_cell(text: str):
 
 
 def _head(table: ResultTable) -> str:
-    """Provenance and unit comments, then the header row."""
-    lines = [f"# provenance: {key} = {table.provenance[key]}"
-             for key in sorted(table.provenance)]
-    lines += [f"# unit: {key} = {table.units[key]}" for key in sorted(table.units)]
-    lines.append(",".join(table.columns))
+    """Provenance and unit comments, then the header row.  Refuses a column
+    name as a cell is refused, and a comment that would not read back as
+    its own key and value."""
+    lines = []
+    for kind, entries in (("provenance", table.provenance), ("unit", table.units)):
+        for key in sorted(entries):
+            text = f"{key} = {entries[key]}"
+            if text.partition(" = ")[0] != str(key) or "\n" in text or "\r" in text:
+                raise InputError(f"{kind} entry {text!r} would break the CSV dialect")
+            lines.append(f"# {kind}: {text}")
+    lines.append(",".join(_check_text(str(name), "column name") for name in table.columns))
     return "\n".join(lines) + "\n"
 
 

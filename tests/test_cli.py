@@ -353,8 +353,14 @@ def test_config_hash_ignores_output():
                "phases": ["symmetric"], "exact": {"include": True}}, "exact"),
     ("dicke-converge", {"pairs": [[0.495, 0.45], [0.49, 0.4]],
                         "converge": {"n_list": [8]}}, "one parameter point"),
+    ("dicke-fidelity", {}, "no parameter points"),
+    ("dicke-echo", {"pairs": [[0.5, 0.4]]}, "off the critical point"),
+    ("collapse", {"model": "lmg", "etas": [0.1], "scales": [0.01],
+                  "phases": ["symmetric"]}, "not defined for model"),
+    ("lmg-fidelity", {"pairs": [[1.0, 1.1]]}, "critical point"),
 ], ids=["collapse-unknown-phase", "collapse-two-phases", "collapse-pairs",
-        "sweep-pairs", "sweep-lmg-exact", "converge-two-points"])
+        "sweep-pairs", "sweep-lmg-exact", "converge-two-points", "fidelity-no-points",
+        "echo-at-critical", "collapse-lmg", "lmg-fidelity-at-critical"])
 def test_ignored_or_ambiguous_input_is_usage_error(tmp_path, capsys, command, doc,
                                                    needle):
     cfg = write_config(tmp_path, dict(doc, output={"path": str(tmp_path / "r.csv")}))
@@ -436,30 +442,52 @@ def test_reruns_are_byte_identical(tmp_path, command, args):
         assert path.read_bytes() == (tmp_path / ("b" + path.name[1:])).read_bytes()
 
 
-@pytest.mark.parametrize("args,exact", [
+_MODEL_PARAMETERS = {"dicke": {"omega": "1.0", "omega0": "1.0", "lambda_c": "0.5"},
+                     "lmg": {"gamma": "0.0"}}
+
+
+@pytest.mark.parametrize("args,exact,basis", [
     (["dicke-converge", "--config", os.path.join(CONFIG_DIR, "fig2.json"),
-      "--set", "converge.n_list=[8]"], True),
-    (["dicke-echo", "--set", "pairs=[[0.45,0.4]]", "--set", "exact.n_atoms=8"], True),
+      "--set", "converge.n_list=[8]"], True, False),  # N is a column
+    (["dicke-echo", "--set", "pairs=[[0.45,0.4]]", "--set", "exact.n_atoms=8"], True, True),
     (["collapse", "--config", os.path.join(CONFIG_DIR, "fig3.json"),
       "--set", "time_grid.samples_per_period=16",
-      "--set", "exact.include=true", "--set", "exact.n_atoms=8"], True),
+      "--set", "exact.include=true", "--set", "exact.n_atoms=8"], True, True),
     (["sweep", "--set", "etas=[0.1]", "--set", "scales=[1e-2]",
-      "--set", "exact.include=true", "--set", "exact.n_atoms=8"], True),
+      "--set", "exact.include=true", "--set", "exact.n_atoms=8"], True, True),
     (["collapse", "--config", os.path.join(CONFIG_DIR, "fig3.json"),
-      "--set", "time_grid.samples_per_period=16"], False),
-    (["sweep", "--set", "etas=[0.1]", "--set", "scales=[1e-2]"], False),
-    (["lmg-echo", "--set", "etas=[0.1]", "--set", "scales=[0.01]"], False),
+      "--set", "time_grid.samples_per_period=16"], False, False),
+    (["sweep", "--set", "etas=[0.1]", "--set", "scales=[1e-2]"], False, False),
+    (["lmg-echo", "--set", "etas=[0.1]", "--set", "scales=[0.01]"], False, False),
 ], ids=["dicke-converge", "dicke-echo", "collapse-exact", "sweep-exact",
         "collapse", "sweep", "lmg-echo"])
-def test_exact_tables_record_solver_tolerances(tmp_path, args, exact):
+def test_exact_tables_record_solver_tolerances(tmp_path, args, exact, basis):
     assert run_cli([*args, "--output", str(tmp_path / "out.csv")]) == 0
-    for path in tmp_path.glob("out*.csv"):  # collapse adds out_summary.csv
+    paths = list(tmp_path.glob("out*.csv"))  # collapse adds out_summary.csv
+    assert paths
+    for path in paths:
         provenance = read_table(str(path)).provenance
         if exact:
             assert provenance["ground_tol"] == "1e-11"
             assert provenance["survival_tol"] == "1e-12"
         else:
             assert "ground_tol" not in provenance and "survival_tol" not in provenance
+        # every table states the model parameters its numbers depend on
+        assert _MODEL_PARAMETERS[provenance["model"]].items() <= provenance.items()
+        if basis:
+            assert (provenance["n_atoms"], provenance["n_boson"]) == ("8", "8")
+        else:
+            assert "n_atoms" not in provenance and "n_boson" not in provenance
+
+
+def test_solver_failure_exits_4(tmp_path, capsys, monkeypatch):
+    # a Krylov cap below the block's need makes lanczos_ground raise NumericError
+    monkeypatch.setattr("qptscale.linalg.KRYLOV_MAX_STEPS", 4)
+    out = tmp_path / "d.csv"
+    assert run_cli(["dicke-converge", "--config", os.path.join(CONFIG_DIR, "fig2.json"),
+                    "--set", "converge.n_list=[8]", "--output", str(out)]) == 4
+    assert capsys.readouterr().err.startswith("numeric error:")
+    assert not out.exists()
 
 
 _IMPORT_PROBE = """\

@@ -62,6 +62,43 @@ def test_cells_that_break_the_dialect_rejected(tmp_path):
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize("columns,units,provenance", [
+    ({"a,b": [1]}, {}, {"k": "v"}),
+    ({"a\nb": [1]}, {}, {"k": "v"}),
+    ({"a\rb": [1]}, {}, {"k": "v"}),
+    ({"#a": [1]}, {}, {"k": "v"}),
+    ({"a": [1]}, {}, {"k": "v\nw"}),
+    ({"a": [1]}, {}, {"k": "v\rw"}),
+    ({"a": [1]}, {}, {"k\nx": "v"}),
+    ({"a": [1]}, {}, {"k = x": "v"}),
+    ({"a": [1]}, {}, {"k =": "v"}),
+    ({"a": [1]}, {"a": "1\n2"}, {"k": "v"}),
+    ({"a": [1]}, {"a = b": "1"}, {"k": "v"}),
+], ids=["name-comma", "name-newline", "name-return", "name-hash", "value-newline",
+        "value-return", "key-newline", "key-separator", "key-trailing-separator",
+        "unit-newline", "unit-key-separator"])
+def test_header_text_that_breaks_the_round_trip_rejected(tmp_path, columns, units,
+                                                         provenance):
+    table = ResultTable(columns=columns, units=units, provenance=provenance)
+    with pytest.raises(InputError, match="dialect"):
+        write_table(table, str(tmp_path / "new" / "h.csv"))
+    assert list(tmp_path.iterdir()) == []  # refused before the directory exists
+
+
+def test_failed_rename_removes_the_temp_file(tmp_path, monkeypatch):
+    path = tmp_path / "t.csv"
+    path.write_bytes(b"previous contents\n")
+
+    def refuse(src, dst):
+        raise OSError("rename refused")
+
+    monkeypatch.setattr(tables.os, "replace", refuse)
+    with pytest.raises(OSError, match="rename refused"):
+        write_table(sample_table(), str(path))
+    assert path.read_bytes() == b"previous contents\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["t.csv"]
+
+
 def test_write_creates_parent_directories(tmp_path):
     path = tmp_path / "deep" / "nested" / "t.csv"
     write_table(sample_table(), str(path))
