@@ -4,7 +4,7 @@ echoes for the Dicke and LMG models, cross-checked by exact diagonalization."""
 
 __version__ = "0.1.0"
 
-from .dicke import (DickeParams, ModeSpectrum, ScalingPair, critical_coupling,
+from .dicke import (DickeParams, ModeSpectrum, critical_coupling,
                     fidelity_gaussian, fidelity_scaling, mode_energies,
                     near_critical_gap, scaling_eta)
 from .dicke_exact import (ConvergenceEntry, ConvergenceSeries, GroundState,
@@ -29,7 +29,7 @@ __all__ = [
     "EnvelopeFit", "FitError", "GroundExpansion",
     "GroundState", "GroupCollapse", "InputError", "LmgMode", "LmgParams",
     "ModeSpectrum", "NumericError", "QptError", "ResourceError",
-    "ScalingPair", "SemiclassicalParams", "SqueezeMap",
+    "SemiclassicalParams", "SqueezeMap",
     "TruncatedDicke", "build_hamiltonian", "collapse_check",
     "convergence_gap", "critical_coupling", "echo_exact", "echo_lmg",
     "eta_lmg", "fidelity_exact", "fidelity_gaussian",

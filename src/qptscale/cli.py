@@ -127,7 +127,7 @@ def _label(cfg: RunConfig, model: _Model, p1: float, p2: float):
     """(eta, phase) of a pair: the phase is the one whose ``signs`` entry is
     the sign of p1 - pc."""
     pc = model.critical(cfg)
-    eta = scaling_eta(p1, p2, pc).eta
+    eta = scaling_eta(p1, p2, pc)
     return eta, next(phase for phase, sign in model.signs.items() if sign * (p1 - pc) > 0)
 
 
@@ -215,8 +215,8 @@ def _run_converge(cfg: RunConfig, model: _Model):
     rows = [(e.n_atoms, e.n_boson, e.lp_exact, e.gap) for e in series.entries]
     return [(cfg.output.path, _table(
         cfg, _columns(("N", "n_b", "LpN", "D"), rows), lambda1=l1, lambda2=l2,
-        eta=series.meta["eta"], reference=series.reference, target=series.target,
-        **model.solver_info))]
+        eta=_label(cfg, model, l1, l2)[0], reference=series.reference,
+        target=cfg.converge.target, **model.solver_info))]
 
 
 def _run_echo(cfg: RunConfig, model: _Model):
@@ -247,12 +247,11 @@ def _run_collapse(cfg: RunConfig, model: _Model):
         for l1, l2, eta, scale, _ in points[k:k + len(cfg.scales)]:
             e1a, e1b = model.omega1(cfg, l1), model.omega1(cfg, l2)
             members["analytic"].append((scale, survival_closed(
-                SqueezeMap(0.5 * math.log(e1b / e1a)), e1a, tau_grid / e1a,
-                meta={"scale": scale, "eta": eta, "lambda1": l1, "lambda2": l2})))
+                SqueezeMap(0.5 * math.log(e1b / e1a)), e1a, tau_grid / e1a)))
             if cfg.exact.include:
                 members["exact"].append((scale, model.echo(cfg, l1, l2, tau_grid / e1a)))
         groups += [(eta, kind, members[kind]) for kind in kinds]
-    report = collapse_check((eta, [s for _, s in group]) for eta, _, group in groups)
+    report = collapse_check((eta, group) for eta, _, group in groups)
     trend = {True: "yes", False: "no", None: "n/a"}
     rows = [(g.eta, kind, g.n_members, g.spread, trend[g.trend_decreasing], g.tau_lo,
              g.tau_hi) for g, (_, kind, _) in zip(report.groups, groups)]

@@ -96,18 +96,7 @@ def near_critical_gap(params: DickeParams) -> float:
     return math.sqrt(8.0 * lc * (lc - params.coupling) * w * w0 / (w0 * w0 + w * w))
 
 
-@dataclass(frozen=True)
-class ScalingPair:
-    """Two couplings on the same side of the critical point and their ratio."""
-
-    lambda1: float
-    lambda2: float
-    lambda_c: float
-    eta: float
-    phase: str
-
-
-def scaling_eta(lambda1: float, lambda2: float, lambda_c: float) -> ScalingPair:
+def scaling_eta(lambda1: float, lambda2: float, lambda_c: float) -> float:
     """Critical-distance ratio eta = (lambda1 - lambda_c) / (lambda2 - lambda_c)
     of two control parameters of either model."""
     for name, value in (("lambda1", lambda1), ("lambda2", lambda2),
@@ -121,8 +110,7 @@ def scaling_eta(lambda1: float, lambda2: float, lambda_c: float) -> ScalingPair:
     if d1 * d2 < 0.0:
         raise CrossPhaseError(
             f"parameters {lambda1} and {lambda2} straddle the critical point {lambda_c}")
-    return ScalingPair(lambda1=lambda1, lambda2=lambda2, lambda_c=lambda_c,
-                       eta=d1 / d2, phase="normal" if d1 < 0 else "super")
+    return d1 / d2
 
 
 def fidelity_scaling(eta: float) -> float:

@@ -146,8 +146,9 @@ def ground_state_exact(system: TruncatedDicke, *,
     """Ground state of the truncated Hamiltonian, by Lanczos on parity blocks.
 
     Below the critical coupling only the even parity block is solved (the
-    ground state lives there); at and above it both blocks are solved, the
-    global minimum is returned, and near-degeneracy of the two blocks is
+    ground state lives there); at and above it both blocks are solved and the
+    lower one is returned, the even one when the two energies differ by less
+    than ``QUASI_DEGENERATE_GAP``.  Near-degeneracy of the two blocks is
     reported in the metadata, with the Lanczos step count and final residual
     of the returned block.  The step count is that of the first residual
     check that passed: a multiple of ``KRYLOV_CHECK_EVERY`` unless the
@@ -171,9 +172,10 @@ def ground_state_exact(system: TruncatedDicke, *,
         start[0] = 1.0  # the block's lowest bare state
         e, v, info = lanczos_ground(block, GROUND_TOL, start=start)
         solved.append((e, v, name, block.indices, info))
-    solved.sort(key=lambda item: (item[0], item[2]))
-    e0, v0, name, idx, info = solved[0]
     parity_gap = abs(solved[1][0] - solved[0][0]) if len(solved) > 1 else None
+    quasi_degenerate = parity_gap is not None and parity_gap < QUASI_DEGENERATE_GAP
+    odd = parity_gap is not None and not quasi_degenerate and solved[1][0] < solved[0][0]
+    e0, v0, name, idx, info = solved[odd]
     vector = np.zeros(system.dim)
     vector[idx] = v0  # largest component positive, as lanczos_ground returns it
     meta = {
@@ -181,8 +183,7 @@ def ground_state_exact(system: TruncatedDicke, *,
         "residual": info.residual,
         "block_dim": idx.size,
         "parity_gap": parity_gap,
-        "quasi_degenerate": bool(parity_gap is not None and parity_gap < QUASI_DEGENERATE_GAP),
-        "n_boson": system.n_boson,
+        "quasi_degenerate": quasi_degenerate,
     }
     return GroundState(energy=float(e0), vector=vector, parity=name, meta=meta)
 
@@ -228,8 +229,6 @@ class ConvergenceSeries:
 
     entries: tuple[ConvergenceEntry, ...]
     reference: float
-    target: str
-    meta: dict
 
 
 def convergence_gap(omega: float, omega0: float, lambda1: float, lambda2: float,
@@ -251,14 +250,13 @@ def convergence_gap(omega: float, omega0: float, lambda1: float, lambda2: float,
             raise InputError(f"n_list entries must be integers, got {n!r}")
     if n_list != sorted(set(n_list)):
         raise InputError("n_list must be strictly ascending")
-    lc = critical_coupling(omega, omega0)
-    pair = scaling_eta(lambda1, lambda2, lc)
+    eta = scaling_eta(lambda1, lambda2, critical_coupling(omega, omega0))
     if target == "effective":
         reference = fidelity_gaussian(DickeParams(omega, omega0, lambda1),
                                       DickeParams(omega, omega0, lambda2),
                                       shared_rotation=True)
     elif target == "scaling":
-        reference = fidelity_scaling(pair.eta)
+        reference = fidelity_scaling(eta)
     else:
         raise InputError(f"unknown convergence target {target!r}")
     entries = []
@@ -266,11 +264,7 @@ def convergence_gap(omega: float, omega0: float, lambda1: float, lambda2: float,
         lp = fidelity_exact(omega, omega0, n, n, lambda1, lambda2, max_dim=max_dim)
         entries.append(ConvergenceEntry(n_atoms=n, n_boson=n, lp_exact=lp,
                                         gap=abs(lp - reference)))
-    return ConvergenceSeries(entries=tuple(entries), reference=float(reference),
-                             target=target,
-                             meta={"omega": omega, "omega0": omega0,
-                                   "lambda1": lambda1, "lambda2": lambda2,
-                                   "eta": pair.eta, "phase": pair.phase})
+    return ConvergenceSeries(entries=tuple(entries), reference=float(reference))
 
 
 def echo_exact(omega: float, omega0: float, n_atoms: int, n_boson: int,
@@ -280,11 +274,12 @@ def echo_exact(omega: float, omega0: float, n_atoms: int, n_boson: int,
 
     The survival amplitude comes from Lanczos tridiagonalization of the
     parity block holding the initial state, seeded with that state (see
-    :func:`qptscale.linalg.lanczos_survival`); its depth is reported as
-    ``meta["krylov_depth"]``.  Both couplings must lie below the critical
-    coupling (DomainError otherwise), and both truncated bases within
-    ``max_dim`` (ResourceError otherwise).  The rescaled grid uses the
-    thermodynamic-limit zero-mode energy at lambda1.
+    :func:`qptscale.linalg.lanczos_survival`); its depth is the one entry
+    of ``meta``, ``"krylov_depth"``.  Both couplings must lie below the
+    critical coupling (DomainError otherwise), and both truncated bases
+    within ``max_dim`` (ResourceError otherwise).  ``omega1`` is the
+    thermodynamic-limit zero-mode energy at lambda1, so the series' ``tau``,
+    ``period`` and ``covers_period`` are those of the effective model.
     """
     _refuse_super_radiant(omega, omega0, lambda1, lambda2)
     t = _as_time_grid(t_grid)
@@ -294,21 +289,6 @@ def echo_exact(omega: float, omega0: float, n_atoms: int, n_boson: int,
     h1 = build_hamiltonian(TruncatedDicke(n_atoms, n_boson, omega, omega0, lambda1),
                            "even", max_dim=max_dim)
     amp, depth = lanczos_survival(h1, gs2.vector[h1.indices], t)
-    m = np.abs(amp) ** 2
     e1 = mode_energies(DickeParams(omega, omega0, lambda1)).e1
-    lc = critical_coupling(omega, omega0)
-    period = math.pi / e1 if e1 > 0 else math.inf
-    meta = {
-        "model": "dicke",
-        "n_atoms": n_atoms,
-        "n_boson": n_boson,
-        "omega": omega,
-        "omega0": omega0,
-        "lambda1": lambda1,
-        "lambda2": lambda2,
-        "krylov_depth": depth,
-        "scale": abs(lambda2 - lc),
-        "period": period,
-        "covers_period": bool(math.isfinite(period) and t[-1] >= period * (1 - 1e-12)),
-    }
-    return EchoSeries(t=t, echo=m, omega1=e1, meta=meta)
+    return EchoSeries(t=t, echo=np.abs(amp) ** 2, omega1=e1,
+                      meta={"krylov_depth": depth})

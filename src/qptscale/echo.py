@@ -39,8 +39,10 @@ def _as_time_grid(t_grid) -> np.ndarray:
 
 @dataclass(frozen=True)
 class EchoSeries:
-    """Sampled echo M(t) and its critical-mode frequency omega1; the rescaled
-    grid ``tau`` = omega1 * t is derived, never stored."""
+    """Sampled echo M(t), its critical-mode frequency omega1 and solver
+    diagnostics in ``meta``.  The rescaled grid ``tau`` = omega1 * t, the
+    echo ``period`` pi / omega1 and ``covers_period`` are derived, never
+    stored."""
 
     t: np.ndarray
     echo: np.ndarray
@@ -51,6 +53,16 @@ class EchoSeries:
     def tau(self) -> np.ndarray:
         return self.omega1 * self.t
 
+    @property
+    def period(self) -> float:
+        return math.pi / self.omega1 if self.omega1 > 0 else math.inf
+
+    @property
+    def covers_period(self) -> bool:
+        """Whether the grid reaches one full period (to a relative 1e-12)."""
+        return bool(math.isfinite(self.period)
+                    and self.t[-1] >= self.period * (1 - 1e-12))
+
     def validate(self) -> None:
         if len(self.t) != len(self.echo):
             raise InputError("t and echo must have equal length")
@@ -60,8 +72,7 @@ class EchoSeries:
             raise InputError("echo values leave [0, 1]")
 
 
-def survival_closed(map: SqueezeMap, delta1: float, t_grid, *,
-                    meta: dict | None = None) -> EchoSeries:
+def survival_closed(map: SqueezeMap, delta1: float, t_grid) -> EchoSeries:
     """Closed-form single-mode echo for a squeezed initial vacuum.
 
     The even-state expansion with phases advancing as 2 n delta1 t resums to
@@ -79,16 +90,7 @@ def survival_closed(map: SqueezeMap, delta1: float, t_grid, *,
     one_minus_q2 = 1.0 / math.cosh(map.r) ** 2
     m = one_minus_q2 / np.sqrt(one_minus_q2**2
                                + 4.0 * q * q * np.sin(delta1 * t) ** 2)
-    period = math.pi / delta1 if delta1 > 0 else math.inf
-    info = {
-        "q": q,
-        "delta1": delta1,
-        "period": period,
-        "covers_period": bool(math.isfinite(period) and t[-1] >= period * (1 - 1e-12)),
-    }
-    if meta:
-        info.update(meta)
-    return EchoSeries(t=t, echo=m, omega1=delta1, meta=info)
+    return EchoSeries(t=t, echo=m, omega1=delta1)
 
 
 @dataclass(frozen=True)
@@ -223,10 +225,10 @@ def rescale_time(series: EchoSeries, omega1: float) -> EchoSeries:
 def min_echo(series: EchoSeries) -> float:
     """Global echo minimum over the grid, refined parabolically.
 
-    Requires the series to cover at least one full period (meta flag
-    ``covers_period`` set by the series builders).
+    Requires the grid to reach one full period pi / omega1
+    (``series.covers_period``).
     """
-    if series.meta.get("covers_period") is not True:
+    if not series.covers_period:
         raise DomainError("series does not cover a full echo period")
     m = series.echo
     if float(np.max(m) - np.min(m)) < 1e-13:
@@ -271,18 +273,19 @@ class CollapseReport:
 def collapse_check(groups) -> CollapseReport:
     """Pointwise spread of echo curves on their common rescaled-time window.
 
-    ``groups`` is an iterable of (eta, [EchoSeries, ...]).  Members are
-    linearly interpolated onto the intersection of their tau ranges; the
-    spread is the largest pointwise gap between members.  When a group has
-    more than two members and each carries a ``scale`` meta key,
-    ``trend_decreasing`` states whether their distances from the
-    smallest-scale member shrink as the scale does.
+    ``groups`` is an iterable of (eta, [(scale, EchoSeries), ...]), where
+    ``scale`` is the member's distance from the critical point in any unit
+    shared by the group; only its order is used.  Members are linearly
+    interpolated onto the intersection of their tau ranges; the spread is
+    the largest pointwise gap between members.  When a group has more than
+    two members, ``trend_decreasing`` states whether their distances from
+    the smallest-scale member shrink as the scale does.
     """
     out = []
-    for eta, members in groups:
-        members = list(members)
-        if not members:
+    for eta, pairs in groups:
+        if not pairs:
             raise InputError("collapse group has no member series")
+        scales, members = zip(*pairs)
         taus = [s.tau for s in members]
         lo = max(float(tau[0]) for tau in taus)
         hi = min(float(tau[-1]) for tau in taus)
@@ -291,9 +294,8 @@ def collapse_check(groups) -> CollapseReport:
         grid = np.linspace(lo, hi, max(len(tau) for tau in taus))
         curves = np.vstack([np.interp(grid, tau, s.echo) for tau, s in zip(taus, members)])
         spread = float(np.max(curves.max(axis=0) - curves.min(axis=0)))
-        scales = [s.meta.get("scale") for s in members]
         trend = None
-        if len(members) > 2 and all(sc is not None for sc in scales):
+        if len(members) > 2:
             order = sorted(range(len(members)), key=lambda i: -scales[i])
             ref = curves[order[-1]]
             gaps = [np.max(np.abs(curves[i] - ref)) for i in order[:-1]]

@@ -87,7 +87,7 @@ def fidelity_lmg(gamma: float, h1: float, h2: float) -> float:
 
 def eta_lmg(h1: float, h2: float) -> float:
     """Field-distance ratio (h1 - 1) / (h2 - 1); both fields same phase."""
-    return scaling_eta(h1, h2, 1.0).eta
+    return scaling_eta(h1, h2, 1.0)
 
 
 def echo_lmg(gamma: float, h1: float, h2: float, t_grid) -> EchoSeries:
@@ -100,12 +100,4 @@ def echo_lmg(gamma: float, h1: float, h2: float, t_grid) -> EchoSeries:
     p1, p2 = _same_phase_pair(gamma, h1, h2)
     mode1 = gap_angle(p1)
     m = relative_map(mode1.theta, gap_angle(p2).theta)
-    meta = {
-        "model": "lmg",
-        "gamma": gamma,
-        "h1": h1,
-        "h2": h2,
-        "eta": eta_lmg(h1, h2),
-        "scale": abs(h2 - 1.0),
-    }
-    return survival_closed(m, mode1.delta, t_grid, meta=meta)
+    return survival_closed(m, mode1.delta, t_grid)

@@ -116,12 +116,16 @@ def write_table(table: ResultTable, path: str) -> str:
     """Write atomically (temp file + rename); returns the path.
 
     Every cell is formatted and checked before the temp file is created, so a
-    refused cell leaves ``path`` as it was.  The rows are then written
-    ``_CHUNK_ROWS`` at a time.  The file gets the mode a plain ``open`` gives
-    a new file: 0o666 less the umask.
+    refused cell leaves ``path`` as it was.  A one-column table may hold no
+    empty name or cell, since its line would be blank.  The rows are then
+    written ``_CHUNK_ROWS`` at a time.  The file gets the mode a plain
+    ``open`` gives a new file: 0o666 less the umask.
     """
     head = _head(table)
     columns = [_format_column(values) for values in table.columns.values()]
+    if len(columns) == 1 and ("" in table.columns or "" in columns[0]):
+        raise InputError("an empty name or cell in a one-column table is a blank "
+                         "line, which read_table skips")
     rows = map(",".join, zip(*columns))
     directory = os.path.dirname(os.path.abspath(path))
     os.makedirs(directory, exist_ok=True)

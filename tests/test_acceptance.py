@@ -101,7 +101,7 @@ def test_criterion_5_echo_collapse():
         e1a = mode_energies(DickeParams(1.0, 1.0, l1)).e1
         e1b = mode_energies(DickeParams(1.0, 1.0, l2)).e1
         m = SqueezeMap(0.5 * math.log(e1b / e1a))
-        return survival_closed(m, e1a, tau / e1a, meta={"scale": scale})
+        return scale, survival_closed(m, e1a, tau / e1a)
 
     groups = [(eta, [singlemode(eta, s) for s in (1e-2, 1e-3)])
               for eta in (1e-2, 1e-3)]
@@ -113,7 +113,7 @@ def test_criterion_5_echo_collapse():
         l1 = lc * (1.0 - eta * scale)
         l2 = lc * (1.0 - scale)
         e1 = mode_energies(DickeParams(1.0, 1.0, l1)).e1
-        return echo_exact(1.0, 1.0, n_atoms, n_atoms, l1, l2, tau / e1)
+        return scale, echo_exact(1.0, 1.0, n_atoms, n_atoms, l1, l2, tau / e1)
 
     spreads = {}
     for n_atoms in (32, 64):

@@ -90,12 +90,11 @@ class TestNearCriticalGap:
 
 class TestScalingEta:
     def test_fig_parameters(self):
-        pair = scaling_eta(0.495, 0.45, 0.5)
-        assert pair.eta == pytest.approx(0.1, abs=1e-12)
-        assert pair.phase == "normal"
+        assert scaling_eta(0.495, 0.45, 0.5) == pytest.approx(0.1, abs=1e-12)
+        assert scaling_eta(0.6, 0.55, 0.5) == pytest.approx(2.0, abs=1e-12)
 
     def test_equal_couplings(self):
-        assert scaling_eta(0.3, 0.3, 0.5).eta == 1.0
+        assert scaling_eta(0.3, 0.3, 0.5) == 1.0
 
     def test_cross_phase_rejected(self):
         with pytest.raises(CrossPhaseError):

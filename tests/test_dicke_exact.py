@@ -6,7 +6,8 @@ import pytest
 from qptscale import (DickeParams, DomainError, InputError, ResourceError,
                       TruncatedDicke, build_hamiltonian, convergence_gap,
                       echo_exact, fidelity_exact, fidelity_gaussian,
-                      ground_state_exact, mode_energies, parity_indices)
+                      fidelity_scaling, ground_state_exact, mode_energies,
+                      parity_indices)
 from conftest import dicke_reference, spectral_sum
 
 
@@ -148,6 +149,15 @@ class TestGroundStateExact:
         assert gs.meta["parity_gap"] is not None
         assert "quasi_degenerate" in gs.meta
 
+    def test_quasi_degenerate_tie_returns_even_block(self):
+        # the two blocks differ by ~3e-14 here; the lower one by round-off is odd
+        gs = ground_state_exact(TruncatedDicke(64, 64, 1.0, 1.0, 1.0))
+        assert gs.meta["parity_gap"] < 1e-10
+        assert gs.meta["quasi_degenerate"] is True
+        assert gs.parity == "even"
+        even, _ = parity_indices(TruncatedDicke(64, 64, 1.0, 1.0, 1.0))
+        assert np.linalg.norm(gs.vector[even]) == pytest.approx(1.0, abs=1e-12)
+
     def test_lanczos_on_decoupled_hamiltonian(self):
         from qptscale import lanczos_ground
         spec = TruncatedDicke(2, 6, 1.0, 1.0, 0.0)
@@ -188,7 +198,7 @@ class TestConvergenceGap:
         series = convergence_gap(1.0, 1.0, 0.495, 0.45, [8, 16, 32])
         gaps = [e.gap for e in series.entries]
         assert gaps[0] > gaps[1] > gaps[2]
-        assert series.meta["eta"] == pytest.approx(0.1, abs=1e-12)
+        assert series.reference == pytest.approx(fidelity_scaling(0.1), abs=1e-12)
         assert [e.n_boson for e in series.entries] == [8, 16, 32]
 
     def test_cutoff_error_below_truncation_decrement(self):
@@ -232,7 +242,14 @@ class TestEchoExact:
         e1 = mode_energies(DickeParams(1.0, 1.0, 0.495)).e1
         assert e1 == pytest.approx(0.1, abs=1e-14)
         assert np.allclose(series.tau, 0.1 * t, atol=1e-14)
-        assert series.meta["n_boson"] == 8
+        assert series.period == pytest.approx(math.pi / 0.1, rel=1e-13)
+        assert list(series.meta) == ["krylov_depth"]  # solver diagnostics only
+
+    @pytest.mark.parametrize("end,covers", [(1.0 - 1e-9, False), (1.0 + 1e-9, True)])
+    def test_covers_period(self, end, covers):
+        e1 = mode_energies(DickeParams(1.0, 1.0, 0.45)).e1
+        t = np.linspace(0.0, end * math.pi / e1, 33)
+        assert echo_exact(1.0, 1.0, 6, 6, 0.45, 0.4, t).covers_period is covers
 
     def test_first_minimum_near_half_period(self):
         # half the echo period pi/e1: the even-parity tower spaces levels

@@ -117,8 +117,7 @@ class TestFitEnvelope:
     def synthetic(self, gamma, xi, b0, t_max=20.0, n=400):
         t = np.linspace(0.0, t_max, n)
         data = semiclassical_envelope(SemiclassicalParams(gamma, xi, b0), t)
-        return EchoSeries(t=t, echo=data, omega1=1.0,
-                          meta={"covers_period": True})
+        return EchoSeries(t=t, echo=data, omega1=1.0)
 
     def fit_case(self, name):
         if name == "synthetic":
@@ -229,6 +228,18 @@ class TestRescaleTime:
         with pytest.raises(InputError):
             rescale_time(self.base(), 0.0)
 
+    def test_period_follows_new_frequency(self):
+        # the grid reaches t = 6: past the period pi at omega1 = 1, short of
+        # 2 pi at omega1 = 0.5
+        base = self.base()
+        assert base.covers_period is True
+        slow = rescale_time(base, 0.5)
+        assert slow.period == 2.0 * math.pi
+        assert slow.covers_period is False
+        with pytest.raises(DomainError):
+            min_echo(slow)
+        assert rescale_time(slow, 1.0).covers_period is True
+
 
 class TestMinEcho:
     def test_constant_series(self):
@@ -253,6 +264,29 @@ class TestMinEcho:
         with pytest.raises(DomainError):
             min_echo(series)
 
+    def test_hand_built_series_without_meta(self):
+        # one period of the closed form, built by hand: no builder, no meta
+        q = (math.sqrt(0.1) - 1.0) / (math.sqrt(0.1) + 1.0)
+        t = np.linspace(0.0, math.pi / 2.0, 5001)  # omega1 = 2, period pi/2
+        m = (1 - q * q) / np.sqrt((1 - q * q) ** 2 + 4 * q * q * np.sin(2.0 * t) ** 2)
+        series = EchoSeries(t=t, echo=m, omega1=2.0)
+        assert series.meta == {}
+        assert min_echo(series) == pytest.approx(0.57495957457606897, abs=1e-6)
+
+    @pytest.mark.parametrize("end,covers", [(1.0 - 1e-9, False), (1.0 + 1e-9, True),
+                                            (1.0, True)])
+    def test_covers_period_of_closed_form(self, end, covers):
+        t = np.linspace(0.0, end * math.pi / 0.7, 65)
+        series = survival_closed(ratio_map(0.1), 0.7, t)
+        assert series.period == math.pi / 0.7
+        assert series.covers_period is covers
+
+    def test_zero_gap_has_no_finite_period(self):
+        t = np.linspace(0.0, 1e6, 11)
+        series = survival_closed(SqueezeMap(0.0), 0.0, t)
+        assert series.period == math.inf
+        assert series.covers_period is False
+
 
 class TestMpScaling:
     def test_unit_ratio(self):
@@ -276,12 +310,12 @@ class TestCollapseCheck:
         e1a = mode_energies(DickeParams(omega, omega0, l1)).e1
         e1b = mode_energies(DickeParams(omega, omega0, l2)).e1
         m = SqueezeMap(0.5 * math.log(e1b / e1a))
-        return survival_closed(m, e1a, tau_grid / e1a, meta={"scale": scale})
+        return scale, survival_closed(m, e1a, tau_grid / e1a)
 
     def test_duplicate_series_has_zero_spread(self):
         t = np.linspace(0.0, math.pi, 101)
         s = survival_closed(ratio_map(0.1), 1.0, t)
-        report = collapse_check([(0.1, [s, s])])
+        report = collapse_check([(0.1, [(1e-2, s), (1e-3, s)])])
         assert report.groups[0].spread == 0.0
 
     def test_near_critical_members_collapse(self):
@@ -306,12 +340,18 @@ class TestCollapseCheck:
         report = collapse_check([(0.1, members)])
         assert report.groups[0].trend_decreasing is True
         assert report.groups[0].n_members == 3
+        # only the order of the scales counts: any unit gives the same flag
+        relabelled = [(abs(lc * (1 - s) - lc), series) for s, series in members]
+        assert collapse_check([(0.1, relabelled)]).groups[0].trend_decreasing is True
+        # listed out of order, the members are still ranked by scale
+        assert collapse_check([(0.1, members[::-1])]).groups[0].trend_decreasing is True
+        assert collapse_check([(0.1, members[:2])]).groups[0].trend_decreasing is None
 
     def test_empty_group_and_disjoint_windows_rejected(self):
         with pytest.raises(InputError):
             collapse_check([(0.1, [])])
         t = np.linspace(0.0, 1.0, 11)
         a = survival_closed(ratio_map(0.2), 1.0, t)
-        b = EchoSeries(t=t + 5.0, echo=a.echo, omega1=1.0, meta={})
+        b = EchoSeries(t=t + 5.0, echo=a.echo, omega1=1.0)
         with pytest.raises(InputError):
-            collapse_check([(0.2, [a, b])])
+            collapse_check([(0.2, [(1e-2, a), (1e-3, b)])])

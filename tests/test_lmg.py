@@ -5,7 +5,7 @@ import pytest
 
 from qptscale import (CrossPhaseError, InputError, LmgParams, echo_lmg,
                       eta_lmg, fidelity_lmg, fidelity_scaling, gap_angle,
-                      min_echo, mp_scaling)
+                      min_echo, mp_scaling, relative_map)
 
 
 def test_params_validation():
@@ -134,7 +134,8 @@ class TestEchoLmg:
     def test_series_minimum_equals_closed_form(self):
         t = self.grid(0.2, 1.3, samples=4000)
         series = echo_lmg(0.2, 1.3, 1.7, t)
-        q = series.meta["q"]
+        q = relative_map(gap_angle(LmgParams(0.2, 1.3)).theta,
+                         gap_angle(LmgParams(0.2, 1.7)).theta).q
         closed = (1.0 - q * q) / (1.0 + q * q)
         assert min_echo(series) == pytest.approx(closed, abs=1e-10)
 
@@ -153,6 +154,11 @@ class TestEchoLmg:
         delta = gap_angle(LmgParams(0.0, 1.5)).delta
         assert series.omega1 == pytest.approx(delta, abs=1e-14)
         assert np.allclose(series.tau, delta * t, atol=1e-12)
+
+    @pytest.mark.parametrize("periods,covers", [(1.0 - 1e-9, False), (1.0 + 1e-9, True)])
+    def test_covers_period(self, periods, covers):
+        series = echo_lmg(0.0, 1.2, 1.4, self.grid(0.0, 1.2, periods=periods))
+        assert series.covers_period is covers
 
     def test_broken_phase_series(self):
         t = self.grid(0.0, 0.7)

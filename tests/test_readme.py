@@ -18,7 +18,8 @@ def test_readme_quick_start_runs_and_matches_its_comment():
     code = quick_start()
     namespace = {}
     exec(code, namespace)
-    claimed = re.search(r"^fidelity_scaling\(pair\.eta\)\s+# ([0-9.]+)", code, re.M)
+    claimed = re.search(r"^fidelity_scaling\(eta\)\s+# ([0-9.]+)", code, re.M)
     assert claimed, "the fidelity_scaling line lost its value comment"
-    value = namespace["fidelity_scaling"](namespace["pair"].eta)
+    value = namespace["fidelity_scaling"](namespace["eta"])
     assert value == pytest.approx(float(claimed.group(1)), abs=5e-7)
+    assert namespace["series"].covers_period is True  # as its comment says

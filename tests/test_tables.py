@@ -85,6 +85,27 @@ def test_header_text_that_breaks_the_round_trip_rejected(tmp_path, columns, unit
     assert list(tmp_path.iterdir()) == []  # refused before the directory exists
 
 
+@pytest.mark.parametrize("columns", [
+    {"tag": ["a", "", "b"]},
+    {"tag": np.array(["a", "", "b"])},
+    {"": [1, 2]},
+], ids=["empty-cell", "empty-array-cell", "empty-name"])
+def test_one_column_table_with_an_empty_line_rejected(tmp_path, columns):
+    # its empty name or cell would be a blank line, which read_table skips
+    table = ResultTable(columns=columns, provenance={"k": "v"})
+    with pytest.raises(InputError, match="blank line"):
+        write_table(table, str(tmp_path / "new" / "e.csv"))
+    assert list(tmp_path.iterdir()) == []  # refused before the directory exists
+
+
+def test_empty_cells_beside_other_columns_round_trip(tmp_path):
+    path = tmp_path / "t.csv"
+    table = ResultTable(columns={"tag": ["a", "", "b"], "n": [1, 2, 3]},
+                        provenance={"k": "v"})
+    write_table(table, str(path))
+    assert read_table(str(path)).columns == table.columns
+
+
 def test_failed_rename_removes_the_temp_file(tmp_path, monkeypatch):
     path = tmp_path / "t.csv"
     path.write_bytes(b"previous contents\n")
