@@ -7,8 +7,7 @@ __version__ = "0.1.0"
 from .dicke import (DickeParams, ModeSpectrum, critical_coupling,
                     fidelity_gaussian, fidelity_scaling, mode_energies,
                     near_critical_gap, scaling_eta)
-from .dicke_exact import (ConvergenceEntry, ConvergenceSeries, GroundState,
-                          TruncatedDicke, build_hamiltonian, convergence_gap,
+from .dicke_exact import (GroundState, TruncatedDicke, build_hamiltonian,
                           echo_exact, fidelity_exact, ground_state_exact,
                           parity_indices)
 from .echo import (CollapseReport, EchoSeries, EnvelopeFit, GroupCollapse,
@@ -24,14 +23,13 @@ from .squeeze import (GroundExpansion, SqueezeMap, ground_expansion,
 from .squeeze import fidelity as squeeze_fidelity
 
 __all__ = [
-    "CollapseReport", "ConvergenceEntry", "ConvergenceSeries",
-    "CrossPhaseError", "DickeParams", "DomainError", "EchoSeries",
-    "EnvelopeFit", "FitError", "GroundExpansion",
+    "CollapseReport", "CrossPhaseError", "DickeParams", "DomainError",
+    "EchoSeries", "EnvelopeFit", "FitError", "GroundExpansion",
     "GroundState", "GroupCollapse", "InputError", "LmgMode", "LmgParams",
     "ModeSpectrum", "NumericError", "QptError", "ResourceError",
     "SemiclassicalParams", "SqueezeMap",
     "TruncatedDicke", "build_hamiltonian", "collapse_check",
-    "convergence_gap", "critical_coupling", "echo_exact", "echo_lmg",
+    "critical_coupling", "echo_exact", "echo_lmg",
     "eta_lmg", "fidelity_exact", "fidelity_gaussian",
     "fidelity_lmg", "fidelity_scaling", "fit_envelope", "gap_angle",
     "ground_expansion", "ground_state_exact", "lanczos_ground",

@@ -17,7 +17,7 @@ from .config import (RunConfig, _set_dotted, apply_overrides, config_hash, load_
                      parse_document)
 from .dicke import (DickeParams, critical_coupling, fidelity_gaussian,
                     fidelity_scaling, mode_energies, scaling_eta)
-from .dicke_exact import GROUND_TOL, convergence_gap, echo_exact, fidelity_exact
+from .dicke_exact import GROUND_TOL, echo_exact, fidelity_exact
 from .echo import collapse_check, survival_closed
 from .errors import DomainError, InputError, NumericError, ResourceError
 from .linalg import SURVIVAL_TOL
@@ -56,14 +56,15 @@ class _Model:
     fidelity: Callable       # (cfg, p1, p2) -> analytic Lp
     omega1: Callable         # (cfg, p) -> zero-mode frequency at p
     echo: Callable           # (cfg, p1, p2, t) -> EchoSeries
-    exact_fidelity: Callable | None  # (cfg, p1, p2) -> finite-size Lp^N
+    exact_fidelity: Callable | None  # (cfg, p1, p2, n_atoms) -> finite-size Lp^N
+    effective: Callable | None  # (cfg, p1, p2) -> converge's "effective" reference
     info: Callable           # (cfg) -> model parameters, recorded in every table
     basis_info: Callable     # (cfg) -> truncated basis of exact echoes and fidelities
     solver_info: dict        # provenance of tables with exact results
 
 
-def _n_boson(cfg: RunConfig) -> int:
-    return cfg.exact.n_boson or cfg.exact.n_atoms
+def _n_boson(cfg: RunConfig, n_atoms: int) -> int:  # the cutoff of every exact task
+    return cfg.exact.n_boson or n_atoms
 
 
 def _dicke(cfg: RunConfig, coupling: float) -> DickeParams:
@@ -79,15 +80,18 @@ _MODELS = {
         unit="energy",
         fidelity=lambda cfg, l1, l2: fidelity_gaussian(_dicke(cfg, l1), _dicke(cfg, l2)),
         omega1=lambda cfg, l1: mode_energies(_dicke(cfg, l1)).e1,
-        echo=lambda cfg, l1, l2, t: echo_exact(cfg.omega, cfg.omega0, cfg.exact.n_atoms,
-                                              _n_boson(cfg), l1, l2, t,
-                                              max_dim=cfg.exact.max_dim),
-        exact_fidelity=lambda cfg, l1, l2: fidelity_exact(
-            cfg.omega, cfg.omega0, cfg.exact.n_atoms, _n_boson(cfg), l1, l2,
-            max_dim=cfg.exact.max_dim),
+        echo=lambda cfg, l1, l2, t: echo_exact(
+            cfg.omega, cfg.omega0, cfg.exact.n_atoms, _n_boson(cfg, cfg.exact.n_atoms),
+            l1, l2, t, max_dim=cfg.exact.max_dim),
+        exact_fidelity=lambda cfg, l1, l2, n: fidelity_exact(
+            cfg.omega, cfg.omega0, n, _n_boson(cfg, n), l1, l2, max_dim=cfg.exact.max_dim),
+        # shared-rotation Gaussian (exact at omega == omega0), not ``fidelity``
+        effective=lambda cfg, l1, l2: fidelity_gaussian(
+            _dicke(cfg, l1), _dicke(cfg, l2), shared_rotation=True),
         info=lambda cfg: {"omega": cfg.omega, "omega0": cfg.omega0,
                           "lambda_c": critical_coupling(cfg.omega, cfg.omega0)},
-        basis_info=lambda cfg: {"n_atoms": cfg.exact.n_atoms, "n_boson": _n_boson(cfg)},
+        basis_info=lambda cfg: {"n_atoms": cfg.exact.n_atoms,
+                                "n_boson": _n_boson(cfg, cfg.exact.n_atoms)},
         solver_info={"ground_tol": GROUND_TOL, "survival_tol": SURVIVAL_TOL},
     ),
     "lmg": _Model(
@@ -100,6 +104,7 @@ _MODELS = {
         omega1=lambda cfg, h1: gap_angle(LmgParams(cfg.lmg_gamma, h1)).delta,
         echo=lambda cfg, h1, h2, t: echo_lmg(cfg.lmg_gamma, h1, h2, t),
         exact_fidelity=None,
+        effective=None,
         info=lambda cfg: {"gamma": cfg.lmg_gamma},
         basis_info=lambda cfg: {},  # the LMG echo is closed-form
         solver_info={},
@@ -205,18 +210,20 @@ def _run_fidelity(cfg: RunConfig, model: _Model):
 
 
 def _run_converge(cfg: RunConfig, model: _Model):
+    """D(N) = |Lp^N - reference| over n_list; the reference is the eta law
+    ("scaling") or the model's effective fidelity ("effective")."""
     points = _points(cfg, model)
     if len(points) > 1:
         raise InputError(f"converge takes one parameter point, got {len(points)}")
-    l1, l2 = points[0][:2]
-    series = convergence_gap(cfg.omega, cfg.omega0, l1, l2,
-                             cfg.converge.n_list, target=cfg.converge.target,
-                             max_dim=cfg.exact.max_dim)
-    rows = [(e.n_atoms, e.n_boson, e.lp_exact, e.gap) for e in series.entries]
+    p1, p2 = points[0][:2]
+    eta = _label(cfg, model, p1, p2)[0]
+    reference = (model.effective(cfg, p1, p2) if cfg.converge.target == "effective"
+                 else fidelity_scaling(eta))
+    lps = {n: model.exact_fidelity(cfg, p1, p2, n) for n in cfg.converge.n_list}
+    rows = [(n, _n_boson(cfg, n), lp, abs(lp - reference)) for n, lp in lps.items()]
     return [(cfg.output.path, _table(
-        cfg, _columns(("N", "n_b", "LpN", "D"), rows), lambda1=l1, lambda2=l2,
-        eta=_label(cfg, model, l1, l2)[0], reference=series.reference,
-        target=cfg.converge.target, **model.solver_info))]
+        cfg, _columns(("N", "n_b", "LpN", "D"), rows), **dict(zip(model.params, (p1, p2))),
+        eta=eta, reference=reference, target=cfg.converge.target, **model.solver_info))]
 
 
 def _run_echo(cfg: RunConfig, model: _Model):
@@ -277,7 +284,7 @@ def _run_sweep(cfg: RunConfig, model: _Model):
         row = (cfg.model, eta, scale, phase, p1, p2, model.fidelity(cfg, p1, p2),
                fidelity_scaling(eta))
         if cfg.exact.include:
-            row += (model.exact_fidelity(cfg, p1, p2),)
+            row += (model.exact_fidelity(cfg, p1, p2, cfg.exact.n_atoms),)
         rows.append(row)
     names = ("model", "eta", "scale", "phase", "param1", "param2", "Lp_analytic",
              "Lp_scaling") + (("Lp_exact",) if cfg.exact.include else ())

@@ -102,8 +102,10 @@ _RULES = {
     "exact.n_boson": ("null or an integer >= 2", lambda v: v is None or _integer(v) and v >= 2),
     "exact.include": ("true or false", lambda v: isinstance(v, bool)),
     "exact.max_dim": _at_least(16),
-    # each N runs with n_boson = N, and a truncation needs two boson levels
-    "converge.n_list": _list_of(_at_least(2), non_empty=True),
+    # n_boson defaults to N, and a truncation needs two boson levels
+    "converge.n_list": ("a non-empty strictly ascending list, each item an integer >= 2",
+                        lambda v: _list_of(_at_least(2), non_empty=True)[1](v)
+                        and v == sorted(set(v))),
     "converge.target": _one_of("effective", "scaling"),
     "output.path": ("a non-empty string", lambda v: isinstance(v, str) and v != ""),
 }

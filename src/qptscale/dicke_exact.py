@@ -1,7 +1,7 @@
 """Exact numerics for the spin-boson Hamiltonian on a truncated basis:
 matrix-free parity-block operators, parity-resolved ground states,
-finite-size fidelity, the truncation-convergence series, and exact echo
-curves.  numpy only."""
+finite-size fidelity (the CLI's ``converge`` task turns it into D(N)) and
+exact echo curves.  numpy only."""
 
 from __future__ import annotations
 
@@ -10,8 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dicke import (DickeParams, critical_coupling, fidelity_gaussian,
-                    fidelity_scaling, mode_energies, scaling_eta)
+from .dicke import DickeParams, critical_coupling, mode_energies
 from .echo import EchoSeries, _as_time_grid
 from .errors import DomainError, InputError, ResourceError
 from .linalg import lanczos_ground, lanczos_survival
@@ -213,58 +212,6 @@ def fidelity_exact(omega: float, omega0: float, n_atoms: int, n_boson: int,
     g2 = ground_state_exact(
         TruncatedDicke(n_atoms, n_boson, omega, omega0, lambda2), max_dim=max_dim)
     return float(abs(g1.vector @ g2.vector))
-
-
-@dataclass(frozen=True)
-class ConvergenceEntry:
-    n_atoms: int
-    n_boson: int
-    lp_exact: float
-    gap: float
-
-
-@dataclass(frozen=True)
-class ConvergenceSeries:
-    """Finite-size fidelity and its distance to a thermodynamic reference."""
-
-    entries: tuple[ConvergenceEntry, ...]
-    reference: float
-
-
-def convergence_gap(omega: float, omega0: float, lambda1: float, lambda2: float,
-                    n_list, *, target: str = "scaling",
-                    max_dim: int = MAX_DIM_DEFAULT) -> ConvergenceSeries:
-    """Distance D(N) = |Lp^N - Lp| between the finite-size fidelity and a
-    thermodynamic-limit prediction, over ascending atom counts.
-
-    ``target`` selects the reference: "scaling" (default) uses the ratio-only
-    fidelity law, "effective" the two-mode Gaussian fidelity (shared rotation,
-    exact at omega == omega0); the two references differ by ~3e-5 at the
-    standard parameter set, far below the gaps resolved here.  The boson
-    cutoff equals N; ``max_dim`` caps the truncated basis dimension
-    (ResourceError above it).
-    """
-    n_list = list(n_list)
-    for n in n_list:
-        if not isinstance(n, int) or isinstance(n, bool):
-            raise InputError(f"n_list entries must be integers, got {n!r}")
-    if n_list != sorted(set(n_list)):
-        raise InputError("n_list must be strictly ascending")
-    eta = scaling_eta(lambda1, lambda2, critical_coupling(omega, omega0))
-    if target == "effective":
-        reference = fidelity_gaussian(DickeParams(omega, omega0, lambda1),
-                                      DickeParams(omega, omega0, lambda2),
-                                      shared_rotation=True)
-    elif target == "scaling":
-        reference = fidelity_scaling(eta)
-    else:
-        raise InputError(f"unknown convergence target {target!r}")
-    entries = []
-    for n in n_list:
-        lp = fidelity_exact(omega, omega0, n, n, lambda1, lambda2, max_dim=max_dim)
-        entries.append(ConvergenceEntry(n_atoms=n, n_boson=n, lp_exact=lp,
-                                        gap=abs(lp - reference)))
-    return ConvergenceSeries(entries=tuple(entries), reference=float(reference))
 
 
 def echo_exact(omega: float, omega0: float, n_atoms: int, n_boson: int,

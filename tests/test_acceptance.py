@@ -10,7 +10,7 @@ import pytest
 
 from qptscale import (DickeParams, SqueezeMap, TruncatedDicke,
                       build_hamiltonian, collapse_check,
-                      convergence_gap, critical_coupling, echo_exact,
+                      critical_coupling, echo_exact, fidelity_exact,
                       fidelity_gaussian, fidelity_lmg, fidelity_scaling,
                       fit_envelope, ground_expansion, ground_state_exact,
                       lanczos_ground, lanczos_survival, min_echo, mode_energies,
@@ -62,8 +62,9 @@ def test_criterion_2_lmg_dicke_universality():
 
 def test_criterion_3_convergence_study():
     start = time.perf_counter()
-    series = convergence_gap(1.0, 1.0, 0.495, 0.45, [8, 16, 32, 64, 128])
-    gaps = np.array([entry.gap for entry in series.entries])
+    # D(N) = |Lp^N - Lp(eta)| at eta = 0.1, with n_b = N
+    gaps = np.array([abs(fidelity_exact(1.0, 1.0, n, n, 0.495, 0.45) - fidelity_scaling(0.1))
+                     for n in (8, 16, 32, 64, 128)])
     assert np.all(np.diff(gaps) < 0.0), "D must decrease strictly"
     slopes = np.diff(np.log(gaps)) / np.diff(np.log([8, 16, 32, 64, 128]))
     margins = -np.diff(slopes)

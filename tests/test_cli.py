@@ -6,6 +6,7 @@ from dataclasses import asdict
 
 import pytest
 
+from qptscale import DickeParams, fidelity_exact, fidelity_gaussian, fidelity_scaling
 from qptscale.cli import main
 from qptscale.config import RunConfig, config_hash, parse_document
 from qptscale.errors import InputError
@@ -66,6 +67,48 @@ def test_fig2_config_gap_strictly_decreasing(tmp_path):
     assert list(table.columns) == ["N", "n_b", "LpN", "D"]
     gaps = table.columns["D"]
     assert gaps[0] > gaps[1] > gaps[2]
+    assert float(table.provenance["reference"]) == pytest.approx(fidelity_scaling(0.1),
+                                                                 abs=1e-12)
+    assert table.columns["n_b"] == table.columns["N"] == [8, 16, 32]
+
+
+def test_converge_degenerate_pair_gives_constant_zero(tmp_path):
+    # equal couplings: Lp^N = 1 at every N, and eta = 1 puts the law at 1 too
+    out = tmp_path / "deg.csv"
+    assert run_cli(["dicke-converge", "--set", "pairs=[[0.4,0.4]]",
+                    "--set", "converge.n_list=[4,8,12]", "--output", str(out)]) == 0
+    table = read_table(str(out))
+    assert table.columns["N"] == [4, 8, 12]
+    assert all(lp == pytest.approx(1.0, abs=1e-12) for lp in table.columns["LpN"])
+    assert all(d <= 1e-12 for d in table.columns["D"])
+
+
+def test_converge_uses_the_stated_boson_cutoff(tmp_path):
+    out = tmp_path / "nb.csv"
+    assert run_cli(["dicke-converge", "--config", os.path.join(CONFIG_DIR, "fig2.json"),
+                    "--set", "converge.n_list=[8,16]", "--set", "exact.n_boson=12",
+                    "--output", str(out)]) == 0
+    table = read_table(str(out))
+    assert table.columns["n_b"] == [12, 12]
+    assert table.columns["LpN"] == pytest.approx(
+        [fidelity_exact(1.0, 1.0, n, 12, 0.495, 0.45) for n in (8, 16)], abs=1e-14)
+
+
+# The "effective" reference is the shared-rotation Gaussian, not the model's
+# analytic fidelity: the two differ at both points, also at omega == omega0.
+@pytest.mark.parametrize("omega0,pair", [(1.0, [0.495, 0.45]), (2.0, [0.68, 0.6])],
+                         ids=["fig2", "omega0-2"])
+def test_converge_effective_reference_is_the_shared_rotation_gaussian(tmp_path, omega0,
+                                                                     pair):
+    out = tmp_path / "eff.csv"
+    assert run_cli(["dicke-converge", "--set", f"omega0={omega0}", "--set", f"pairs=[{pair}]",
+                    "--set", 'converge.target="effective"', "--set", "converge.n_list=[8,16]",
+                    "--output", str(out)]) == 0
+    reference = float(read_table(str(out)).provenance["reference"])
+    p1, p2 = (DickeParams(1.0, omega0, coupling) for coupling in pair)
+    assert reference == pytest.approx(fidelity_gaussian(p1, p2, shared_rotation=True),
+                                      abs=1e-15)
+    assert abs(reference - fidelity_gaussian(p1, p2)) > 1e-5
 
 
 def test_lmg_fidelity_subcommand(tmp_path):
@@ -243,6 +286,8 @@ _BASE_DOC = {"model": "dicke", "task": "sweep"}
     (dict(_BASE_DOC, exact=8), "exact"),
     ({"task": "sweep"}, "model"),
     ({"model": "dicke"}, "task"),
+    (dict(_BASE_DOC, converge={"n_list": [16, 8]}), "n_list"),
+    (dict(_BASE_DOC, converge={"n_list": [8, 8]}), "n_list"),
 ])
 def test_parse_document_refuses_each_rule_naming_the_key(doc, key):
     with pytest.raises(InputError, match=key):

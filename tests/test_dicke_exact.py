@@ -4,10 +4,10 @@ import numpy as np
 import pytest
 
 from qptscale import (DickeParams, DomainError, InputError, ResourceError,
-                      TruncatedDicke, build_hamiltonian, convergence_gap,
-                      echo_exact, fidelity_exact, fidelity_gaussian,
-                      fidelity_scaling, ground_state_exact, mode_energies,
-                      parity_indices)
+                      TruncatedDicke, build_hamiltonian, echo_exact,
+                      fidelity_exact, fidelity_gaussian, fidelity_scaling,
+                      ground_state_exact, mode_energies, parity_indices)
+from qptscale.config import parse_document
 from conftest import dicke_reference, spectral_sum
 
 
@@ -189,17 +189,22 @@ class TestFidelityExact:
 
 
 class TestConvergenceGap:
+    """The pieces of the D(N) series that the converge task assembles: exact
+    fidelities over N and the size list it accepts."""
+
     def test_degenerate_pair_gives_constant_zero(self):
-        series = convergence_gap(1.0, 1.0, 0.4, 0.4, [4, 8, 12])
-        assert all(e.lp_exact == pytest.approx(1.0, abs=1e-12) for e in series.entries)
-        assert all(e.gap <= 1e-12 for e in series.entries)
+        # equal couplings share one ground state at every N, and eta = 1
+        # puts the ratio-only law at 1 too
+        assert fidelity_scaling(1.0) == 1.0
+        for n in (4, 8, 12):
+            assert fidelity_exact(1.0, 1.0, n, n, 0.4, 0.4) == pytest.approx(1.0, abs=1e-12)
 
     def test_fig_parameters_decay_monotonically(self):
-        series = convergence_gap(1.0, 1.0, 0.495, 0.45, [8, 16, 32])
-        gaps = [e.gap for e in series.entries]
+        # D(N) = |Lp^N - L_eta| with n_b = N falls over N = 8, 16, 32
+        reference = fidelity_scaling(0.1)
+        gaps = [abs(fidelity_exact(1.0, 1.0, n, n, 0.495, 0.45) - reference)
+                for n in (8, 16, 32)]
         assert gaps[0] > gaps[1] > gaps[2]
-        assert series.reference == pytest.approx(fidelity_scaling(0.1), abs=1e-12)
-        assert [e.n_boson for e in series.entries] == [8, 16, 32]
 
     def test_cutoff_error_below_truncation_decrement(self):
         # doubling the boson cutoff at fixed N moves Lp far less than N -> 2N
@@ -208,20 +213,11 @@ class TestConvergenceGap:
         lp_32_32 = fidelity_exact(1.0, 1.0, 32, 32, 0.495, 0.45)
         assert abs(lp_16_32 - lp_16_16) < abs(lp_32_32 - lp_16_16)
 
-    def test_targets_and_validation(self):
-        with pytest.raises(InputError):
-            convergence_gap(1.0, 1.0, 0.495, 0.45, [8, 8])
-        with pytest.raises(InputError):
-            convergence_gap(1.0, 1.0, 0.495, 0.45, [8], target="bogus")
-        s = convergence_gap(1.0, 1.0, 0.495, 0.45, [8], target="effective")
-        ref = fidelity_gaussian(DickeParams(1.0, 1.0, 0.495),
-                                DickeParams(1.0, 1.0, 0.45), shared_rotation=True)
-        assert s.reference == pytest.approx(ref, abs=1e-15)
-
     @pytest.mark.parametrize("sizes", [[8.5, 16.9], [8, 16.0], [True, 8]])
     def test_non_integer_sizes_rejected(self, sizes):
-        with pytest.raises(InputError):
-            convergence_gap(1.0, 1.0, 0.495, 0.45, sizes)
+        with pytest.raises(InputError, match="n_list"):
+            parse_document({"model": "dicke", "task": "converge",
+                            "converge": {"n_list": sizes}})
 
 
 class TestEchoExact:
