@@ -17,7 +17,7 @@ from .config import (RunConfig, _set_dotted, apply_overrides, config_hash, load_
                      parse_document)
 from .dicke import (DickeParams, critical_coupling, fidelity_gaussian,
                     fidelity_scaling, mode_energies, scaling_eta)
-from .dicke_exact import GROUND_TOL, echo_exact, fidelity_exact
+from .dicke_exact import GROUND_TOL, echo_exact, fidelity_exact, solve_once
 from .echo import collapse_check, survival_closed
 from .errors import DomainError, InputError, NumericError, ResourceError
 from .linalg import SURVIVAL_TOL
@@ -303,11 +303,14 @@ _RUNNERS = {
 
 
 def run(cfg: RunConfig):
-    """Execute a validated configuration; returns the written file paths."""
+    """Execute a validated configuration; returns the written file paths.
+    Each distinct exact ground state is solved once per run."""
     model = _MODELS[cfg.model]
     if cfg.task not in model.tasks:
         raise InputError(f"task {cfg.task!r} is not defined for model {cfg.model!r}")
-    return [write_table(table, path) for path, table in _RUNNERS[cfg.task](cfg, model)]
+    with solve_once():
+        tables = _RUNNERS[cfg.task](cfg, model)
+    return [write_table(table, path) for path, table in tables]
 
 
 def _build_parser() -> argparse.ArgumentParser:

@@ -6,6 +6,8 @@ exact echo curves.  numpy only."""
 from __future__ import annotations
 
 import math
+from contextlib import contextmanager
+from contextvars import ContextVar
 from dataclasses import dataclass
 
 import numpy as np
@@ -18,6 +20,8 @@ from .linalg import lanczos_ground, lanczos_survival
 MAX_DIM_DEFAULT = 200_000
 GROUND_TOL = 1e-11        # Lanczos residual threshold, relative to |H|
 QUASI_DEGENERATE_GAP = 1e-10  # parity gap below which blocks count as degenerate
+
+_solved: ContextVar[dict | None] = ContextVar("solved", default=None)
 
 
 @dataclass(frozen=True)
@@ -150,8 +154,11 @@ def ground_state_exact(system: TruncatedDicke, *,
     than ``QUASI_DEGENERATE_GAP``.  Near-degeneracy of the two blocks is
     reported in the metadata, with the Lanczos step count and final residual
     of the returned block.  The step count is that of the first residual
-    check that passed: a multiple of ``KRYLOV_CHECK_EVERY`` unless the
-    Krylov space closed first (see :func:`qptscale.linalg.lanczos_ground`).
+    check that passed: a multiple of ``KRYLOV_CHECK_EVERY`` unless the run
+    broke down first.  Each block takes two Lanczos runs of that many steps,
+    the second replaying the first to sum the Ritz vector, so a solve holds
+    a few block-length vectors and no Krylov basis (see
+    :func:`qptscale.linalg.lanczos_ground`).
 
     Lanczos starts each block from its position 0, the block's lowest bare
     state: |n=0, m=-j> (even) or |n=0, m=-j+1> (odd).  The even start is the
@@ -187,6 +194,28 @@ def ground_state_exact(system: TruncatedDicke, *,
     return GroundState(energy=float(e0), vector=vector, parity=name, meta=meta)
 
 
+@contextmanager
+def solve_once():
+    """Within the ``with`` block, :func:`fidelity_exact` and
+    :func:`echo_exact` solve each distinct (truncated system, ``max_dim``)
+    ground state once and reuse it; outside it, every call solves afresh."""
+    token = _solved.set({})
+    try:
+        yield
+    finally:
+        _solved.reset(token)
+
+
+def _ground_state(system: TruncatedDicke, max_dim: int) -> GroundState:
+    """:func:`ground_state_exact`, reused inside :func:`solve_once`."""
+    solved = _solved.get()
+    if solved is None:
+        return ground_state_exact(system, max_dim=max_dim)
+    if (system, max_dim) not in solved:
+        solved[system, max_dim] = ground_state_exact(system, max_dim=max_dim)
+    return solved[system, max_dim]
+
+
 def _refuse_super_radiant(omega: float, omega0: float, *couplings: float) -> None:
     """The parity-symmetric exact ground states above the critical coupling
     carry the sqrt(N) mean-field displacement, so overlaps built from them
@@ -207,10 +236,8 @@ def fidelity_exact(omega: float, omega0: float, n_atoms: int, n_boson: int,
     otherwise).
     """
     _refuse_super_radiant(omega, omega0, lambda1, lambda2)
-    g1 = ground_state_exact(
-        TruncatedDicke(n_atoms, n_boson, omega, omega0, lambda1), max_dim=max_dim)
-    g2 = ground_state_exact(
-        TruncatedDicke(n_atoms, n_boson, omega, omega0, lambda2), max_dim=max_dim)
+    g1 = _ground_state(TruncatedDicke(n_atoms, n_boson, omega, omega0, lambda1), max_dim)
+    g2 = _ground_state(TruncatedDicke(n_atoms, n_boson, omega, omega0, lambda2), max_dim)
     return float(abs(g1.vector @ g2.vector))
 
 
@@ -230,8 +257,7 @@ def echo_exact(omega: float, omega0: float, n_atoms: int, n_boson: int,
     """
     _refuse_super_radiant(omega, omega0, lambda1, lambda2)
     t = _as_time_grid(t_grid)
-    gs2 = ground_state_exact(
-        TruncatedDicke(n_atoms, n_boson, omega, omega0, lambda2), max_dim=max_dim)
+    gs2 = _ground_state(TruncatedDicke(n_atoms, n_boson, omega, omega0, lambda2), max_dim)
     # below lc the ground state is even
     h1 = build_hamiltonian(TruncatedDicke(n_atoms, n_boson, omega, omega0, lambda1),
                            "even", max_dim=max_dim)

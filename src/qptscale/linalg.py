@@ -1,17 +1,19 @@
 """Real symmetric linear algebra built on one Lanczos recurrence, in numpy
 alone.
 
-A single Lanczos loop with full reorthogonalization serves two solvers:
-:func:`lanczos_ground`, the lowest eigenpair from a caller's start vector (a
-fixed Gaussian draw by default), stopped on its residual; and
-:func:`lanczos_survival`, the survival amplitude
+One three-term Lanczos recurrence, with no stored basis and no
+reorthogonalization, serves two solvers: :func:`lanczos_ground`, the lowest
+eigenpair from a caller's start vector (a fixed Gaussian draw by default),
+stopped on its residual, its Ritz vector summed by a second run that
+replays the first; and :func:`lanczos_survival`, the survival amplitude
 <psi0| exp(-i A t) |psi0> on a time grid from a start at psi0, by Gauss
 quadrature of psi0's spectral measure.  Both take any real symmetric
 operator with ``.shape`` and ``@`` (an ndarray, a
 :class:`qptscale.dicke_exact.ParityBlock`, a ``scipy.sparse`` array or a
-``LinearOperator``), so sparse Hamiltonians are never densified.  Both test
-their stopping rule every ``KRYLOV_CHECK_EVERY`` steps, where the k x k
-tridiagonal projection is diagonalized in full with ``np.linalg.eigh``.
+``LinearOperator``), never densify it, and hold a few vectors of length dim
+at any depth k, besides the k x k tridiagonal projection.  Both test their
+stopping rule every ``KRYLOV_CHECK_EVERY`` steps by ``np.linalg.eigh`` of
+that projection; only a breakdown ends a run between checks.
 """
 
 from __future__ import annotations
@@ -26,7 +28,6 @@ from .errors import InputError, NumericError
 SURVIVAL_TOL = 1e-12
 KRYLOV_CHECK_EVERY = 20  # Lanczos steps between stopping-rule checks
 KRYLOV_MAX_STEPS = 600   # Lanczos steps either solver may take
-DGKS_RATIO = 0.717       # second Gram-Schmidt pass below this share of |w|
 
 
 def _operator_dim(a) -> int:
@@ -62,55 +63,46 @@ def _tridiagonal_eigh(alphas: np.ndarray, betas: np.ndarray):
     return np.linalg.eigh(t)
 
 
-def _lanczos(a, start: np.ndarray):
-    """Lanczos recurrence on ``a`` with full reorthogonalization.
+def _lanczos(a, start: np.ndarray, every: int = KRYLOV_CHECK_EVERY):
+    """Three-term Lanczos recurrence on ``a`` from ``start``, storing no basis.
 
-    Each step orthogonalizes the new residual against the whole basis by
-    classical Gram-Schmidt.  A second pass runs only when the first cuts
-    its norm below ``DGKS_RATIO`` of its value: that much cancellation can
-    leave it off-orthogonal (Daniel, Gragg, Kaufman & Stewart, Math. Comp.
-    30, 772 (1976)).
+    Only the last two Lanczos vectors are kept.  Orthogonality is lost as
+    Ritz values converge, which only adds copies of converged values; the
+    Ritz values and the Gauss quadrature of the start's spectral measure
+    stay accurate (Paige; Greenbaum, Linear Algebra Appl. 113, 7 (1989)).
+    The recurrence is deterministic, so a second run from the same start
+    replays the same vectors (Cullum & Willoughby, 1985).
 
-    Yields ``(basis, alphas, betas, beta, closed)`` after every
-    ``KRYLOV_CHECK_EVERY``-th step and after the last one: the k Lanczos
-    vectors as the rows of ``basis``, the k x k tridiagonal projection
-    (diagonal ``alphas``, off-diagonal ``betas``), the norm ``beta`` of the
-    next residual vector, and whether the Krylov space is closed.  The views
-    are only valid until the next step.  The run ends after
-    ``KRYLOV_MAX_STEPS`` steps or once the Krylov space closes: when it
-    fills the whole space, or at a breakdown (``beta`` negligible against
-    the projection's norm), where it is invariant and the projection exact
-    on it.
+    Yields ``(q, alphas, betas, beta, closed)`` after every ``every``-th
+    step and after the last one: the step's Lanczos vector, the k x k
+    tridiagonal projection (diagonal ``alphas``, off-diagonal ``betas``),
+    the norm ``beta`` of the next residual vector, and whether the run
+    closed at a breakdown (``beta`` negligible against the projection's
+    norm), where the Krylov space is invariant and the projection exact on
+    it.  The views are only valid until the next step.  The run ends at a
+    breakdown or after ``KRYLOV_MAX_STEPS`` steps.
     """
-    dim = start.size
-    cap = min(dim, KRYLOV_MAX_STEPS)
-    basis = np.empty((cap, dim))
-    alphas = np.empty(cap)
-    betas = np.empty(cap)
-    q = start / np.linalg.norm(start)
-    for k in range(cap):
-        basis[k] = q
+    alphas = np.empty(KRYLOV_MAX_STEPS)
+    betas = np.empty(KRYLOV_MAX_STEPS)
+    q_prev, q = None, start / np.linalg.norm(start)
+    tiny, alpha_max, beta_max = 1e3 * np.finfo(float).eps, 0.0, 0.0
+    for k in range(KRYLOV_MAX_STEPS):
         w = a @ q
         alphas[k] = float(q @ w)
         w = w - alphas[k] * q
         if k:
-            w = w - betas[k - 1] * basis[k - 1]
-        done = basis[:k + 1]
-        before = float(np.linalg.norm(w))
-        w = w - (done @ w) @ done
+            w -= betas[k - 1] * q_prev
         beta = float(np.linalg.norm(w))
-        if beta < DGKS_RATIO * before:
-            w = w - (done @ w) @ done
-            beta = float(np.linalg.norm(w))
-        steps = k + 1
-        closed = steps == dim or beta <= 1e3 * np.finfo(float).eps * _norm_estimate(
-            alphas[:steps], betas[:k])
-        if closed or steps == cap or steps % KRYLOV_CHECK_EVERY == 0:
-            yield done, alphas[:steps], betas[:k], beta, closed
+        alpha_max = max(alpha_max, abs(alphas[k]))  # _norm_estimate as a running max
+        closed = beta <= tiny * ((alpha_max + beta_max) or 1.0)
+        if closed or k + 1 == KRYLOV_MAX_STEPS or (k + 1) % every == 0:
+            yield q, alphas[:k + 1], betas[:k], beta, closed
         if closed:
             return
         betas[k] = beta
-        q = w / beta
+        beta_max = max(beta_max, beta)
+        w /= beta
+        q_prev, q = q, w
 
 
 @dataclass(frozen=True)
@@ -118,26 +110,28 @@ class LanczosInfo:
     """What a Lanczos ground-state solve did: Lanczos steps taken and the
     residual estimate |A v - E v| it stopped at.  The residual is tested
     every ``KRYLOV_CHECK_EVERY`` steps, so ``iterations`` is the first such
-    multiple at which it met its bound, or the step at which the Krylov
-    space closed, whichever came first."""
+    multiple at which it met its bound, or the step at which the run broke
+    down, whichever came first."""
 
     iterations: int
     residual: float
 
 
 def lanczos_ground(a, tol: float = 1e-10, *, start=None):
-    """Lowest eigenpair of the operator ``a`` by one Lanczos run from the
+    """Lowest eigenpair of the operator ``a`` by two Lanczos runs from the
     vector ``start`` (any nonzero length-dim vector; normalised here).  With
-    ``start=None`` the run starts from the Gaussian vector
+    ``start=None`` the runs start from the Gaussian vector
     ``np.random.default_rng(0).standard_normal(dim)``.  The start must
     overlap the lowest eigenvector, which a random one does almost surely; a
     start close to it cuts the steps taken.
 
-    The residual |A v - E v| is tested every ``KRYLOV_CHECK_EVERY`` steps;
-    the run stops at the first test where it is within ``tol`` times a
-    Gershgorin estimate of |A|, or when the Krylov space fills the space or
-    closes at a breakdown, where the projection is exact.  Reaching
-    ``KRYLOV_MAX_STEPS`` steps first raises NumericError.
+    The first run finds the Ritz value.  Its residual |A v - E v| is tested
+    every ``KRYLOV_CHECK_EVERY`` steps; the run stops at the first test
+    where it is within ``tol`` times a Gershgorin estimate of |A|, or at a
+    breakdown, where the projection is exact.  Reaching
+    ``KRYLOV_MAX_STEPS`` steps first raises NumericError.  The second run
+    replays the same k steps and sums the Ritz vector sum_i s_i q_i from the
+    projection's eigenvector s, so memory stays a few vectors of length dim.
 
     Returns ``(energy, vector, info)``: the Ritz value, the unit-norm Ritz
     vector with its largest component positive, and a :class:`LanczosInfo`.
@@ -150,7 +144,7 @@ def lanczos_ground(a, tol: float = 1e-10, *, start=None):
     start = np.asarray(start, dtype=float)
     if start.shape != (dim,) or not 0 < np.linalg.norm(start) < math.inf:
         raise InputError(f"start must be a nonzero finite vector of dimension {dim}")
-    for basis, alphas, betas, beta, closed in _lanczos(a, start):
+    for _, alphas, betas, beta, closed in _lanczos(a, start):
         values, vectors = _tridiagonal_eigh(alphas, betas)
         theta, s = float(values[0]), vectors[:, 0]
         resid = beta * abs(s[-1])
@@ -162,8 +156,10 @@ def lanczos_ground(a, tol: float = 1e-10, *, start=None):
         raise NumericError(
             f"Lanczos did not converge within {k} iterations: residual "
             f"{resid:.3e} vs bound {bound:.3e}")
-    vector = s @ basis
-    vector = vector / np.linalg.norm(vector)
+    vector = np.zeros(dim)
+    for s_i, (q, *_) in zip(s, _lanczos(a, start, every=1)):
+        vector += s_i * q
+    vector /= np.linalg.norm(vector)
     lead = int(np.argmax(np.abs(vector)))
     if vector[lead] < 0:
         vector = -vector
@@ -176,13 +172,14 @@ def lanczos_survival(a, psi0: np.ndarray, t) -> tuple[np.ndarray, int]:
 
     After k steps the amplitude is the k-point Gauss quadrature of psi0's
     spectral measure, A(t) = sum_j s_j[0]^2 exp(-i theta_j t), from the
-    eigenpairs (theta_j, s_j) of the tridiagonal projection.  Every
+    eigenpairs (theta_j, s_j) of the tridiagonal projection.  The sum runs
+    over the nodes that can move it: the smallest weights s_j[0]^2, which
+    together stay below one ulp of the total, are dropped.  Every
     ``KRYLOV_CHECK_EVERY`` steps the echo |A|^2 on the grid is compared
     with the previous check; the run stops once it moves by at most
     ``SURVIVAL_TOL``.  The echo, not the amplitude, is tested because the
     amplitude carries a round-off phase drift of order eps |A| t that no
-    depth removes.  A Krylov space that fills the space, or closes at a
-    breakdown, gives the exact amplitude.
+    depth removes.  A breakdown gives the exact amplitude.
 
     Returns ``(amplitude, depth)`` with ``depth`` the number of Lanczos
     steps.  Raises NumericError if the echo has not settled within
@@ -194,7 +191,10 @@ def lanczos_survival(a, psi0: np.ndarray, t) -> tuple[np.ndarray, int]:
     previous, change = None, math.inf
     for _, alphas, betas, _, closed in _lanczos(a, psi0):
         theta, s = _tridiagonal_eigh(alphas, betas)
-        amp = np.exp(-1j * np.multiply.outer(t, theta)) @ (s[0] ** 2)
+        weights = s[0] ** 2
+        order = np.argsort(weights)
+        nodes = np.sort(order[np.cumsum(weights[order]) >= np.spacing(1.0)])
+        amp = np.exp(-1j * np.multiply.outer(t, theta[nodes])) @ weights[nodes]
         if closed:
             return amp, alphas.size
         echo = np.abs(amp) ** 2

@@ -6,6 +6,7 @@ from dataclasses import asdict
 
 import pytest
 
+import qptscale.dicke_exact
 from qptscale import DickeParams, fidelity_exact, fidelity_gaussian, fidelity_scaling
 from qptscale.cli import main
 from qptscale.config import RunConfig, config_hash, parse_document
@@ -185,6 +186,21 @@ def test_sweep_with_exact_column(tmp_path):
     table = read_table(str(tmp_path / "ex.csv"))
     assert "Lp_exact" in table.columns
     assert 0.0 <= table.columns["Lp_exact"][0] <= 1.0
+
+
+def test_each_ground_state_solved_once_per_run(tmp_path, monkeypatch):
+    # 2 etas x 2 scales: 8 ground states, 6 distinct (4 lambda1, 2 lambda2)
+    solved = []
+    original = qptscale.dicke_exact.ground_state_exact
+    monkeypatch.setattr(qptscale.dicke_exact, "ground_state_exact",
+                        lambda system, **kw: solved.append(system) or original(system, **kw))
+    args = ["sweep", "--set", "etas=[0.1,0.3]", "--set", "scales=[1e-2,2e-2]",
+            "--set", "exact.include=true", "--set", "exact.n_atoms=8",
+            "--output", str(tmp_path / "s.csv")]
+    assert run_cli(args) == 0
+    assert len(solved) == len(set(solved)) == 6
+    assert run_cli(args) == 0  # a new run solves afresh
+    assert len(solved) == 12 and set(solved[6:]) == set(solved[:6])
 
 
 def test_sweep_empty_etas_is_usage_error(tmp_path, capsys):

@@ -7,7 +7,9 @@ from qptscale import (DickeParams, DomainError, InputError, ResourceError,
                       TruncatedDicke, build_hamiltonian, echo_exact,
                       fidelity_exact, fidelity_gaussian, fidelity_scaling,
                       ground_state_exact, mode_energies, parity_indices)
+from qptscale import dicke_exact
 from qptscale.config import parse_document
+from qptscale.dicke_exact import solve_once
 from conftest import dicke_reference, spectral_sum
 
 
@@ -281,6 +283,24 @@ class TestEchoExact:
         assert series.echo[0] == pytest.approx(1.0, abs=1e-12)
         assert np.all(series.echo >= 0.0) and np.all(series.echo <= 1.0 + 1e-12)
         series.validate()
+
+
+def test_solve_once_reuses_ground_states_inside_its_block(monkeypatch):
+    solved = []
+    original = dicke_exact.ground_state_exact
+    monkeypatch.setattr(dicke_exact, "ground_state_exact",
+                        lambda system, **kw: solved.append(system.coupling) or original(system, **kw))
+    t = np.linspace(0.0, 5.0, 21)
+    plain = [fidelity_exact(1.0, 1.0, 8, 8, l1, 0.45) for l1 in (0.48, 0.49)]
+    plain_echo = echo_exact(1.0, 1.0, 8, 8, 0.48, 0.45, t).echo
+    assert solved == [0.48, 0.45, 0.49, 0.45, 0.45]
+    with solve_once():
+        reused = [fidelity_exact(1.0, 1.0, 8, 8, l1, 0.45) for l1 in (0.48, 0.49)]
+        reused_echo = echo_exact(1.0, 1.0, 8, 8, 0.48, 0.45, t).echo
+    assert solved[5:] == [0.48, 0.45, 0.49]
+    assert reused == plain and np.array_equal(reused_echo, plain_echo)
+    fidelity_exact(1.0, 1.0, 8, 8, 0.48, 0.45)  # the block has ended
+    assert solved[8:] == [0.48, 0.45]
 
 
 def test_super_radiant_exact_fidelity_and_echo_refused():
