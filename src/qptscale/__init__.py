@@ -8,8 +8,7 @@ from .dicke import (DickeParams, ModeSpectrum, critical_coupling,
                     fidelity_gaussian, fidelity_scaling, mode_energies,
                     near_critical_gap, scaling_eta)
 from .dicke_exact import (GroundState, TruncatedDicke, build_hamiltonian,
-                          echo_exact, fidelity_exact, ground_state_exact,
-                          parity_indices)
+                          echo_exact, fidelity_exact, ground_state_exact)
 from .echo import (CollapseReport, EchoSeries, EnvelopeFit, GroupCollapse,
                    SemiclassicalParams, collapse_check, fit_envelope, min_echo,
                    mp_scaling, rescale_time, semiclassical_envelope,
@@ -35,7 +34,7 @@ __all__ = [
     "ground_expansion", "ground_state_exact", "lanczos_ground",
     "lanczos_survival", "min_echo",
     "mode_energies", "mp_scaling", "near_critical_gap", "overlap_matrix",
-    "parity_indices", "participation_ratio", "relative_map", "rescale_time",
+    "participation_ratio", "relative_map", "rescale_time",
     "scaling_eta", "semiclassical_envelope",
     "squeeze_fidelity", "survival_closed",
 ]

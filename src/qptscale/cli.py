@@ -17,7 +17,7 @@ from .config import (RunConfig, _set_dotted, apply_overrides, config_hash, load_
                      parse_document)
 from .dicke import (DickeParams, critical_coupling, fidelity_gaussian,
                     fidelity_scaling, mode_energies, scaling_eta)
-from .dicke_exact import GROUND_TOL, echo_exact, fidelity_exact, solve_once
+from .dicke_exact import GROUND_TOL, TruncatedDicke, echo_exact, fidelity_exact, solve_once
 from .echo import collapse_check, survival_closed
 from .errors import DomainError, InputError, NumericError, ResourceError
 from .linalg import SURVIVAL_TOL
@@ -71,6 +71,11 @@ def _dicke(cfg: RunConfig, coupling: float) -> DickeParams:
     return DickeParams(cfg.omega, cfg.omega0, coupling)
 
 
+def _truncated(cfg: RunConfig, n_atoms: int, coupling: float) -> TruncatedDicke:
+    return TruncatedDicke(n_atoms, _n_boson(cfg, n_atoms), cfg.omega, cfg.omega0, coupling,
+                          cfg.exact.max_dim)
+
+
 _MODELS = {
     "dicke": _Model(
         tasks=frozenset({"fidelity", "echo", "converge", "collapse", "sweep"}),
@@ -81,10 +86,9 @@ _MODELS = {
         fidelity=lambda cfg, l1, l2: fidelity_gaussian(_dicke(cfg, l1), _dicke(cfg, l2)),
         omega1=lambda cfg, l1: mode_energies(_dicke(cfg, l1)).e1,
         echo=lambda cfg, l1, l2, t: echo_exact(
-            cfg.omega, cfg.omega0, cfg.exact.n_atoms, _n_boson(cfg, cfg.exact.n_atoms),
-            l1, l2, t, max_dim=cfg.exact.max_dim),
+            _truncated(cfg, cfg.exact.n_atoms, l1), _truncated(cfg, cfg.exact.n_atoms, l2), t),
         exact_fidelity=lambda cfg, l1, l2, n: fidelity_exact(
-            cfg.omega, cfg.omega0, n, _n_boson(cfg, n), l1, l2, max_dim=cfg.exact.max_dim),
+            _truncated(cfg, n, l1), _truncated(cfg, n, l2)),
         # shared-rotation Gaussian (exact at omega == omega0), not ``fidelity``
         effective=lambda cfg, l1, l2: fidelity_gaussian(
             _dicke(cfg, l1), _dicke(cfg, l2), shared_rotation=True),

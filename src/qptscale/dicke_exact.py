@@ -15,7 +15,7 @@ import numpy as np
 from .dicke import DickeParams, critical_coupling, mode_energies
 from .echo import EchoSeries, _as_time_grid
 from .errors import DomainError, InputError, ResourceError
-from .linalg import lanczos_ground, lanczos_survival
+from .linalg import GatherOperator, lanczos_ground, lanczos_survival
 
 MAX_DIM_DEFAULT = 200_000
 GROUND_TOL = 1e-11        # Lanczos residual threshold, relative to |H|
@@ -27,7 +27,8 @@ _solved: ContextVar[dict | None] = ContextVar("solved", default=None)
 @dataclass(frozen=True)
 class TruncatedDicke:
     """Finite-size description: n_atoms two-level atoms (collective spin
-    j = n_atoms / 2) and boson levels 0 .. n_boson - 1.
+    j = n_atoms / 2) and boson levels 0 .. n_boson - 1, in a basis of at most
+    ``max_dim`` states (ResourceError above it).
 
     Basis index = boson_level * (n_atoms + 1) + k with k = m + j in 0..n_atoms.
     """
@@ -37,9 +38,10 @@ class TruncatedDicke:
     omega: float
     omega0: float
     coupling: float
+    max_dim: int = MAX_DIM_DEFAULT
 
     def __post_init__(self):
-        for name in ("n_atoms", "n_boson"):
+        for name in ("n_atoms", "n_boson", "max_dim"):
             value = getattr(self, name)
             if not isinstance(value, int) or isinstance(value, bool):
                 raise InputError(f"{name} must be an integer, got {value!r}")
@@ -48,6 +50,8 @@ class TruncatedDicke:
         if self.n_boson < 2:
             raise InputError("n_boson must be at least 2")
         DickeParams(self.omega, self.omega0, self.coupling)  # reuse validation
+        if self.dim > self.max_dim:
+            raise ResourceError(f"dim {self.dim} exceeds the memory cap {self.max_dim}")
 
     @property
     def j(self) -> float:
@@ -61,50 +65,25 @@ class TruncatedDicke:
         return boson_level * (self.n_atoms + 1) + k
 
 
-class ParityBlock:
-    """One parity block of the truncated Hamiltonian as a matrix-free real
-    symmetric operator with ``.shape`` and ``@``.
-
-    ``indices`` are the block's basis indices in the full basis, ascending;
-    ``block @ x`` is the diagonal times ``x`` plus one gather from each of
-    the four neighbours (n +/- 1, k +/- 1), which share the block's parity.
-    A missing neighbour points at entry 0 with amplitude 0.
-    """
-
-    def __init__(self, indices: np.ndarray, diagonal: np.ndarray,
-                 neighbours: np.ndarray, amplitudes: np.ndarray):
-        self.indices = indices
-        self.diagonal = diagonal
-        self.neighbours = neighbours  # (4, dim) block positions
-        self.amplitudes = amplitudes  # (4, dim) matrix elements
-        self.shape = (indices.size, indices.size)
-
-    def __matmul__(self, x: np.ndarray) -> np.ndarray:
-        return self.diagonal * x + np.einsum("ij,ij->j", self.amplitudes,
-                                             x[self.neighbours])
-
-
-def build_hamiltonian(system: TruncatedDicke, parity: str = "even", *,
-                      max_dim: int = MAX_DIM_DEFAULT) -> ParityBlock:
-    """The ``parity`` block ("even" or "odd", see :func:`parity_indices`) of
-    the truncated Hamiltonian, as a :class:`ParityBlock`.
+def build_hamiltonian(system: TruncatedDicke, parity: str = "even") -> GatherOperator:
+    """The ``parity`` block of the truncated Hamiltonian, the basis states
+    whose n + m + j is even or odd, as a
+    :class:`~qptscale.linalg.GatherOperator` with four gather rows.
 
     Diagonal entries are omega * n + omega0 * m; the coupling connects
     (n, m) to (n +/- 1, m +/- 1) with amplitude
     (coupling / sqrt(n_atoms)) * sqrt(boson factor) * sqrt(j(j+1) - m(m +/- 1)),
     where the boson factor is n + 1 for n -> n + 1 and n for n -> n - 1.
     Both moves change n + m + j by an even number, so the parity blocks
-    decouple.  ``max_dim`` caps the full basis dimension (ResourceError
-    above it).
+    decouple.
     """
-    if system.dim > max_dim:
-        raise ResourceError(f"dim {system.dim} exceeds the memory cap {max_dim}")
     if parity not in ("even", "odd"):
         raise InputError(f"parity must be 'even' or 'odd', got {parity!r}")
     na, nb, j = system.n_atoms, system.n_boson, system.j
     width = na + 1
-    idx = parity_indices(system)[parity == "odd"]
-    n, k = np.divmod(idx, width)
+    n, k = np.divmod(np.arange(system.dim), width)
+    idx = np.flatnonzero((n + k) % 2 == (parity == "odd"))
+    n, k = n[idx], k[idx]
     m = k - j
     diagonal = system.omega * n + system.omega0 * m
     position = np.zeros(system.dim, dtype=np.intp)
@@ -122,16 +101,7 @@ def build_hamiltonian(system: TruncatedDicke, parity: str = "even", *,
         ok = (n + dn >= 0) & (n + dn < nb) & (k + dk >= 0) & (k + dk <= na)
         neighbours[row, ok] = position[idx[ok] + dn * width + dk]
         amplitudes[row, ok] = g * factor[ok]
-    return ParityBlock(idx, diagonal, neighbours, amplitudes)
-
-
-def parity_indices(system: TruncatedDicke) -> tuple[np.ndarray, np.ndarray]:
-    """Basis indices of the even and odd blocks of (n + m + j) parity."""
-    width = system.n_atoms + 1
-    ns = np.arange(system.n_boson)
-    ks = np.arange(width)
-    par = ((ns[:, None] + ks[None, :]) % 2).ravel()
-    return np.nonzero(par == 0)[0], np.nonzero(par == 1)[0]
+    return GatherOperator(idx, diagonal, neighbours, amplitudes)
 
 
 @dataclass(frozen=True)
@@ -144,8 +114,7 @@ class GroundState:
     meta: dict
 
 
-def ground_state_exact(system: TruncatedDicke, *,
-                       max_dim: int = MAX_DIM_DEFAULT) -> GroundState:
+def ground_state_exact(system: TruncatedDicke) -> GroundState:
     """Ground state of the truncated Hamiltonian, by Lanczos on parity blocks.
 
     Below the critical coupling only the even parity block is solved (the
@@ -173,7 +142,7 @@ def ground_state_exact(system: TruncatedDicke, *,
     normal = system.coupling < lc
     solved = []
     for name in ["even"] if normal else ["even", "odd"]:
-        block = build_hamiltonian(system, name, max_dim=max_dim)
+        block = build_hamiltonian(system, name)
         start = np.zeros(block.shape[0])
         start[0] = 1.0  # the block's lowest bare state
         e, v, info = lanczos_ground(block, GROUND_TOL, start=start)
@@ -197,8 +166,8 @@ def ground_state_exact(system: TruncatedDicke, *,
 @contextmanager
 def solve_once():
     """Within the ``with`` block, :func:`fidelity_exact` and
-    :func:`echo_exact` solve each distinct (truncated system, ``max_dim``)
-    ground state once and reuse it; outside it, every call solves afresh."""
+    :func:`echo_exact` solve each distinct truncated system's ground state
+    once and reuse it; outside it, every call solves afresh."""
     token = _solved.set({})
     try:
         yield
@@ -206,62 +175,66 @@ def solve_once():
         _solved.reset(token)
 
 
-def _ground_state(system: TruncatedDicke, max_dim: int) -> GroundState:
+def _ground_state(system: TruncatedDicke) -> GroundState:
     """:func:`ground_state_exact`, reused inside :func:`solve_once`."""
     solved = _solved.get()
     if solved is None:
-        return ground_state_exact(system, max_dim=max_dim)
-    if (system, max_dim) not in solved:
-        solved[system, max_dim] = ground_state_exact(system, max_dim=max_dim)
-    return solved[system, max_dim]
+        return ground_state_exact(system)
+    if system not in solved:
+        solved[system] = ground_state_exact(system)
+    return solved[system]
 
 
-def _refuse_super_radiant(omega: float, omega0: float, *couplings: float) -> None:
-    """The parity-symmetric exact ground states above the critical coupling
-    carry the sqrt(N) mean-field displacement, so overlaps built from them
-    are not the fluctuation fidelity the analytics describe."""
-    lc = critical_coupling(omega, omega0)
+def _check_pair(system1: TruncatedDicke, system2: TruncatedDicke) -> None:
+    """Refuse two systems whose ground states cannot be compared.  Systems
+    that differ in anything but ``coupling`` and ``max_dim`` lay out their
+    vectors on different bases (InputError).  The parity-symmetric exact
+    ground states at and above the critical coupling carry the sqrt(N)
+    mean-field displacement, so overlaps built from them are not the
+    fluctuation fidelity the analytics describe (DomainError)."""
+    basis = lambda s: (s.n_atoms, s.n_boson, s.omega, s.omega0)
+    if basis(system1) != basis(system2):
+        raise InputError(
+            f"the two systems must differ only in coupling and max_dim, got "
+            f"(n_atoms, n_boson, omega, omega0) = {basis(system1)} and {basis(system2)}")
+    lc = critical_coupling(system1.omega, system1.omega0)
+    couplings = (system1.coupling, system2.coupling)
     if any(c >= lc for c in couplings):
         raise DomainError(
             f"exact fidelities and echoes need couplings below the critical "
             f"coupling {lc:.6g} (got {', '.join(f'{c:.6g}' for c in couplings)})")
 
 
-def fidelity_exact(omega: float, omega0: float, n_atoms: int, n_boson: int,
-                   lambda1: float, lambda2: float, *,
-                   max_dim: int = MAX_DIM_DEFAULT) -> float:
-    """|<g(lambda1)|g(lambda2)>| on a common truncated basis.
+def fidelity_exact(system1: TruncatedDicke, system2: TruncatedDicke) -> float:
+    """|<g1|g2>| of the two systems' ground states on their common basis.
 
-    Both couplings must lie below the critical coupling (DomainError
-    otherwise).
+    The systems may differ only in ``coupling`` and ``max_dim`` (InputError
+    otherwise), and both couplings must lie below the critical coupling
+    (DomainError otherwise).
     """
-    _refuse_super_radiant(omega, omega0, lambda1, lambda2)
-    g1 = _ground_state(TruncatedDicke(n_atoms, n_boson, omega, omega0, lambda1), max_dim)
-    g2 = _ground_state(TruncatedDicke(n_atoms, n_boson, omega, omega0, lambda2), max_dim)
+    _check_pair(system1, system2)
+    g1 = _ground_state(system1)
+    g2 = _ground_state(system2)
     return float(abs(g1.vector @ g2.vector))
 
 
-def echo_exact(omega: float, omega0: float, n_atoms: int, n_boson: int,
-               lambda1: float, lambda2: float, t_grid, *,
-               max_dim: int = MAX_DIM_DEFAULT) -> EchoSeries:
-    """Exact echo |<g(lambda2)| exp(-i H(lambda1) t) |g(lambda2)>|^2.
+def echo_exact(system1: TruncatedDicke, system2: TruncatedDicke, t_grid) -> EchoSeries:
+    """Exact echo |<g2| exp(-i H1 t) |g2>|^2 of system2's ground state under
+    system1's Hamiltonian.
 
     The survival amplitude comes from Lanczos tridiagonalization of the
-    parity block holding the initial state, seeded with that state (see
+    parity block of H1 holding g2, seeded with g2 (see
     :func:`qptscale.linalg.lanczos_survival`); its depth is the one entry
-    of ``meta``, ``"krylov_depth"``.  Both couplings must lie below the
-    critical coupling (DomainError otherwise), and both truncated bases
-    within ``max_dim`` (ResourceError otherwise).  ``omega1`` is the
-    thermodynamic-limit zero-mode energy at lambda1, so the series' ``tau``,
+    of ``meta``, ``"krylov_depth"``.  The systems obey the rules of
+    :func:`fidelity_exact`.  ``omega1`` is the thermodynamic-limit
+    zero-mode energy at system1's coupling, so the series' ``tau``,
     ``period`` and ``covers_period`` are those of the effective model.
     """
-    _refuse_super_radiant(omega, omega0, lambda1, lambda2)
+    _check_pair(system1, system2)
     t = _as_time_grid(t_grid)
-    gs2 = _ground_state(TruncatedDicke(n_atoms, n_boson, omega, omega0, lambda2), max_dim)
-    # below lc the ground state is even
-    h1 = build_hamiltonian(TruncatedDicke(n_atoms, n_boson, omega, omega0, lambda1),
-                           "even", max_dim=max_dim)
-    amp, depth = lanczos_survival(h1, gs2.vector[h1.indices], t)
-    e1 = mode_energies(DickeParams(omega, omega0, lambda1)).e1
+    g2 = _ground_state(system2)
+    h1 = build_hamiltonian(system1, g2.parity)
+    amp, depth = lanczos_survival(h1, g2.vector[h1.indices], t)
+    e1 = mode_energies(DickeParams(system1.omega, system1.omega0, system1.coupling)).e1
     return EchoSeries(t=t, echo=np.abs(amp) ** 2, omega1=e1,
                       meta={"krylov_depth": depth})

@@ -8,12 +8,12 @@ stopped on its residual, its Ritz vector summed by a second run that
 replays the first; and :func:`lanczos_survival`, the survival amplitude
 <psi0| exp(-i A t) |psi0> on a time grid from a start at psi0, by Gauss
 quadrature of psi0's spectral measure.  Both take any real symmetric
-operator with ``.shape`` and ``@`` (an ndarray, a
-:class:`qptscale.dicke_exact.ParityBlock`, a ``scipy.sparse`` array or a
-``LinearOperator``), never densify it, and hold a few vectors of length dim
-at any depth k, besides the k x k tridiagonal projection.  Both test their
-stopping rule every ``KRYLOV_CHECK_EVERY`` steps by ``np.linalg.eigh`` of
-that projection; only a breakdown ends a run between checks.
+operator with ``.shape`` and ``@`` (an ndarray, a :class:`GatherOperator`, a
+``scipy.sparse`` array or a ``LinearOperator``), never densify it, and hold
+a few vectors of length dim at any depth k, besides the k x k tridiagonal
+projection.  Both test their stopping rule every ``KRYLOV_CHECK_EVERY``
+steps by ``np.linalg.eigh`` of that projection; only a breakdown ends a run
+between checks.
 """
 
 from __future__ import annotations
@@ -28,6 +28,26 @@ from .errors import InputError, NumericError
 SURVIVAL_TOL = 1e-12
 KRYLOV_CHECK_EVERY = 20  # Lanczos steps between stopping-rule checks
 KRYLOV_MAX_STEPS = 600   # Lanczos steps either solver may take
+
+
+class GatherOperator:
+    """A real symmetric operator on a subset of a basis, matrix-free, with
+    ``.shape`` and ``@``: ``indices`` are the subset's indices in the full
+    basis, ascending, and ``op @ x`` adds to ``diagonal * x`` one gather
+    ``amplitudes[r] * x[neighbours[r]]`` per row r of the ``(k, dim)``
+    arrays.  A missing neighbour points at entry 0 with amplitude 0."""
+
+    def __init__(self, indices: np.ndarray, diagonal: np.ndarray,
+                 neighbours: np.ndarray, amplitudes: np.ndarray):
+        self.indices = indices
+        self.diagonal = diagonal
+        self.neighbours = neighbours  # (k, dim) subset positions
+        self.amplitudes = amplitudes  # (k, dim) matrix elements
+        self.shape = (indices.size, indices.size)
+
+    def __matmul__(self, x: np.ndarray) -> np.ndarray:
+        return self.diagonal * x + np.einsum("ij,ij->j", self.amplitudes,
+                                             x[self.neighbours])
 
 
 def _operator_dim(a) -> int:
@@ -46,12 +66,6 @@ def _unit_state(psi0, dim: int) -> np.ndarray:
     if abs(nrm - 1.0) > 1e-6:
         raise InputError(f"psi0 must be unit norm (got {nrm:.8f})")
     return psi0
-
-
-def _norm_estimate(alphas: np.ndarray, betas: np.ndarray) -> float:
-    """Gershgorin-style bound on the projected operator's norm."""
-    return float(np.max(np.abs(alphas))
-                 + (np.max(np.abs(betas)) if betas.size else 0.0)) or 1.0
 
 
 def _tridiagonal_eigh(alphas: np.ndarray, betas: np.ndarray):
@@ -73,14 +87,16 @@ def _lanczos(a, start: np.ndarray, every: int = KRYLOV_CHECK_EVERY):
     The recurrence is deterministic, so a second run from the same start
     replays the same vectors (Cullum & Willoughby, 1985).
 
-    Yields ``(q, alphas, betas, beta, closed)`` after every ``every``-th
-    step and after the last one: the step's Lanczos vector, the k x k
-    tridiagonal projection (diagonal ``alphas``, off-diagonal ``betas``),
-    the norm ``beta`` of the next residual vector, and whether the run
-    closed at a breakdown (``beta`` negligible against the projection's
-    norm), where the Krylov space is invariant and the projection exact on
-    it.  The views are only valid until the next step.  The run ends at a
-    breakdown or after ``KRYLOV_MAX_STEPS`` steps.
+    Yields ``(q, alphas, betas, beta, norm, closed)`` after every
+    ``every``-th step and after the last one: the step's Lanczos vector, the
+    k x k tridiagonal projection (diagonal ``alphas``, off-diagonal
+    ``betas``), the norm ``beta`` of the next residual vector, the
+    Gershgorin-style bound ``norm`` = max|alpha| + max|beta| on the
+    projection's norm (1 for a zero projection), and whether the run closed
+    at a breakdown (``beta`` negligible against ``norm``), where the Krylov
+    space is invariant and the projection exact on it.  The views are only
+    valid until the next step.  The run ends at a breakdown or after
+    ``KRYLOV_MAX_STEPS`` steps.
     """
     alphas = np.empty(KRYLOV_MAX_STEPS)
     betas = np.empty(KRYLOV_MAX_STEPS)
@@ -93,10 +109,11 @@ def _lanczos(a, start: np.ndarray, every: int = KRYLOV_CHECK_EVERY):
         if k:
             w -= betas[k - 1] * q_prev
         beta = float(np.linalg.norm(w))
-        alpha_max = max(alpha_max, abs(alphas[k]))  # _norm_estimate as a running max
-        closed = beta <= tiny * ((alpha_max + beta_max) or 1.0)
+        alpha_max = max(alpha_max, abs(alphas[k]))
+        norm = (alpha_max + beta_max) or 1.0
+        closed = beta <= tiny * norm
         if closed or k + 1 == KRYLOV_MAX_STEPS or (k + 1) % every == 0:
-            yield q, alphas[:k + 1], betas[:k], beta, closed
+            yield q, alphas[:k + 1], betas[:k], beta, norm, closed
         if closed:
             return
         betas[k] = beta
@@ -144,11 +161,11 @@ def lanczos_ground(a, tol: float = 1e-10, *, start=None):
     start = np.asarray(start, dtype=float)
     if start.shape != (dim,) or not 0 < np.linalg.norm(start) < math.inf:
         raise InputError(f"start must be a nonzero finite vector of dimension {dim}")
-    for _, alphas, betas, beta, closed in _lanczos(a, start):
+    for _, alphas, betas, beta, norm, closed in _lanczos(a, start):
         values, vectors = _tridiagonal_eigh(alphas, betas)
         theta, s = float(values[0]), vectors[:, 0]
         resid = beta * abs(s[-1])
-        bound = tol * _norm_estimate(alphas, betas)
+        bound = tol * norm
         if resid <= bound:
             break
     k = alphas.size
@@ -189,7 +206,7 @@ def lanczos_survival(a, psi0: np.ndarray, t) -> tuple[np.ndarray, int]:
     psi0 = _unit_state(psi0, dim)
     t = np.asarray(t, dtype=float)
     previous, change = None, math.inf
-    for _, alphas, betas, _, closed in _lanczos(a, psi0):
+    for _, alphas, betas, _, _, closed in _lanczos(a, psi0):
         theta, s = _tridiagonal_eigh(alphas, betas)
         weights = s[0] ** 2
         order = np.argsort(weights)

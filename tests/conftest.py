@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 import scipy.sparse
 
+from qptscale import TruncatedDicke
+
 
 @pytest.fixture
 def rng():
@@ -32,6 +34,13 @@ def spectral_sum(values, vectors, psi, t):
     return np.exp(-1j * np.multiply.outer(t, values)) @ (vectors.T @ psi) ** 2
 
 
+def dicke_systems(n_atoms, n_boson, *couplings):
+    """One truncated Dicke system at omega = omega0 = 1 per coupling, all on
+    the same basis: the argument pairs of ``fidelity_exact`` and
+    ``echo_exact``."""
+    return [TruncatedDicke(n_atoms, n_boson, 1.0, 1.0, c) for c in couplings]
+
+
 def dicke_reference(spec):
     """Dense truncated Dicke Hamiltonian written out element by element, the
     oracle for ``build_hamiltonian``: basis index n * (N + 1) + (m + j),
@@ -55,3 +64,15 @@ def dicke_reference(spec):
                         col = (n + dn) * width + k + dm
                         h[row, col] = g * math.sqrt(boson) * math.sqrt(j * (j + 1) - m * (m + dm))
     return h
+
+
+def dicke_parity_indices(spec):
+    """Basis indices of the even and odd blocks of n + m + j, in the layout
+    of ``dicke_reference`` (k = m + j, so n + k has the parity of n + m + j):
+    the oracle for the indices of ``build_hamiltonian``'s blocks."""
+    width = spec.n_atoms + 1
+    blocks = ([], [])
+    for n in range(spec.n_boson):
+        for k in range(width):
+            blocks[(n + k) % 2].append(n * width + k)
+    return tuple(np.array(block, dtype=np.intp) for block in blocks)

@@ -14,10 +14,11 @@ from qptscale import (DickeParams, SqueezeMap, TruncatedDicke,
                       fidelity_gaussian, fidelity_lmg, fidelity_scaling,
                       fit_envelope, ground_expansion, ground_state_exact,
                       lanczos_ground, lanczos_survival, min_echo, mode_energies,
-                      mp_scaling, overlap_matrix, parity_indices,
+                      mp_scaling, overlap_matrix,
                       semiclassical_envelope, squeeze_fidelity, survival_closed)
 from qptscale.echo import EchoSeries, SemiclassicalParams
-from conftest import dicke_reference, random_sparse_symmetric, spectral_sum
+from conftest import (dicke_parity_indices, dicke_reference, dicke_systems,
+                      random_sparse_symmetric, spectral_sum)
 
 
 def ratio_map(eta):
@@ -63,8 +64,8 @@ def test_criterion_2_lmg_dicke_universality():
 def test_criterion_3_convergence_study():
     start = time.perf_counter()
     # D(N) = |Lp^N - Lp(eta)| at eta = 0.1, with n_b = N
-    gaps = np.array([abs(fidelity_exact(1.0, 1.0, n, n, 0.495, 0.45) - fidelity_scaling(0.1))
-                     for n in (8, 16, 32, 64, 128)])
+    gaps = np.array([abs(fidelity_exact(*dicke_systems(n, n, 0.495, 0.45))
+                         - fidelity_scaling(0.1)) for n in (8, 16, 32, 64, 128)])
     assert np.all(np.diff(gaps) < 0.0), "D must decrease strictly"
     slopes = np.diff(np.log(gaps)) / np.diff(np.log([8, 16, 32, 64, 128]))
     margins = -np.diff(slopes)
@@ -114,7 +115,7 @@ def test_criterion_5_echo_collapse():
         l1 = lc * (1.0 - eta * scale)
         l2 = lc * (1.0 - scale)
         e1 = mode_energies(DickeParams(1.0, 1.0, l1)).e1
-        return scale, echo_exact(1.0, 1.0, n_atoms, n_atoms, l1, l2, tau / e1)
+        return scale, echo_exact(*dicke_systems(n_atoms, n_atoms, l1, l2), tau / e1)
 
     spreads = {}
     for n_atoms in (32, 64):
@@ -213,8 +214,9 @@ def test_criterion_7_solver_integrity():
         spec = TruncatedDicke(int(dicke_rng.integers(1, 11)), int(dicke_rng.integers(2, 13)),
                               *dicke_rng.uniform(0.5, 1.5, 2), dicke_rng.uniform(0.0, 1.2))
         reference = dicke_reference(spec)
-        for parity, idx in zip(("even", "odd"), parity_indices(spec)):
+        for parity, idx in zip(("even", "odd"), dicke_parity_indices(spec)):
             block = build_hamiltonian(spec, parity)
+            assert np.array_equal(block.indices, idx)
             dense = np.column_stack([block @ e for e in np.eye(idx.size)])
             worst_block = max(worst_block, float(np.max(np.abs(
                 dense - reference[np.ix_(idx, idx)]))))
@@ -233,7 +235,7 @@ def test_criterion_7_solver_integrity():
         spec = TruncatedDicke(int(gs_rng.integers(1, 11)), int(gs_rng.integers(2, 13)),
                               *gs_rng.uniform(0.5, 1.5, 2), gs_rng.uniform(0.0, 1.2))
         reference = dicke_reference(spec)
-        even, odd = parity_indices(spec)
+        even, odd = dicke_parity_indices(spec)
         values, vectors = np.linalg.eigh(reference[np.ix_(even, even)])
         energy = min(values[0], np.linalg.eigvalsh(reference[np.ix_(odd, odd)])[0])
         gs = ground_state_exact(spec)

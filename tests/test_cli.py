@@ -13,6 +13,7 @@ from qptscale.config import RunConfig, config_hash, parse_document
 from qptscale.errors import InputError
 from qptscale.lmg import LmgParams, gap_angle
 from qptscale.tables import read_table
+from conftest import dicke_systems
 
 CONFIG_DIR = os.path.join(os.path.dirname(__file__), os.pardir, "configs")
 SRC_DIR = os.path.join(os.path.dirname(__file__), os.pardir, "src")
@@ -92,7 +93,7 @@ def test_converge_uses_the_stated_boson_cutoff(tmp_path):
     table = read_table(str(out))
     assert table.columns["n_b"] == [12, 12]
     assert table.columns["LpN"] == pytest.approx(
-        [fidelity_exact(1.0, 1.0, n, 12, 0.495, 0.45) for n in (8, 16)], abs=1e-14)
+        [fidelity_exact(*dicke_systems(n, 12, 0.495, 0.45)) for n in (8, 16)], abs=1e-14)
 
 
 # The "effective" reference is the shared-rotation Gaussian, not the model's
@@ -193,7 +194,7 @@ def test_each_ground_state_solved_once_per_run(tmp_path, monkeypatch):
     solved = []
     original = qptscale.dicke_exact.ground_state_exact
     monkeypatch.setattr(qptscale.dicke_exact, "ground_state_exact",
-                        lambda system, **kw: solved.append(system) or original(system, **kw))
+                        lambda system: solved.append(system) or original(system))
     args = ["sweep", "--set", "etas=[0.1,0.3]", "--set", "scales=[1e-2,2e-2]",
             "--set", "exact.include=true", "--set", "exact.n_atoms=8",
             "--output", str(tmp_path / "s.csv")]

@@ -6,11 +6,11 @@ import pytest
 from qptscale import (DickeParams, DomainError, InputError, ResourceError,
                       TruncatedDicke, build_hamiltonian, echo_exact,
                       fidelity_exact, fidelity_gaussian, fidelity_scaling,
-                      ground_state_exact, mode_energies, parity_indices)
+                      ground_state_exact, mode_energies)
 from qptscale import dicke_exact
 from qptscale.config import parse_document
 from qptscale.dicke_exact import solve_once
-from conftest import dicke_reference, spectral_sum
+from conftest import dicke_parity_indices, dicke_reference, dicke_systems, spectral_sum
 
 
 def block_dense(block):
@@ -19,7 +19,7 @@ def block_dense(block):
 
 
 def even_block_dense(spec):
-    even, _ = parity_indices(spec)
+    even, _ = dicke_parity_indices(spec)
     return even, dicke_reference(spec)[np.ix_(even, even)]
 
 
@@ -73,7 +73,7 @@ class TestBuildHamiltonian:
         spec = TruncatedDicke(5, 8, 1.0, 2.0, 0.9)
         h = dicke_reference(spec)
         assert np.array_equal(h, h.T)
-        even, odd = parity_indices(spec)
+        even, odd = dicke_parity_indices(spec)
         assert even.size + odd.size == spec.dim
         assert np.all(h[np.ix_(even, odd)] == 0.0)
         assert np.count_nonzero(h[np.ix_(even, even)] - np.diag(np.diag(h)[even])) > 0
@@ -87,7 +87,7 @@ class TestBuildHamiltonian:
     ], ids=["N5-nb8", "N4-nb9", "N6-nb3", "N1-nb6", "uncoupled"])
     def test_blocks_match_reference(self, spec):
         reference = dicke_reference(spec)
-        for parity, idx in zip(("even", "odd"), parity_indices(spec)):
+        for parity, idx in zip(("even", "odd"), dicke_parity_indices(spec)):
             block = build_hamiltonian(spec, parity)
             assert np.array_equal(block.indices, idx)
             assert block.shape == (idx.size, idx.size)
@@ -99,8 +99,9 @@ class TestBuildHamiltonian:
             build_hamiltonian(TruncatedDicke(2, 3, 1.0, 1.0, 0.45), "both")
 
     def test_memory_cap(self):
+        # the cap is checked when the system is made, before any block is built
         with pytest.raises(ResourceError):
-            build_hamiltonian(TruncatedDicke(100, 100, 1.0, 1.0, 0.1), max_dim=500)
+            TruncatedDicke(100, 100, 1.0, 1.0, 0.1, max_dim=500)
 
 
 class TestGroundStateExact:
@@ -157,7 +158,7 @@ class TestGroundStateExact:
         assert gs.meta["parity_gap"] < 1e-10
         assert gs.meta["quasi_degenerate"] is True
         assert gs.parity == "even"
-        even, _ = parity_indices(TruncatedDicke(64, 64, 1.0, 1.0, 1.0))
+        even, _ = dicke_parity_indices(TruncatedDicke(64, 64, 1.0, 1.0, 1.0))
         assert np.linalg.norm(gs.vector[even]) == pytest.approx(1.0, abs=1e-12)
 
     def test_lanczos_on_decoupled_hamiltonian(self):
@@ -170,20 +171,20 @@ class TestGroundStateExact:
 
 class TestFidelityExact:
     def test_equal_couplings(self):
-        assert fidelity_exact(1.0, 1.0, 4, 8, 0.3, 0.3) == pytest.approx(1.0, abs=1e-12)
+        assert fidelity_exact(*dicke_systems(4, 8, 0.3, 0.3)) == pytest.approx(1.0, abs=1e-12)
 
     def test_symmetric_in_couplings(self):
-        a = fidelity_exact(1.0, 1.0, 8, 8, 0.495, 0.45)
-        b = fidelity_exact(1.0, 1.0, 8, 8, 0.45, 0.495)
+        a = fidelity_exact(*dicke_systems(8, 8, 0.495, 0.45))
+        b = fidelity_exact(*dicke_systems(8, 8, 0.45, 0.495))
         assert a == pytest.approx(b, abs=1e-12)
 
     def test_bounded(self):
-        lp = fidelity_exact(1.0, 1.0, 6, 6, 0.4, 0.2)
+        lp = fidelity_exact(*dicke_systems(6, 6, 0.4, 0.2))
         assert 0.0 <= lp <= 1.0
 
     def test_approaches_thermodynamic_value(self):
         # N = 64 sits within ~6e-2 of the two-mode limit at these couplings
-        lp = fidelity_exact(1.0, 1.0, 64, 64, 0.495, 0.45)
+        lp = fidelity_exact(*dicke_systems(64, 64, 0.495, 0.45))
         ref = fidelity_gaussian(DickeParams(1.0, 1.0, 0.495),
                                 DickeParams(1.0, 1.0, 0.45),
                                 shared_rotation=True)
@@ -199,20 +200,20 @@ class TestConvergenceGap:
         # puts the ratio-only law at 1 too
         assert fidelity_scaling(1.0) == 1.0
         for n in (4, 8, 12):
-            assert fidelity_exact(1.0, 1.0, n, n, 0.4, 0.4) == pytest.approx(1.0, abs=1e-12)
+            assert fidelity_exact(*dicke_systems(n, n, 0.4, 0.4)) == pytest.approx(1.0, abs=1e-12)
 
     def test_fig_parameters_decay_monotonically(self):
         # D(N) = |Lp^N - L_eta| with n_b = N falls over N = 8, 16, 32
         reference = fidelity_scaling(0.1)
-        gaps = [abs(fidelity_exact(1.0, 1.0, n, n, 0.495, 0.45) - reference)
+        gaps = [abs(fidelity_exact(*dicke_systems(n, n, 0.495, 0.45)) - reference)
                 for n in (8, 16, 32)]
         assert gaps[0] > gaps[1] > gaps[2]
 
     def test_cutoff_error_below_truncation_decrement(self):
         # doubling the boson cutoff at fixed N moves Lp far less than N -> 2N
-        lp_16_16 = fidelity_exact(1.0, 1.0, 16, 16, 0.495, 0.45)
-        lp_16_32 = fidelity_exact(1.0, 1.0, 16, 32, 0.495, 0.45)
-        lp_32_32 = fidelity_exact(1.0, 1.0, 32, 32, 0.495, 0.45)
+        lp_16_16 = fidelity_exact(*dicke_systems(16, 16, 0.495, 0.45))
+        lp_16_32 = fidelity_exact(*dicke_systems(16, 32, 0.495, 0.45))
+        lp_32_32 = fidelity_exact(*dicke_systems(32, 32, 0.495, 0.45))
         assert abs(lp_16_32 - lp_16_16) < abs(lp_32_32 - lp_16_16)
 
     @pytest.mark.parametrize("sizes", [[8.5, 16.9], [8, 16.0], [True, 8]])
@@ -225,18 +226,18 @@ class TestConvergenceGap:
 class TestEchoExact:
     def test_starts_at_one(self):
         t = np.linspace(0.0, 5.0, 41)
-        series = echo_exact(1.0, 1.0, 6, 6, 0.45, 0.4, t)
+        series = echo_exact(*dicke_systems(6, 6, 0.45, 0.4), t)
         assert series.echo[0] == pytest.approx(1.0, abs=1e-12)
         series.validate()
 
     def test_equal_couplings_stay_at_one(self):
         t = np.linspace(0.0, 20.0, 101)
-        series = echo_exact(1.0, 1.0, 6, 6, 0.45, 0.45, t)
+        series = echo_exact(*dicke_systems(6, 6, 0.45, 0.45), t)
         assert np.max(np.abs(series.echo - 1.0)) <= 1e-10
 
     def test_tau_uses_zero_mode_frequency(self):
         t = np.linspace(0.0, 5.0, 21)
-        series = echo_exact(1.0, 1.0, 6, 8, 0.495, 0.45, t)
+        series = echo_exact(*dicke_systems(6, 8, 0.495, 0.45), t)
         e1 = mode_energies(DickeParams(1.0, 1.0, 0.495)).e1
         assert e1 == pytest.approx(0.1, abs=1e-14)
         assert np.allclose(series.tau, 0.1 * t, atol=1e-14)
@@ -247,20 +248,20 @@ class TestEchoExact:
     def test_covers_period(self, end, covers):
         e1 = mode_energies(DickeParams(1.0, 1.0, 0.45)).e1
         t = np.linspace(0.0, end * math.pi / e1, 33)
-        assert echo_exact(1.0, 1.0, 6, 6, 0.45, 0.4, t).covers_period is covers
+        assert echo_exact(*dicke_systems(6, 6, 0.45, 0.4), t).covers_period is covers
 
     def test_first_minimum_near_half_period(self):
         # half the echo period pi/e1: the even-parity tower spaces levels
         # by 2*e1, so the first dip sits at pi/(2 e1)
         e1 = mode_energies(DickeParams(1.0, 1.0, 0.4995)).e1
         t = np.linspace(0.0, math.pi / e1, 801)
-        series = echo_exact(1.0, 1.0, 40, 40, 0.4995, 0.45, t)
+        series = echo_exact(*dicke_systems(40, 40, 0.4995, 0.45), t)
         t_min = t[int(np.argmin(series.echo))]
         assert t_min == pytest.approx(math.pi / (2.0 * e1), rel=0.1)
 
     def test_normalized(self):
         t = np.linspace(0.0, 40.0, 201)
-        series = echo_exact(1.0, 1.0, 10, 12, 0.48, 0.42, t)
+        series = echo_exact(*dicke_systems(10, 12, 0.48, 0.42), t)
         assert np.max(series.echo) <= 1.0 + 1e-10
         assert np.min(series.echo) >= 0.0
 
@@ -268,7 +269,7 @@ class TestEchoExact:
         # one full echo period, t * e1 up to pi
         e1 = mode_energies(DickeParams(1.0, 1.0, 0.495)).e1
         t = np.linspace(0.0, math.pi / e1, 301)
-        series = echo_exact(1.0, 1.0, 32, 32, 0.495, 0.45, t)
+        series = echo_exact(*dicke_systems(32, 32, 0.495, 0.45), t)
         even, block = even_block_dense(TruncatedDicke(32, 32, 1.0, 1.0, 0.495))
         psi0 = ground_state_exact(TruncatedDicke(32, 32, 1.0, 1.0, 0.45)).vector[even]
         oracle = np.abs(spectral_sum(*np.linalg.eigh(block), psi0, t)) ** 2
@@ -279,7 +280,7 @@ class TestEchoExact:
         # even block of dim 4656, above the 4096 the dense path accepted
         e1 = mode_energies(DickeParams(1.0, 1.0, 0.45)).e1
         t = np.linspace(0.0, math.pi / e1, 65)
-        series = echo_exact(1.0, 1.0, 96, 96, 0.45, 0.4, t)
+        series = echo_exact(*dicke_systems(96, 96, 0.45, 0.4), t)
         assert series.echo[0] == pytest.approx(1.0, abs=1e-12)
         assert np.all(series.echo >= 0.0) and np.all(series.echo <= 1.0 + 1e-12)
         series.validate()
@@ -289,17 +290,17 @@ def test_solve_once_reuses_ground_states_inside_its_block(monkeypatch):
     solved = []
     original = dicke_exact.ground_state_exact
     monkeypatch.setattr(dicke_exact, "ground_state_exact",
-                        lambda system, **kw: solved.append(system.coupling) or original(system, **kw))
+                        lambda system: solved.append(system.coupling) or original(system))
     t = np.linspace(0.0, 5.0, 21)
-    plain = [fidelity_exact(1.0, 1.0, 8, 8, l1, 0.45) for l1 in (0.48, 0.49)]
-    plain_echo = echo_exact(1.0, 1.0, 8, 8, 0.48, 0.45, t).echo
+    plain = [fidelity_exact(*dicke_systems(8, 8, l1, 0.45)) for l1 in (0.48, 0.49)]
+    plain_echo = echo_exact(*dicke_systems(8, 8, 0.48, 0.45), t).echo
     assert solved == [0.48, 0.45, 0.49, 0.45, 0.45]
     with solve_once():
-        reused = [fidelity_exact(1.0, 1.0, 8, 8, l1, 0.45) for l1 in (0.48, 0.49)]
-        reused_echo = echo_exact(1.0, 1.0, 8, 8, 0.48, 0.45, t).echo
+        reused = [fidelity_exact(*dicke_systems(8, 8, l1, 0.45)) for l1 in (0.48, 0.49)]
+        reused_echo = echo_exact(*dicke_systems(8, 8, 0.48, 0.45), t).echo
     assert solved[5:] == [0.48, 0.45, 0.49]
     assert reused == plain and np.array_equal(reused_echo, plain_echo)
-    fidelity_exact(1.0, 1.0, 8, 8, 0.48, 0.45)  # the block has ended
+    fidelity_exact(*dicke_systems(8, 8, 0.48, 0.45))  # the block has ended
     assert solved[8:] == [0.48, 0.45]
 
 
@@ -307,6 +308,28 @@ def test_super_radiant_exact_fidelity_and_echo_refused():
     t = np.linspace(0.0, 1.0, 11)
     for l1, l2 in ((0.55, 0.6), (0.45, 0.55), (0.5, 0.45)):
         with pytest.raises(DomainError):
-            fidelity_exact(1.0, 1.0, 8, 8, l1, l2)
+            fidelity_exact(*dicke_systems(8, 8, l1, l2))
         with pytest.raises(DomainError):
-            echo_exact(1.0, 1.0, 8, 8, l1, l2, t)
+            echo_exact(*dicke_systems(8, 8, l1, l2), t)
+
+
+@pytest.mark.parametrize("other", [
+    TruncatedDicke(6, 8, 1.0, 1.0, 0.2),
+    TruncatedDicke(8, 12, 1.0, 1.0, 0.2),
+    TruncatedDicke(8, 8, 1.0, 2.0, 0.2),
+], ids=["n_atoms", "n_boson", "omega0"])
+def test_systems_on_different_bases_refused(other):
+    # a vector laid out on one basis says nothing about the other's states
+    system = TruncatedDicke(8, 8, 1.0, 1.0, 0.3)
+    t = np.linspace(0.0, 1.0, 11)
+    for pair in ((system, other), (other, system)):
+        with pytest.raises(InputError, match="differ only in coupling"):
+            fidelity_exact(*pair)
+        with pytest.raises(InputError, match="differ only in coupling"):
+            echo_exact(*pair, t)
+
+
+def test_systems_may_differ_in_max_dim():
+    system1, system2 = dicke_systems(8, 8, 0.48, 0.45)
+    capped = TruncatedDicke(8, 8, 1.0, 1.0, 0.45, max_dim=system2.dim)
+    assert fidelity_exact(system1, capped) == fidelity_exact(system1, system2)

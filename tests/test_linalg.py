@@ -7,6 +7,7 @@ from scipy.sparse.linalg import LinearOperator
 import qptscale.linalg
 from qptscale import (InputError, NumericError, TruncatedDicke, build_hamiltonian,
                       lanczos_ground, lanczos_survival)
+from qptscale.linalg import GatherOperator
 from conftest import random_sparse_symmetric, spectral_sum
 
 
@@ -98,6 +99,22 @@ class TestLanczos:
         for bad in (np.ones(4), np.zeros(3), np.array([1.0, np.inf, 0.0])):
             with pytest.raises(InputError):
                 lanczos_ground(np.eye(3), start=bad)
+
+    def test_gather_operator_is_its_dense_matrix(self, rng):
+        # a chain with two gather rows, the shape of a tridiagonal block; the
+        # missing neighbours at both ends point at entry 0 with amplitude 0
+        dim = 40
+        diagonal, hop = rng.standard_normal(dim), rng.standard_normal(dim - 1)
+        pos = np.arange(dim)
+        neighbours = np.array([np.r_[pos[1:], 0], np.r_[0, pos[:-1]]])
+        amplitudes = np.array([np.r_[hop, 0.0], np.r_[0.0, hop]])
+        op = GatherOperator(2 * pos, diagonal, neighbours, amplitudes)
+        dense = np.diag(diagonal) + np.diag(hop, 1) + np.diag(hop, -1)
+        assert op.shape == (dim, dim)
+        x = rng.standard_normal(dim)
+        assert np.allclose(op @ x, dense @ x, rtol=0.0, atol=1e-13)
+        e, _, _ = lanczos_ground(op, 1e-10)
+        assert e == pytest.approx(np.linalg.eigvalsh(dense)[0], abs=1e-8)
 
     def test_default_start_is_seed_zero_gaussian(self, rng):
         m = random_sparse_symmetric(rng, 80)
