@@ -17,10 +17,10 @@ from .config import (RunConfig, _set_dotted, apply_overrides, config_hash, load_
                      parse_document)
 from .dicke import (DickeParams, critical_coupling, fidelity_gaussian,
                     fidelity_scaling, mode_energies, scaling_eta)
-from .dicke_exact import GROUND_TOL, TruncatedDicke, echo_exact, fidelity_exact, solve_once
+from .dicke_exact import TruncatedDicke, echo_exact, fidelity_exact, solve_once
 from .echo import collapse_check, survival_closed
 from .errors import DomainError, InputError, NumericError, ResourceError
-from .linalg import SURVIVAL_TOL
+from .linalg import GROUND_TOL, SURVIVAL_TOL
 from .lmg import LmgParams, echo_lmg, fidelity_lmg, gap_angle
 from .squeeze import SqueezeMap
 from .tables import ResultTable, write_table
@@ -72,8 +72,7 @@ def _dicke(cfg: RunConfig, coupling: float) -> DickeParams:
 
 
 def _truncated(cfg: RunConfig, n_atoms: int, coupling: float) -> TruncatedDicke:
-    return TruncatedDicke(n_atoms, _n_boson(cfg, n_atoms), cfg.omega, cfg.omega0, coupling,
-                          cfg.exact.max_dim)
+    return TruncatedDicke(n_atoms, _n_boson(cfg, n_atoms), cfg.omega, cfg.omega0, coupling)
 
 
 _MODELS = {
@@ -142,12 +141,14 @@ def _label(cfg: RunConfig, model: _Model, p1: float, p2: float):
 
 def _points(cfg: RunConfig, model: _Model):
     """(p1, p2, eta, scale, phase) tuples: explicit pairs (eta, scale and phase
-    None), then the eta x scale x phase grid, scales in units of the critical pc."""
+    None), then the eta x scale x phase grid, scales in units of the critical pc
+    and phases, unless given, the model's first one."""
     pc = model.critical(cfg)
+    phases = (next(iter(model.signs)),) if cfg.phases is None else cfg.phases
     points = [(p1, p2, None, None, None) for p1, p2 in cfg.pairs]
     for eta in cfg.etas:
         for scale in cfg.scales:
-            for phase in cfg.phases:
+            for phase in phases:
                 if phase not in model.signs:
                     raise InputError(f"phase {phase!r} is not a phase of model {cfg.model!r}")
                 sign = model.signs[phase]
@@ -247,10 +248,10 @@ def _run_collapse(cfg: RunConfig, model: _Model):
     """Closed-form zero-mode echoes (and, with exact.include, exact ones) on
     the rescaled grid tau = omega1 * t; one collapse group per eta and kind."""
     _grid_only(cfg)
-    if len(cfg.phases) != 1:
+    points = _points(cfg, model)
+    if len(points) != len(cfg.etas) * len(cfg.scales):  # one point per eta and scale
         raise InputError(f"collapse takes one phase, got {len(cfg.phases)}")
     tau_grid = _time_grid(cfg, 1.0)  # t in units of 1/omega1
-    points = _points(cfg, model)
     kinds = ("analytic", "exact") if cfg.exact.include else ("analytic",)
     groups = []  # (eta, kind, [(scale, EchoSeries), ...]) in output order
     for k in range(0, len(points), len(cfg.scales)):
@@ -346,11 +347,6 @@ def _config_from_args(args) -> RunConfig:
     apply_overrides(doc, args.set)
     if args.output:
         _set_dotted(doc, "output.path", args.output)
-    # Phases only shape the eta x scale grid; there they default to the model's
-    # first phase.  Pair-only configs keep the old default, and so their hash.
-    # A list, not the dict: an unhashable model value must reach parse_document.
-    if doc.get("etas") and doc.get("model") in list(_MODELS):
-        doc.setdefault("phases", [next(iter(_MODELS[doc["model"]].signs))])
     return parse_document(doc)
 
 

@@ -9,7 +9,6 @@ import math
 import typing
 from dataclasses import MISSING, asdict, dataclass, field, fields, is_dataclass
 
-from .dicke_exact import MAX_DIM_DEFAULT
 from .errors import InputError
 
 
@@ -24,7 +23,6 @@ class ExactOpts:
     n_atoms: int = 16
     n_boson: int | None = None
     include: bool = False
-    max_dim: int = MAX_DIM_DEFAULT
 
 
 @dataclass(frozen=True)
@@ -48,7 +46,7 @@ class RunConfig:
     pairs: tuple = ()
     etas: tuple = ()
     scales: tuple = ()
-    phases: tuple = ("normal",)
+    phases: tuple | None = None  # None: the model's first phase
     time_grid: TimeGridOpts = field(default_factory=TimeGridOpts)
     exact: ExactOpts = field(default_factory=ExactOpts)
     converge: ConvergeOpts = field(default_factory=ConvergeOpts)
@@ -60,16 +58,12 @@ def _number(value) -> bool:
     return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
-def _integer(value) -> bool:
-    return _number(value) and isinstance(value, int)
-
-
 def _positive():
     return "a number > 0", lambda v: _number(v) and v > 0
 
 
 def _at_least(n: int):
-    return f"an integer >= {n}", lambda v: _integer(v) and v >= n
+    return f"an integer >= {n}", lambda v: _number(v) and isinstance(v, int) and v >= n
 
 
 def _one_of(*choices):
@@ -81,6 +75,11 @@ def _list_of(rule, non_empty: bool = False):
     return (("a non-empty list" if non_empty else "a list") + f", each item {text}",
             lambda v: isinstance(v, list) and (len(v) > 0 or not non_empty)
             and all(map(test, v)))
+
+
+def _or_null(rule):
+    text, test = rule
+    return "null or " + text, lambda v: v is None or test(v)
 
 
 # What each value must be, by dotted key: one entry per dataclass field that
@@ -95,13 +94,13 @@ _RULES = {
                        and len(v) == 2 and all(map(_number, v)))),
     "etas": _list_of(_positive()),
     "scales": _list_of(_positive()),
-    "phases": _list_of(_one_of("normal", "super", "symmetric", "broken"), non_empty=True),
+    "phases": _or_null(_list_of(_one_of("normal", "super", "symmetric", "broken"),
+                                non_empty=True)),
     "time_grid.periods": _positive(),
     "time_grid.samples_per_period": _at_least(8),
     "exact.n_atoms": _at_least(1),
-    "exact.n_boson": ("null or an integer >= 2", lambda v: v is None or _integer(v) and v >= 2),
+    "exact.n_boson": _or_null(_at_least(2)),
     "exact.include": ("true or false", lambda v: isinstance(v, bool)),
-    "exact.max_dim": _at_least(16),
     # n_boson defaults to N, and a truncation needs two boson levels
     "converge.n_list": ("a non-empty strictly ascending list, each item an integer >= 2",
                         lambda v: _list_of(_at_least(2), non_empty=True)[1](v)

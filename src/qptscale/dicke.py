@@ -9,7 +9,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import CrossPhaseError, DomainError, InputError
+from .errors import CrossPhaseError, DomainError, InputError, NumericError
 
 
 def critical_coupling(omega: float, omega0: float) -> float:
@@ -62,25 +62,32 @@ class ModeSpectrum:
 
 
 def mode_energies(params: DickeParams) -> ModeSpectrum:
-    """Quasi-mode energies; the lower one vanishes exactly at the critical point."""
+    """Quasi-mode energies; the lower one vanishes exactly at the critical point.
+    NumericError when the arithmetic fails or, off that point, e1 cancels."""
     w, w0 = params.omega, params.omega0
     lam = params.coupling
     ssum = w * w + w0 * w0
-    if lam <= params.lambda_c:
-        disc = math.sqrt((w0 * w0 - w * w) ** 2 + 16.0 * lam * lam * w * w0)
-        e1 = math.sqrt(max(0.5 * (ssum - disc), 0.0))
-        e2 = math.sqrt(0.5 * (ssum + disc))
-        if lam == params.lambda_c:
-            e1 = 0.0
-        angle = 0.5 * math.atan(4.0 * lam * math.sqrt(w * w0) / ssum)
-        return ModeSpectrum(e1=e1, e2=e2, phase="normal", mu=None, gamma_angle=angle)
-    mu = w * w0 / (4.0 * lam * lam)
-    a = w0 * w0 / (mu * mu)
-    disc = math.sqrt((a - w * w) ** 2 + 4.0 * w * w * w0 * w0)
-    e1 = math.sqrt(max(0.5 * (w * w + a - disc), 0.0))
-    e2 = math.sqrt(0.5 * (w * w + a + disc))
-    angle = 0.5 * math.atan(2.0 * w * w0 / (w * w + a))
-    return ModeSpectrum(e1=e1, e2=e2, phase="super", mu=mu, gamma_angle=angle)
+    try:
+        if lam <= params.lambda_c:
+            phase, mu = "normal", None
+            disc = math.sqrt((w0 * w0 - w * w) ** 2 + 16.0 * lam * lam * w * w0)
+            e1 = math.sqrt(max(0.5 * (ssum - disc), 0.0))
+            e2 = math.sqrt(0.5 * (ssum + disc))
+            angle = 0.5 * math.atan(4.0 * lam * math.sqrt(w * w0) / ssum)
+        else:
+            phase, mu = "super", w * w0 / (4.0 * lam * lam)
+            a = w0 * w0 / (mu * mu)
+            disc = math.sqrt((a - w * w) ** 2 + 4.0 * w * w * w0 * w0)
+            e1 = math.sqrt(max(0.5 * (w * w + a - disc), 0.0))
+            e2 = math.sqrt(0.5 * (w * w + a + disc))
+            angle = 0.5 * math.atan(2.0 * w * w0 / (w * w + a))
+    except ArithmeticError as err:  # an overflow, or mu underflowing to 0
+        raise NumericError(f"mode energies fail at {params}: {err}") from err
+    if lam == params.lambda_c:
+        e1 = 0.0
+    elif not 0 < e1 < math.inf:  # omega and omega0 orders of magnitude apart
+        raise NumericError(f"the lower mode energy cancels to {e1} at {params}")
+    return ModeSpectrum(e1=e1, e2=e2, phase=phase, mu=mu, gamma_angle=angle)
 
 
 def near_critical_gap(params: DickeParams) -> float:

@@ -8,7 +8,7 @@ from __future__ import annotations
 import math
 from contextlib import contextmanager
 from contextvars import ContextVar
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -17,8 +17,7 @@ from .echo import EchoSeries, _as_time_grid
 from .errors import DomainError, InputError, ResourceError
 from .linalg import GatherOperator, lanczos_ground, lanczos_survival
 
-MAX_DIM_DEFAULT = 200_000
-GROUND_TOL = 1e-11        # Lanczos residual threshold, relative to |H|
+MAX_DIM = 200_000  # basis states a truncated system may have
 QUASI_DEGENERATE_GAP = 1e-10  # parity gap below which blocks count as degenerate
 
 _solved: ContextVar[dict | None] = ContextVar("solved", default=None)
@@ -28,7 +27,7 @@ _solved: ContextVar[dict | None] = ContextVar("solved", default=None)
 class TruncatedDicke:
     """Finite-size description: n_atoms two-level atoms (collective spin
     j = n_atoms / 2) and boson levels 0 .. n_boson - 1, in a basis of at most
-    ``max_dim`` states (ResourceError above it).
+    ``MAX_DIM`` states (ResourceError above it).
 
     Basis index = boson_level * (n_atoms + 1) + k with k = m + j in 0..n_atoms.
     """
@@ -38,10 +37,9 @@ class TruncatedDicke:
     omega: float
     omega0: float
     coupling: float
-    max_dim: int = MAX_DIM_DEFAULT
 
     def __post_init__(self):
-        for name in ("n_atoms", "n_boson", "max_dim"):
+        for name in ("n_atoms", "n_boson"):
             value = getattr(self, name)
             if not isinstance(value, int) or isinstance(value, bool):
                 raise InputError(f"{name} must be an integer, got {value!r}")
@@ -50,8 +48,8 @@ class TruncatedDicke:
         if self.n_boson < 2:
             raise InputError("n_boson must be at least 2")
         DickeParams(self.omega, self.omega0, self.coupling)  # reuse validation
-        if self.dim > self.max_dim:
-            raise ResourceError(f"dim {self.dim} exceeds the memory cap {self.max_dim}")
+        if self.dim > MAX_DIM:
+            raise ResourceError(f"dim {self.dim} exceeds the memory cap {MAX_DIM}")
 
     @property
     def j(self) -> float:
@@ -145,7 +143,7 @@ def ground_state_exact(system: TruncatedDicke) -> GroundState:
         block = build_hamiltonian(system, name)
         start = np.zeros(block.shape[0])
         start[0] = 1.0  # the block's lowest bare state
-        e, v, info = lanczos_ground(block, GROUND_TOL, start=start)
+        e, v, info = lanczos_ground(block, start=start)
         solved.append((e, v, name, block.indices, info))
     parity_gap = abs(solved[1][0] - solved[0][0]) if len(solved) > 1 else None
     quasi_degenerate = parity_gap is not None and parity_gap < QUASI_DEGENERATE_GAP
@@ -187,16 +185,13 @@ def _ground_state(system: TruncatedDicke) -> GroundState:
 
 def _check_pair(system1: TruncatedDicke, system2: TruncatedDicke) -> None:
     """Refuse two systems whose ground states cannot be compared.  Systems
-    that differ in anything but ``coupling`` and ``max_dim`` lay out their
-    vectors on different bases (InputError).  The parity-symmetric exact
-    ground states at and above the critical coupling carry the sqrt(N)
-    mean-field displacement, so overlaps built from them are not the
-    fluctuation fidelity the analytics describe (DomainError)."""
-    basis = lambda s: (s.n_atoms, s.n_boson, s.omega, s.omega0)
-    if basis(system1) != basis(system2):
-        raise InputError(
-            f"the two systems must differ only in coupling and max_dim, got "
-            f"(n_atoms, n_boson, omega, omega0) = {basis(system1)} and {basis(system2)}")
+    that differ in any field but ``coupling``, compared as whole systems,
+    lay out their vectors on different bases (InputError).  The
+    parity-symmetric exact ground states at and above the critical coupling
+    carry the sqrt(N) mean-field displacement, so overlaps built from them
+    are not the fluctuation fidelity the analytics describe (DomainError)."""
+    if replace(system1, coupling=system2.coupling) != system2:
+        raise InputError(f"the two systems must differ only in coupling: {system1}, {system2}")
     lc = critical_coupling(system1.omega, system1.omega0)
     couplings = (system1.coupling, system2.coupling)
     if any(c >= lc for c in couplings):
@@ -208,9 +203,9 @@ def _check_pair(system1: TruncatedDicke, system2: TruncatedDicke) -> None:
 def fidelity_exact(system1: TruncatedDicke, system2: TruncatedDicke) -> float:
     """|<g1|g2>| of the two systems' ground states on their common basis.
 
-    The systems may differ only in ``coupling`` and ``max_dim`` (InputError
-    otherwise), and both couplings must lie below the critical coupling
-    (DomainError otherwise).
+    The systems may differ only in ``coupling`` (InputError otherwise), and
+    both couplings must lie below the critical coupling (DomainError
+    otherwise).
     """
     _check_pair(system1, system2)
     g1 = _ground_state(system1)

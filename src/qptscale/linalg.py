@@ -25,6 +25,7 @@ import numpy as np
 
 from .errors import InputError, NumericError
 
+GROUND_TOL = 1e-11  # Lanczos residual threshold, relative to |A|
 SURVIVAL_TOL = 1e-12
 KRYLOV_CHECK_EVERY = 20  # Lanczos steps between stopping-rule checks
 KRYLOV_MAX_STEPS = 600   # Lanczos steps either solver may take
@@ -134,7 +135,7 @@ class LanczosInfo:
     residual: float
 
 
-def lanczos_ground(a, tol: float = 1e-10, *, start=None):
+def lanczos_ground(a, tol: float = GROUND_TOL, *, start=None):
     """Lowest eigenpair of the operator ``a`` by two Lanczos runs from the
     vector ``start`` (any nonzero length-dim vector; normalised here).  With
     ``start=None`` the runs start from the Gaussian vector

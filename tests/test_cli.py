@@ -8,7 +8,7 @@ import pytest
 
 import qptscale.dicke_exact
 from qptscale import DickeParams, fidelity_exact, fidelity_gaussian, fidelity_scaling
-from qptscale.cli import main
+from qptscale.cli import main, run
 from qptscale.config import RunConfig, config_hash, parse_document
 from qptscale.errors import InputError
 from qptscale.lmg import LmgParams, gap_angle
@@ -129,6 +129,18 @@ def test_lmg_grid_defaults_to_an_lmg_phase(tmp_path):
     assert run_cli(["lmg-fidelity", "--set", "etas=[0.1]", "--set", "scales=[0.01]",
                     "--output", str(out)]) == 0
     assert read_table(str(out)).columns["phase"] == ["symmetric"]
+
+
+def test_library_grid_defaults_to_the_model_first_phase(tmp_path):
+    # run() on a document without phases grids the model's first phase, as
+    # the CLI does
+    lib, cli = tmp_path / "lib.csv", tmp_path / "cli.csv"
+    run(parse_document({"model": "lmg", "task": "fidelity", "etas": [0.1],
+                        "scales": [0.01], "output": {"path": str(lib)}}))
+    assert run_cli(["lmg-fidelity", "--set", "etas=[0.1]", "--set", "scales=[0.01]",
+                    "--output", str(cli)]) == 0
+    assert read_table(str(lib)).columns == read_table(str(cli)).columns
+    assert read_table(str(lib)).columns["phase"] == ["symmetric"]
 
 
 def test_lmg_echo_subcommand(tmp_path):
@@ -305,12 +317,14 @@ _BASE_DOC = {"model": "dicke", "task": "sweep"}
     ({"model": "dicke"}, "task"),
     (dict(_BASE_DOC, converge={"n_list": [16, 8]}), "n_list"),
     (dict(_BASE_DOC, converge={"n_list": [8, 8]}), "n_list"),
+    (dict(_BASE_DOC, phases="normal"), "phases"),
 ])
 def test_parse_document_refuses_each_rule_naming_the_key(doc, key):
     with pytest.raises(InputError, match=key):
         parse_document(doc)
 
 
+# exact.max_dim is no longer a key at all, and is refused as unknown
 @pytest.mark.parametrize("override", [
     "time_grid.samples_per_period=64.0", "exact.n_atoms=8.0", "exact.n_boson=8.0",
     "exact.max_dim=1e5", "converge.n_list=[8.0]", "converge.n_list=[1]"],
@@ -324,10 +338,13 @@ def test_sizes_are_json_integers_in_range(tmp_path, capsys, override):
     assert not out.exists()
 
 
-@pytest.mark.parametrize("key,value", [("omgea", 1.0), ("threads", 2)],
-                         ids=["omgea", "threads"])
-def test_unknown_key_rejected(tmp_path, capsys, key, value):
-    cfg = write_config(tmp_path, {"etas": [0.1], "scales": [0.01], key: value})
+# the basis cap is the constant dicke_exact.MAX_DIM, not a config key
+@pytest.mark.parametrize("doc,key", [
+    ({"omgea": 1.0}, "omgea"), ({"threads": 2}, "threads"),
+    ({"exact": {"max_dim": 100000}}, "exact.max_dim")],
+    ids=["omgea", "threads", "max_dim"])
+def test_unknown_key_rejected(tmp_path, capsys, doc, key):
+    cfg = write_config(tmp_path, dict(doc, etas=[0.1], scales=[0.01]))
     assert run_cli(["dicke-fidelity", "--config", cfg]) == 2
     assert key in capsys.readouterr().err
 
@@ -347,14 +364,14 @@ def test_model_conflict_rejected(tmp_path, capsys):
 
 
 def test_resource_cap_exit_code(tmp_path, capsys):
-    # every exact path, echoes included, honours exact.max_dim
+    # every exact path, echoes included, refuses a basis above MAX_DIM: N = 447
+    # with n_b = N gives 447 * 448 = 200,256 states, refused before any array
     grid = {"etas": [0.5], "scales": [0.2]}
     for command, doc in (
-            ("dicke-converge", {"pairs": [[0.495, 0.45]], "converge": {"n_list": [64]}}),
-            ("sweep", dict(grid, exact={"include": True, "n_atoms": 16})),
-            ("dicke-echo", {"pairs": [[0.45, 0.4]], "exact": {"n_atoms": 16}}),
-            ("collapse", dict(grid, exact={"include": True, "n_atoms": 16}))):
-        doc["exact"] = dict(doc.get("exact", {}), max_dim=100)
+            ("dicke-converge", {"pairs": [[0.495, 0.45]], "converge": {"n_list": [447]}}),
+            ("sweep", dict(grid, exact={"include": True, "n_atoms": 447})),
+            ("dicke-echo", {"pairs": [[0.45, 0.4]], "exact": {"n_atoms": 447}}),
+            ("collapse", dict(grid, exact={"include": True, "n_atoms": 447}))):
         cfg = write_config(tmp_path, dict(doc, output={"path": str(tmp_path / "r.csv")}))
         assert run_cli([command, "--config", cfg]) == 3, command
         assert "cap" in capsys.readouterr().err
@@ -552,9 +569,29 @@ def test_solver_failure_exits_4(tmp_path, capsys, monkeypatch):
     assert not out.exists()
 
 
+# omega many orders of magnitude above or below omega0 cancels e1 to zero or
+# NaN, or overflows; each used to give a bad row, a traceback or exit 2
+@pytest.mark.parametrize("omega", [1e7, 1e8, 1e20, 1e160, 1e100, 1e-170])
+def test_gaussian_analytics_failure_exits_4(tmp_path, capsys, omega):
+    out = tmp_path / "g.csv"
+    assert run_cli(["dicke-fidelity", "--set", f"omega={omega}", "--set", "etas=[0.1]",
+                    "--set", "scales=[0.01]", "--output", str(out)]) == 4
+    assert capsys.readouterr().err.startswith("numeric error:")
+    assert not out.exists()
+
+
+def test_effective_reference_failure_exits_4(tmp_path, capsys):
+    out = tmp_path / "g.csv"
+    assert run_cli(["dicke-converge", "--set", "omega=1e8", "--set", "etas=[0.1]",
+                    "--set", "scales=[0.01]", "--set", 'converge.target="effective"',
+                    "--set", "converge.n_list=[8]", "--output", str(out)]) == 4
+    assert capsys.readouterr().err.startswith("numeric error:")
+    assert not out.exists()
+
+
 _IMPORT_PROBE = """\
 import json, sys
-from qptscale.cli import main
+from qptscale.cli import main, run
 codes = [main(args) for args in json.loads(sys.argv[1])]
 print(json.dumps([codes, sorted(m for m in sys.modules
                                 if m.split(".")[0] in ("scipy", "jsonschema"))]))
@@ -602,7 +639,7 @@ import json, sys
 sys.modules["scipy"] = None  # any scipy import now raises ImportError
 import numpy as np
 from qptscale import EchoSeries, SemiclassicalParams, fit_envelope, semiclassical_envelope
-from qptscale.cli import main
+from qptscale.cli import main, run
 t = np.linspace(0.0, 20.0, 400)
 echo = semiclassical_envelope(SemiclassicalParams(0.5, 0.2, 1.0), t)
 fit = fit_envelope(EchoSeries(t=t, echo=echo, omega1=1.0), (0.0, 20.0))

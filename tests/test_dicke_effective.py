@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from qptscale import (CrossPhaseError, DickeParams, DomainError, InputError,
+from qptscale import (CrossPhaseError, DickeParams, DomainError, InputError, NumericError,
                       SqueezeMap, critical_coupling, fidelity_gaussian,
                       fidelity_scaling, mode_energies, near_critical_gap,
                       scaling_eta, squeeze_fidelity)
@@ -58,6 +58,15 @@ class TestModeEnergies:
         lams = np.linspace(0.5, 1.0, 26)
         e1s = [mode_energies(DickeParams(1.0, 1.0, la)).e1 for la in lams]
         assert all(b > a for a, b in zip(e1s, e1s[1:]))
+
+    def test_cancelled_or_failed_e1_raises(self):
+        # at 0.9 lambda_c with omega / omega0 = 1e8, e1^2 = 0.19 is below the
+        # round-off of omega^2 and cancels to 0; at 1e100 omega^4 overflows;
+        # at coupling 1e200 the super-radiant mu underflows to 0
+        for params in (DickeParams(1e8, 1.0, 0.45e4), DickeParams(1e100, 1.0, 0.45e50),
+                       DickeParams(1.0, 1.0, 1e200)):
+            with pytest.raises(NumericError):
+                mode_energies(params)
 
     def test_ordering_holds_off_the_degenerate_corner(self):
         for w, w0, la in [(1.0, 2.0, 0.1), (1.0, 1.0, 0.2), (0.5, 3.0, 2.0)]:

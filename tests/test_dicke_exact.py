@@ -99,9 +99,11 @@ class TestBuildHamiltonian:
             build_hamiltonian(TruncatedDicke(2, 3, 1.0, 1.0, 0.45), "both")
 
     def test_memory_cap(self):
-        # the cap is checked when the system is made, before any block is built
-        with pytest.raises(ResourceError):
-            TruncatedDicke(100, 100, 1.0, 1.0, 0.1, max_dim=500)
+        # the cap is checked when the system is made, before any block is
+        # built: 447 * 448 = 200,256 states exceed MAX_DIM
+        assert 447 * 448 > dicke_exact.MAX_DIM
+        with pytest.raises(ResourceError, match="cap"):
+            TruncatedDicke(447, 447, 1.0, 1.0, 0.1)
 
 
 class TestGroundStateExact:
@@ -317,7 +319,8 @@ def test_super_radiant_exact_fidelity_and_echo_refused():
     TruncatedDicke(6, 8, 1.0, 1.0, 0.2),
     TruncatedDicke(8, 12, 1.0, 1.0, 0.2),
     TruncatedDicke(8, 8, 1.0, 2.0, 0.2),
-], ids=["n_atoms", "n_boson", "omega0"])
+    TruncatedDicke(8, 8, 2.0, 1.0, 0.2),
+], ids=["n_atoms", "n_boson", "omega0", "omega"])
 def test_systems_on_different_bases_refused(other):
     # a vector laid out on one basis says nothing about the other's states
     system = TruncatedDicke(8, 8, 1.0, 1.0, 0.3)
@@ -328,8 +331,3 @@ def test_systems_on_different_bases_refused(other):
         with pytest.raises(InputError, match="differ only in coupling"):
             echo_exact(*pair, t)
 
-
-def test_systems_may_differ_in_max_dim():
-    system1, system2 = dicke_systems(8, 8, 0.48, 0.45)
-    capped = TruncatedDicke(8, 8, 1.0, 1.0, 0.45, max_dim=system2.dim)
-    assert fidelity_exact(system1, capped) == fidelity_exact(system1, system2)
