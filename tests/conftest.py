@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -10,6 +11,16 @@ from qptscale import TruncatedDicke
 @pytest.fixture
 def rng():
     return np.random.default_rng(20260810)
+
+
+def peak_bytes(solve):
+    """Peak memory traced by ``tracemalloc`` while ``solve()`` runs."""
+    tracemalloc.start()
+    try:
+        solve()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 def random_sparse_symmetric(rng, dim, nnz_factor=4):

@@ -289,36 +289,41 @@ _BASE_DOC = {"model": "dicke", "task": "sweep"}
 
 
 # One document per rule the run config enforces; each refusal names its key.
-@pytest.mark.parametrize("doc,key", [
-    (dict(_BASE_DOC, omega=0), "omega"),
-    (dict(_BASE_DOC, omega=-1.0), "omega"),
-    (dict(_BASE_DOC, omega=True), "omega"),
-    (dict(_BASE_DOC, omega0=0.0), "omega0"),
-    (dict(_BASE_DOC, omega0=True), "omega0"),
-    (dict(_BASE_DOC, lmg_gamma=1), "lmg_gamma"),
-    (dict(_BASE_DOC, pairs=[[0.45, 0.4, 0.3]]), "pairs"),
-    (dict(_BASE_DOC, etas=[0.0]), "etas"),
-    (dict(_BASE_DOC, scales=[0]), "scales"),
-    (dict(_BASE_DOC, phases=[]), "phases"),
-    (dict(_BASE_DOC, phases=["sideways"]), "phases"),
-    (dict(_BASE_DOC, time_grid={"samples_per_period": 7}), "samples_per_period"),
-    (dict(_BASE_DOC, exact={"max_dim": 15}), "max_dim"),
-    (dict(_BASE_DOC, exact={"n_boson": 1}), "n_boson"),
-    (dict(_BASE_DOC, exact={"include": 1}), "include"),
-    (dict(_BASE_DOC, converge={"n_list": []}), "n_list"),
-    (dict(_BASE_DOC, converge={"target": "exact"}), "target"),
-    (dict(_BASE_DOC, output={"path": ""}), "path"),
-    (dict(_BASE_DOC, time_grid={"period": 1.0}), "period"),
-    (dict(_BASE_DOC, exact={"n_atom": 8}), "n_atom"),
-    (dict(_BASE_DOC, converge={"nlist": [8]}), "nlist"),
-    (dict(_BASE_DOC, output={"file": "a.csv"}), "file"),
-    (dict(_BASE_DOC, exact=8), "exact"),
-    ({"task": "sweep"}, "model"),
-    ({"model": "dicke"}, "task"),
-    (dict(_BASE_DOC, converge={"n_list": [16, 8]}), "n_list"),
-    (dict(_BASE_DOC, converge={"n_list": [8, 8]}), "n_list"),
-    (dict(_BASE_DOC, phases="normal"), "phases"),
-])
+# Each case keeps its own id, so dropping a rule renames no other case.
+_REFUSALS = {
+    "doc0-omega": (dict(_BASE_DOC, omega=0), "omega"),
+    "doc1-omega": (dict(_BASE_DOC, omega=-1.0), "omega"),
+    "doc2-omega": (dict(_BASE_DOC, omega=True), "omega"),
+    "doc3-omega0": (dict(_BASE_DOC, omega0=0.0), "omega0"),
+    "doc4-omega0": (dict(_BASE_DOC, omega0=True), "omega0"),
+    "doc5-lmg_gamma": (dict(_BASE_DOC, lmg_gamma=1), "lmg_gamma"),
+    "doc6-pairs": (dict(_BASE_DOC, pairs=[[0.45, 0.4, 0.3]]), "pairs"),
+    "doc7-etas": (dict(_BASE_DOC, etas=[0.0]), "etas"),
+    "doc8-scales": (dict(_BASE_DOC, scales=[0]), "scales"),
+    "doc9-phases": (dict(_BASE_DOC, phases=[]), "phases"),
+    "doc10-phases": (dict(_BASE_DOC, phases=["sideways"]), "phases"),
+    "doc11-samples_per_period": (dict(_BASE_DOC, time_grid={"samples_per_period": 7}),
+                                 "samples_per_period"),
+    "doc12-max_dim": (dict(_BASE_DOC, exact={"max_dim": 15}), "max_dim"),
+    "doc13-n_boson": (dict(_BASE_DOC, exact={"n_boson": 1}), "n_boson"),
+    "doc14-include": (dict(_BASE_DOC, exact={"include": 1}), "include"),
+    "doc15-n_list": (dict(_BASE_DOC, converge={"n_list": []}), "n_list"),
+    "doc16-target": (dict(_BASE_DOC, converge={"target": "exact"}), "target"),
+    "doc17-path": (dict(_BASE_DOC, output={"path": ""}), "path"),
+    "doc18-period": (dict(_BASE_DOC, time_grid={"period": 1.0}), "period"),
+    "doc19-n_atom": (dict(_BASE_DOC, exact={"n_atom": 8}), "n_atom"),
+    "doc20-nlist": (dict(_BASE_DOC, converge={"nlist": [8]}), "nlist"),
+    "doc21-file": (dict(_BASE_DOC, output={"file": "a.csv"}), "file"),
+    "doc22-exact": (dict(_BASE_DOC, exact=8), "exact"),
+    "doc23-model": ({"task": "sweep"}, "model"),
+    "doc24-task": ({"model": "dicke"}, "task"),
+    "doc25-n_list": (dict(_BASE_DOC, converge={"n_list": [16, 8]}), "n_list"),
+    "doc26-n_list": (dict(_BASE_DOC, converge={"n_list": [8, 8]}), "n_list"),
+    "doc27-phases": (dict(_BASE_DOC, phases="normal"), "phases"),
+}
+
+
+@pytest.mark.parametrize("doc,key", _REFUSALS.values(), ids=_REFUSALS.keys())
 def test_parse_document_refuses_each_rule_naming_the_key(doc, key):
     with pytest.raises(InputError, match=key):
         parse_document(doc)
@@ -399,7 +404,7 @@ def test_time_grid_cap_exit_code(tmp_path, capsys, grid):
                   "exact": {"n_atoms": 8, "include": True}}),
     ("dicke-echo", {"pairs": [[0.55, 0.6]], "exact": {"n_atoms": 8}}),
     ("dicke-converge", {"pairs": [[0.55, 0.6]], "converge": {"n_list": [8]}}),
-])
+], ids=["sweep-doc0", "collapse-doc1", "dicke-echo-doc2", "dicke-converge-doc3"])
 def test_super_radiant_exact_is_usage_error(tmp_path, capsys, command, doc):
     cfg = write_config(tmp_path, dict(doc, output={"path": str(tmp_path / "s.csv")}))
     assert run_cli([command, "--config", cfg]) == 2

@@ -1,5 +1,3 @@
-import tracemalloc
-
 import numpy as np
 import pytest
 from scipy.sparse.linalg import LinearOperator
@@ -8,7 +6,7 @@ import qptscale.linalg
 from qptscale import (InputError, NumericError, TruncatedDicke, build_hamiltonian,
                       lanczos_ground, lanczos_survival)
 from qptscale.linalg import GatherOperator
-from conftest import random_sparse_symmetric, spectral_sum
+from conftest import peak_bytes, random_sparse_symmetric, spectral_sum
 
 
 def stored_ritz_vector(a, start, steps):
@@ -29,16 +27,6 @@ def stored_ritz_vector(a, start, steps):
     vector = np.linalg.eigh(t)[1][:, 0] @ np.array(basis[:steps])
     vector /= np.linalg.norm(vector)
     return vector if vector[np.argmax(np.abs(vector))] > 0 else -vector
-
-
-def peak_bytes(solve):
-    """Peak memory traced by ``tracemalloc`` while ``solve()`` runs."""
-    tracemalloc.start()
-    try:
-        solve()
-        return tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
 
 
 class TestLanczos:

@@ -7,6 +7,7 @@ import pytest
 
 from qptscale import InputError, tables
 from qptscale.tables import ResultTable, read_table, write_table
+from conftest import peak_bytes
 
 
 def sample_table():
@@ -169,6 +170,47 @@ def test_streamed_rows_match_per_cell_rendering(tmp_path):
     assert path.read_text() == _per_cell_text(table)
 
 
+def test_floats_met_once_in_a_late_chunk_print_as_per_cell(tmp_path, rng):
+    # values met once are formatted in their own chunk, after every check
+    n = 3 * tables._CHUNK_ROWS
+    values = np.where(rng.random(n) < 0.5, 0.25, rng.standard_normal(n))
+    special = [math.nan, math.inf, -math.inf, -0.0, 5e-324]
+    values[n - 100:n - 100 + len(special)] = special
+    table = ResultTable(columns={"x": values}, provenance={"k": "v"})
+    path = tmp_path / "late.csv"
+    write_table(table, str(path))
+    text = path.read_text()
+    assert text == _per_cell_text(table)
+    assert text.splitlines()[-100:-95] == [
+        "nan", "inf", "-inf", "-0.0000000000000000e+00", "4.9406564584124654e-324"]
+
+
+def test_float32_column_round_trips_byte_identically(tmp_path, rng):
+    n = 2 * tables._CHUNK_ROWS + 7
+    values = np.where(rng.random(n) < 0.5, np.float32(0.1),
+                      rng.standard_normal(n)).astype(np.float32)
+    table = ResultTable(columns={"x": values, "i": np.arange(n)}, provenance={"k": "v"})
+    first, second = tmp_path / "a.csv", tmp_path / "b.csv"
+    write_table(table, str(first))
+    assert first.read_text() == _per_cell_text(table)  # widened to float64 exactly
+    back = read_table(str(first))
+    assert np.array_equal(np.array(back.columns["x"], dtype=np.float32), values)
+    write_table(back, str(second))
+    assert second.read_bytes() == first.read_bytes()
+
+
+def test_write_holds_no_column_text(tmp_path, rng):
+    # shaped like an lmg-echo table: float columns of mostly distinct values
+    # beside a constant one.  Formatting every cell before the first write
+    # peaked near ten times the columns' bytes; chunked, it stays near one.
+    n = 2 ** 17
+    t = np.linspace(0.0, 2.0 * math.pi, n)
+    columns = {"eta": np.full(n, 0.1), "t": t, "tau": 0.7 * t, "M": rng.random(n)}
+    table = ResultTable(columns=columns, provenance={"k": "v"})
+    nbytes = sum(column.nbytes for column in columns.values())
+    assert peak_bytes(lambda: write_table(table, str(tmp_path / "m.csv"))) <= 2 * nbytes
+
+
 def test_signed_zeros_keep_their_signs(tmp_path):
     for column in ([0.0, -0.0, 0.0], np.array([0.0, -0.0, 0.0])):
         table = ResultTable(columns={"z": column}, provenance={"k": "v"})
@@ -217,6 +259,17 @@ def test_bad_last_cell_leaves_existing_file_untouched(tmp_path):
         write_table(table, str(path))
     assert path.read_bytes() == b"previous contents\n"
     assert [p.name for p in tmp_path.iterdir()] == ["t.csv"]
+
+
+def test_bad_string_met_once_in_the_last_chunk_rejected(tmp_path):
+    n = 3 * tables._CHUNK_ROWS
+    tags = np.array(["ok", "fine"])[np.arange(n) % 2]
+    tags[-1] = "a,b"  # the only value of its kind, in the last chunk
+    table = ResultTable(columns={"x": np.arange(n, dtype=float), "tag": tags},
+                        provenance={"k": "v"})
+    with pytest.raises(InputError, match="dialect"):
+        write_table(table, str(tmp_path / "new" / "u.csv"))
+    assert not (tmp_path / "new").exists()
 
 
 def test_new_file_mode_follows_the_umask(tmp_path):
