@@ -142,29 +142,34 @@ def _label(cfg: RunConfig, model: _Model, p1: float, p2: float):
 def _points(cfg: RunConfig, model: _Model):
     """(p1, p2, eta, scale, phase) tuples: explicit pairs (eta, scale and phase
     None), then the eta x scale x phase grid, scales in units of the critical pc
-    and phases, unless given, the model's first one."""
+    and phases, unless given, the model's first one.  No point has p1 or p2 at pc."""
     pc = model.critical(cfg)
     phases = (next(iter(model.signs)),) if cfg.phases is None else cfg.phases
+    for phase in phases:
+        if phase not in model.signs:
+            raise InputError(f"phase {phase!r} is not a phase of model {cfg.model!r}")
+    if bool(cfg.etas) != bool(cfg.scales):
+        raise InputError("'etas' and 'scales' must both be empty or both non-empty")
     points = [(p1, p2, None, None, None) for p1, p2 in cfg.pairs]
     for eta in cfg.etas:
         for scale in cfg.scales:
             for phase in phases:
-                if phase not in model.signs:
-                    raise InputError(f"phase {phase!r} is not a phase of model {cfg.model!r}")
                 sign = model.signs[phase]
                 points.append((pc * (1.0 + sign * eta * scale),
                                pc * (1.0 + sign * scale), eta, scale, phase))
     if not points:
         raise InputError("no parameter points: provide 'pairs' or 'etas' and 'scales'")
+    for p1, p2, *_ in points:
+        if pc in (p1, p2):
+            raise InputError(f"{model.params[0]} = {p1!r}, {model.params[1]} = {p2!r}: "
+                             f"both must lie off the critical point {pc!r}")
     return points
 
 
 def _grid_only(cfg: RunConfig) -> None:
-    """Refuse inputs the eta x scale grid tasks would otherwise ignore."""
+    """Refuse the pairs that the eta x scale grid tasks would otherwise ignore."""
     if cfg.pairs:
         raise InputError(f"{cfg.task} takes 'etas' and 'scales', not 'pairs'")
-    if not cfg.etas or not cfg.scales:
-        raise InputError(f"{cfg.task} needs non-empty 'etas' and 'scales'")
 
 
 def _time_grid(cfg: RunConfig, omega1: float):
@@ -234,10 +239,7 @@ def _run_converge(cfg: RunConfig, model: _Model):
 def _run_echo(cfg: RunConfig, model: _Model):
     items = []
     for i, (p1, p2, *_) in enumerate(_points(cfg, model)):
-        omega1 = model.omega1(cfg, p1)
-        if omega1 <= 0:
-            raise InputError(f"echo needs {model.params[0]} off the critical point")
-        series = model.echo(cfg, p1, p2, _time_grid(cfg, omega1))
+        series = model.echo(cfg, p1, p2, _time_grid(cfg, model.omega1(cfg, p1)))
         items.append(((i, _label(cfg, model, p1, p2)[0], p1, p2), series))
     columns = _series_columns(("pair", "eta", *model.params), items)
     units = {"t": "1/energy"} | dict.fromkeys(model.params, model.unit)
@@ -266,7 +268,7 @@ def _run_collapse(cfg: RunConfig, model: _Model):
     report = collapse_check((eta, group) for eta, _, group in groups)
     trend = {True: "yes", False: "no", None: "n/a"}
     rows = [(g.eta, kind, g.n_members, g.spread, trend[g.trend_decreasing], g.tau_lo,
-             g.tau_hi) for g, (_, kind, _) in zip(report.groups, groups)]
+             g.tau_hi) for g, (_, kind, _) in zip(report, groups)]
     names = ("eta", "kind", "n_members", "spread", "trend_decreasing", "tau_lo", "tau_hi")
     series = _series_columns(("eta", "kind", "scale"), [
         ((eta, kind, scale), s) for eta, kind, group in groups for scale, s in group])

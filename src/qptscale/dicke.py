@@ -9,7 +9,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import CrossPhaseError, DomainError, InputError, NumericError
+from .errors import CrossPhaseError, InputError, NumericError
 
 
 def critical_coupling(omega: float, omega0: float) -> float:
@@ -88,19 +88,6 @@ def mode_energies(params: DickeParams) -> ModeSpectrum:
     elif not 0 < e1 < math.inf:  # omega and omega0 orders of magnitude apart
         raise NumericError(f"the lower mode energy cancels to {e1} at {params}")
     return ModeSpectrum(e1=e1, e2=e2, phase=phase, mu=mu, gamma_angle=angle)
-
-
-def near_critical_gap(params: DickeParams) -> float:
-    """Leading-order zero-mode energy below the critical point.
-
-    e1 = sqrt(8 lambda_c (lambda_c - lambda) omega omega0 / (omega0^2 + omega^2));
-    coincides with the exact normal-phase energy when omega == omega0.
-    """
-    if params.phase == "super":
-        raise DomainError("near-critical gap formula applies below the critical point")
-    w, w0 = params.omega, params.omega0
-    lc = params.lambda_c
-    return math.sqrt(8.0 * lc * (lc - params.coupling) * w * w0 / (w0 * w0 + w * w))
 
 
 def scaling_eta(lambda1: float, lambda2: float, lambda_c: float) -> float:

@@ -1,9 +1,8 @@
 """Loschmidt-echo analytics and post-processing.
 
 Closed-form single-mode echo, the Gaussian-to-power-law envelope model and
-its variable-projection fit (numpy only), time rescaling by the critical-mode
-frequency, minimum extraction, the echo-minimum law, and multi-series
-collapse checks.
+its variable-projection fit (numpy only), minimum extraction, the echo-minimum
+law, and multi-series collapse checks.
 """
 
 from __future__ import annotations
@@ -214,14 +213,6 @@ def fit_envelope(series: EchoSeries, window: tuple[float, float]) -> EnvelopeFit
     return EnvelopeFit(params=fitted, max_log_residual=float(np.max(np.abs(residual))))
 
 
-def rescale_time(series: EchoSeries, omega1: float) -> EchoSeries:
-    """The same echo with frequency omega1, so tau = omega1 * t."""
-    if not (math.isfinite(omega1) and omega1 > 0):
-        raise InputError("omega1 must be positive and finite")
-    return EchoSeries(t=series.t, echo=series.echo, omega1=float(omega1),
-                      meta=dict(series.meta))
-
-
 def min_echo(series: EchoSeries) -> float:
     """Global echo minimum over the grid, refined parabolically.
 
@@ -265,12 +256,7 @@ class GroupCollapse:
     trend_decreasing: bool | None
 
 
-@dataclass(frozen=True)
-class CollapseReport:
-    groups: tuple[GroupCollapse, ...]
-
-
-def collapse_check(groups) -> CollapseReport:
+def collapse_check(groups) -> tuple[GroupCollapse, ...]:
     """Pointwise spread of echo curves on their common rescaled-time window.
 
     ``groups`` is an iterable of (eta, [(scale, EchoSeries), ...]), where
@@ -302,4 +288,4 @@ def collapse_check(groups) -> CollapseReport:
             trend = all(a >= b for a, b in zip(gaps, gaps[1:]))
         out.append(GroupCollapse(eta=float(eta), n_members=len(members), tau_lo=lo,
                                  tau_hi=hi, spread=spread, trend_decreasing=trend))
-    return CollapseReport(groups=tuple(out))
+    return tuple(out)

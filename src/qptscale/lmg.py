@@ -1,13 +1,12 @@
 """Collective-spin (LMG) analytics in the large-N limit: excitation gap and
-Bogoliubov angle in both phases, ground-state fidelity, the field-ratio
-scaling variable, and the single-mode Loschmidt echo."""
+Bogoliubov angle in both phases, ground-state fidelity, and the single-mode
+Loschmidt echo."""
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
 
-from .dicke import scaling_eta
 from .echo import EchoSeries, survival_closed
 from .errors import CrossPhaseError, InputError
 from .squeeze import fidelity as squeeze_fidelity
@@ -83,11 +82,6 @@ def fidelity_lmg(gamma: float, h1: float, h2: float) -> float:
     """Ground-state fidelity [1 - tanh^2((theta2 - theta1)/2)]^{1/4}."""
     p1, p2 = _same_phase_pair(gamma, h1, h2)
     return squeeze_fidelity(relative_map(gap_angle(p1).theta, gap_angle(p2).theta))
-
-
-def eta_lmg(h1: float, h2: float) -> float:
-    """Field-distance ratio (h1 - 1) / (h2 - 1); both fields same phase."""
-    return scaling_eta(h1, h2, 1.0)
 
 
 def echo_lmg(gamma: float, h1: float, h2: float, t_grid) -> EchoSeries:

@@ -50,16 +50,6 @@ class SqueezeMap:
         """Expansion parameter tanh(r)."""
         return math.tanh(self.r)
 
-    def check_invariants(self) -> None:
-        # P11^2 - Q11^2 = 1 within 1e-12 wherever float64 can resolve it;
-        # the cancellation in cosh^2 - sinh^2 grows like eps * cosh(r)^2
-        prod = (self.P11 - self.Q11) * (self.P11 + self.Q11)
-        tol = max(1e-12, 8.0 * 2.3e-16 * self.P11**2)
-        if abs(prod - 1.0) > tol:
-            raise NumericError(f"P11^2 - Q11^2 = {prod!r} deviates from 1")
-        if self.P11 < 1.0:
-            raise NumericError("P11 must be >= 1")
-
 
 def relative_map(theta1: float, theta2: float) -> SqueezeMap:
     """Squeeze map between the ground bases at Bogoliubov angles theta1, theta2.

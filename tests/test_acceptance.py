@@ -107,8 +107,7 @@ def test_criterion_5_echo_collapse():
 
     groups = [(eta, [singlemode(eta, s) for s in (1e-2, 1e-3)])
               for eta in (1e-2, 1e-3)]
-    report = collapse_check(groups)
-    worst = max(group.spread for group in report.groups)
+    worst = max(group.spread for group in collapse_check(groups))
     assert worst <= 1e-4
 
     def exact_member(n_atoms, eta, scale):
@@ -120,7 +119,7 @@ def test_criterion_5_echo_collapse():
     spreads = {}
     for n_atoms in (32, 64):
         members = [exact_member(n_atoms, 0.5, s) for s in (0.5, 0.25)]
-        spreads[n_atoms] = collapse_check([(0.5, members)]).groups[0].spread
+        spreads[n_atoms] = collapse_check([(0.5, members)])[0].spread
     assert spreads[64] < spreads[32]
     elapsed = time.perf_counter() - start
     assert elapsed < 600.0

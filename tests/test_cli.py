@@ -442,9 +442,18 @@ def test_config_hash_ignores_output():
     ("collapse", {"model": "lmg", "etas": [0.1], "scales": [0.01],
                   "phases": ["symmetric"]}, "not defined for model"),
     ("lmg-fidelity", {"pairs": [[1.0, 1.1]]}, "critical point"),
+    # lambda_c * (1 - 1e-17 * 0.001) rounds onto lambda_c
+    ("collapse", {"etas": [1e-17], "scales": [0.001]}, "off the critical point"),
+    ("sweep", {"etas": [1e-17], "scales": [0.001]}, "critical point"),
+    ("dicke-fidelity", {"pairs": [[0.45, 0.4]], "phases": ["broken"]},
+     "not a phase of model"),
+    ("dicke-converge", {"pairs": [[0.495, 0.45]], "etas": [0.1],
+                        "converge": {"n_list": [8]}}, "etas"),
 ], ids=["collapse-unknown-phase", "collapse-two-phases", "collapse-pairs",
         "sweep-pairs", "sweep-lmg-exact", "converge-two-points", "fidelity-no-points",
-        "echo-at-critical", "collapse-lmg", "lmg-fidelity-at-critical"])
+        "echo-at-critical", "collapse-lmg", "lmg-fidelity-at-critical",
+        "collapse-rounds-onto-critical", "sweep-rounds-onto-critical",
+        "fidelity-pairs-unknown-phase", "converge-half-grid"])
 def test_ignored_or_ambiguous_input_is_usage_error(tmp_path, capsys, command, doc,
                                                    needle):
     cfg = write_config(tmp_path, dict(doc, output={"path": str(tmp_path / "r.csv")}))

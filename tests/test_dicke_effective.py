@@ -3,10 +3,10 @@ import math
 import numpy as np
 import pytest
 
-from qptscale import (CrossPhaseError, DickeParams, DomainError, InputError, NumericError,
+from qptscale import (CrossPhaseError, DickeParams, InputError, NumericError,
                       SqueezeMap, critical_coupling, fidelity_gaussian,
-                      fidelity_scaling, mode_energies, near_critical_gap,
-                      scaling_eta, squeeze_fidelity)
+                      fidelity_scaling, mode_energies, scaling_eta,
+                      squeeze_fidelity)
 
 
 def test_critical_coupling_values():
@@ -76,25 +76,27 @@ class TestModeEnergies:
 
 class TestNearCriticalGap:
     def test_matches_exact_branch_for_equal_frequencies(self):
+        # at omega = omega0 = 1 the normal-phase e1^2 = 1 - 2 lambda, up to lambda_c
         for la in (0.3, 0.45, 0.4999):
-            p = DickeParams(1.0, 1.0, la)
-            assert near_critical_gap(p) == pytest.approx(
-                mode_energies(p).e1, abs=1e-12)
+            assert mode_energies(DickeParams(1.0, 1.0, la)).e1 == pytest.approx(
+                math.sqrt(1.0 - 2.0 * la), abs=1e-12)
 
     def test_zero_at_critical_point(self):
-        assert near_critical_gap(DickeParams(1.0, 1.0, 0.5)) == 0.0
+        lc = critical_coupling(1.0, 4.0)
+        assert mode_energies(DickeParams(1.0, 4.0, lc)).e1 == 0.0
 
     def test_gap_ratio_reflects_square_root_exponent(self):
+        # e1 ~ sqrt(lambda_c - lambda): at eta = 0.1 the ratio e1(lc - s) /
+        # e1(lc - s/10) tends to sqrt(10), its relative error shrinking ~10x
+        # per decade of s (1.76e-3, 1.75e-4, 1.75e-5 at s = 1e-2, 1e-3, 1e-4)
         lc = critical_coupling(1.0, 4.0)
-        l2 = lc - 0.01
-        l1 = lc - 0.001  # eta = 0.1
-        r = near_critical_gap(DickeParams(1.0, 4.0, l2)) / \
-            near_critical_gap(DickeParams(1.0, 4.0, l1))
-        assert r == pytest.approx(math.sqrt(10.0), rel=1e-12)
-
-    def test_rejects_super_radiant(self):
-        with pytest.raises(DomainError):
-            near_critical_gap(DickeParams(1.0, 1.0, 0.7))
+        errors = []
+        for s in (1e-2, 1e-3, 1e-4):
+            r = mode_energies(DickeParams(1.0, 4.0, lc - s)).e1 / \
+                mode_energies(DickeParams(1.0, 4.0, lc - 0.1 * s)).e1
+            errors.append(abs(r / math.sqrt(10.0) - 1.0))
+        assert errors[-1] < 2e-5
+        assert all(9.0 < a / b < 11.0 for a, b in zip(errors, errors[1:]))
 
 
 class TestScalingEta:

@@ -5,7 +5,7 @@ import pytest
 
 from qptscale import (DomainError, EchoSeries, FitError, InputError, SemiclassicalParams,
                       SqueezeMap, collapse_check, fit_envelope, min_echo,
-                      mp_scaling, rescale_time, semiclassical_envelope,
+                      mp_scaling, semiclassical_envelope,
                       survival_closed)
 from qptscale.dicke import DickeParams, critical_coupling, mode_energies
 
@@ -205,40 +205,30 @@ class TestFitEnvelope:
 
 
 class TestRescaleTime:
-    def base(self):
+    def base(self, omega1=1.0):
+        # the omega1 = 1 closed-form echo, labelled with frequency omega1
         t = np.linspace(0.0, 6.0, 61)
-        return survival_closed(ratio_map(0.2), 1.0, t)
+        return EchoSeries(t=t, echo=survival_closed(ratio_map(0.2), 1.0, t).echo,
+                          omega1=omega1)
 
     def test_unit_frequency(self):
-        out = rescale_time(self.base(), 1.0)
+        out = self.base(1.0)
         assert np.array_equal(out.tau, out.t)
 
     def test_dicke_zero_mode_frequency(self):
         e1 = mode_energies(DickeParams(1.0, 1.0, 0.495)).e1
-        out = rescale_time(self.base(), e1)
+        out = self.base(e1)
         assert np.allclose(out.tau, 0.1 * out.t, atol=1e-15)
-
-    def test_round_trip_restores_original_grid(self):
-        base = self.base()
-        out = rescale_time(rescale_time(base, 7.3), base.omega1)
-        assert np.array_equal(out.tau, base.tau)
-        assert np.array_equal(out.echo, base.echo)
-
-    def test_rejects_nonpositive(self):
-        with pytest.raises(InputError):
-            rescale_time(self.base(), 0.0)
 
     def test_period_follows_new_frequency(self):
         # the grid reaches t = 6: past the period pi at omega1 = 1, short of
         # 2 pi at omega1 = 0.5
-        base = self.base()
-        assert base.covers_period is True
-        slow = rescale_time(base, 0.5)
+        assert self.base(1.0).covers_period is True
+        slow = self.base(0.5)
         assert slow.period == 2.0 * math.pi
         assert slow.covers_period is False
         with pytest.raises(DomainError):
             min_echo(slow)
-        assert rescale_time(slow, 1.0).covers_period is True
 
 
 class TestMinEcho:
@@ -316,7 +306,7 @@ class TestCollapseCheck:
         t = np.linspace(0.0, math.pi, 101)
         s = survival_closed(ratio_map(0.1), 1.0, t)
         report = collapse_check([(0.1, [(1e-2, s), (1e-3, s)])])
-        assert report.groups[0].spread == 0.0
+        assert report[0].spread == 0.0
 
     def test_near_critical_members_collapse(self):
         # unequal frequencies so members differ genuinely at finite distance
@@ -326,11 +316,11 @@ class TestCollapseCheck:
         members = [self.member(2.0, 1.0, lc * (1 - eta * s), lc * (1 - s), tau, s)
                    for s in (1e-2, 1e-3)]
         report = collapse_check([(eta, members)])
-        assert report.groups[0].spread <= 1e-3
+        assert report[0].spread <= 1e-3
         tighter = [self.member(2.0, 1.0, lc * (1 - eta * s), lc * (1 - s), tau, s)
                    for s in (1e-3, 1e-4)]
         tight_report = collapse_check([(eta, tighter)])
-        assert tight_report.groups[0].spread < report.groups[0].spread
+        assert tight_report[0].spread < report[0].spread
 
     def test_trend_flag_tracks_scales(self):
         tau = np.linspace(0.0, math.pi, 301)
@@ -338,14 +328,14 @@ class TestCollapseCheck:
         members = [self.member(2.0, 1.0, lc * (1 - 0.1 * s), lc * (1 - s), tau, s)
                    for s in (1e-2, 1e-3, 1e-4)]
         report = collapse_check([(0.1, members)])
-        assert report.groups[0].trend_decreasing is True
-        assert report.groups[0].n_members == 3
+        assert report[0].trend_decreasing is True
+        assert report[0].n_members == 3
         # only the order of the scales counts: any unit gives the same flag
         relabelled = [(abs(lc * (1 - s) - lc), series) for s, series in members]
-        assert collapse_check([(0.1, relabelled)]).groups[0].trend_decreasing is True
+        assert collapse_check([(0.1, relabelled)])[0].trend_decreasing is True
         # listed out of order, the members are still ranked by scale
-        assert collapse_check([(0.1, members[::-1])]).groups[0].trend_decreasing is True
-        assert collapse_check([(0.1, members[:2])]).groups[0].trend_decreasing is None
+        assert collapse_check([(0.1, members[::-1])])[0].trend_decreasing is True
+        assert collapse_check([(0.1, members[:2])])[0].trend_decreasing is None
 
     def test_empty_group_and_disjoint_windows_rejected(self):
         with pytest.raises(InputError):

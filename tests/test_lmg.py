@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from qptscale import (CrossPhaseError, InputError, LmgParams, echo_lmg,
-                      eta_lmg, fidelity_lmg, fidelity_scaling, gap_angle,
-                      min_echo, mp_scaling, relative_map)
+                      fidelity_lmg, fidelity_scaling, gap_angle, min_echo,
+                      mp_scaling, relative_map, scaling_eta)
 
 
 def test_params_validation():
@@ -82,18 +82,18 @@ class TestFidelityLmg:
 
 class TestEtaLmg:
     def test_hand_ratio(self):
-        assert eta_lmg(1.05, 1.5) == pytest.approx(0.1, abs=1e-12)
+        assert scaling_eta(1.05, 1.5, 1.0) == pytest.approx(0.1, abs=1e-12)
 
     def test_equal_fields(self):
-        assert eta_lmg(1.2, 1.2) == 1.0
+        assert scaling_eta(1.2, 1.2, 1.0) == 1.0
 
     def test_cross_phase_rejected(self):
         with pytest.raises(CrossPhaseError):
-            eta_lmg(1.1, 0.9)
+            scaling_eta(1.1, 0.9, 1.0)
 
     def test_critical_field_rejected(self):
         with pytest.raises(InputError):
-            eta_lmg(1.0, 1.1)
+            scaling_eta(1.0, 1.1, 1.0)
 
     def test_near_critical_tanh_identity_regression(self):
         # |tanh((T2-T1)/2) - (sqrt(eta)-1)/(sqrt(eta)+1)| <= C (h2-1);
@@ -174,5 +174,5 @@ class TestEchoLmg:
 
 def test_mp_scaling_consistency_with_lmg_echo():
     # the echo minimum law evaluated at the lmg ratio
-    eta = eta_lmg(1.02, 1.2)
+    eta = scaling_eta(1.02, 1.2, 1.0)
     assert mp_scaling(eta) == pytest.approx(2.0 * math.sqrt(0.1) / 1.1, abs=1e-12)

@@ -3,6 +3,8 @@ from pathlib import Path
 
 import pytest
 
+import qptscale
+
 README = Path(__file__).resolve().parents[1] / "README.md"
 
 
@@ -23,3 +25,9 @@ def test_readme_quick_start_runs_and_matches_its_comment():
     value = namespace["fidelity_scaling"](namespace["eta"])
     assert value == pytest.approx(float(claimed.group(1)), abs=5e-7)
     assert namespace["series"].covers_period is True  # as its comment says
+
+
+def test_every_public_name_resolves_once():
+    names = qptscale.__all__
+    assert len(names) == len(set(names))
+    assert [name for name in names if not hasattr(qptscale, name)] == []

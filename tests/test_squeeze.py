@@ -51,8 +51,6 @@ def test_relative_map_rejects_nonfinite():
 
 
 def test_squeeze_map_invariant_and_phases():
-    for r in (0.0, 0.3, -2.0, 18.0):
-        SqueezeMap(r).check_invariants()
     # strict 1e-12 window over the working squeeze range
     for t1, t2 in [(0.0, 0.1), (1.1989476, 0.8958797), (-2.0, 3.5), (4.0, -2.0)]:
         m = relative_map(t1, t2)
