@@ -142,7 +142,8 @@ def _label(cfg: RunConfig, model: _Model, p1: float, p2: float):
 def _points(cfg: RunConfig, model: _Model):
     """(p1, p2, eta, scale, phase) tuples: explicit pairs (eta, scale and phase
     None), then the eta x scale x phase grid, scales in units of the critical pc
-    and phases, unless given, the model's first one.  No point has p1 or p2 at pc."""
+    and phases, unless given, the model's first one.  Phases given with no grid
+    are refused, as they would shape nothing.  No point has p1 or p2 at pc."""
     pc = model.critical(cfg)
     phases = (next(iter(model.signs)),) if cfg.phases is None else cfg.phases
     for phase in phases:
@@ -150,6 +151,8 @@ def _points(cfg: RunConfig, model: _Model):
             raise InputError(f"phase {phase!r} is not a phase of model {cfg.model!r}")
     if bool(cfg.etas) != bool(cfg.scales):
         raise InputError("'etas' and 'scales' must both be empty or both non-empty")
+    if cfg.phases is not None and not cfg.etas:
+        raise InputError("'phases' only shapes the eta x scale grid, which is empty")
     points = [(p1, p2, None, None, None) for p1, p2 in cfg.pairs]
     for eta in cfg.etas:
         for scale in cfg.scales:

@@ -1,17 +1,20 @@
 """Typed result tables with provenance comments and atomic CSV round-trips.
 
-Besides the columns, a write holds the text of each distinct int or str
-value of an array column and of each float a float array repeats, with
-their keys.  The rest of the text is made a chunk of rows at a time: a float
-met once is formatted in the chunk that holds it, as is every cell of a
-list.  Every check runs before the temp file is made."""
+Besides the columns, a write holds the text of each distinct value of an int
+or str array column, with their keys.  The rest is made a chunk of rows at a
+time: floats by a numpy kernel that prints the bytes of ``"%.16e"``, the
+cells of any other list one by one.  Every check runs before the temp file
+is made."""
 
 from __future__ import annotations
 
+import functools
+import io
 import os
 import re
 import secrets
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -21,6 +24,13 @@ from .errors import InputError
 _FLOAT_FMT = "%.16e"
 _INT_RE = re.compile(r"^[+-]?\d+$")
 _CHUNK_ROWS = 4096  # rows formatted and joined per write: bounded memory, few write calls
+_FLOAT_WORDS = 7  # uint32 words of a float cell's text: 24 bytes at most, NUL-padded
+_TEN16 = 10 ** 16
+_DIRECT = 1e280  # the float kernel prints 1/_DIRECT < |x| < _DIRECT itself
+# the powers of ten it scales by: 10**(16 - e10) for those x, with a margin;
+# 10**300 is about the largest whose Veltkamp split does not overflow
+_POW_MIN, _POW_MAX = -270, 300
+_EXP_MAX = 300  # the decimal exponents it writes lie in [-_EXP_MAX, _EXP_MAX]
 
 
 @dataclass
@@ -47,6 +57,8 @@ class ResultTable:
 def _check_text(value: str, what: str = "string cell") -> str:
     if "," in value or "\n" in value or "\r" in value or value.startswith("#"):
         raise InputError(f"{what} {value!r} would break the CSV dialect")
+    if "\0" in value:
+        raise InputError(f"{what} {value!r} holds a NUL, which the writer drops")
     return value
 
 
@@ -76,70 +88,175 @@ def _formatters(values: list) -> dict:
     return formatters
 
 
-def _format_floats(values: list) -> list:
-    """The text of a list of floats, formatted in one call."""
-    return ((_FLOAT_FMT + "\n") * len(values) % tuple(values)).splitlines()
-
-
 def _format_cells(values: list, formatters: dict) -> list:
     """The text of each cell of a list, by the cell's own type, so a column
     may mix int, float and str cells."""
-    if formatters.keys() == {float}:
-        return _format_floats(values)
     return [formatters[type(value)](value) for value in values]
 
 
-def _float_cells(values: np.ndarray):
-    """The text of a float array's rows ``start:stop``.  Values are told
-    apart by their float64 bits, so 0.0 and -0.0 keep their signs.  Only a
-    value met more than once keeps its text; one met once is formatted in
-    the chunk that holds it."""
-    def bits(floats):  # widening to float64 is exact
-        return floats.astype(np.float64, copy=False).view(np.int64)
+class _Digits(NamedTuple):
+    """Tables of the float kernel."""
 
-    keys, counts = np.unique(bits(values), return_counts=True)
-    keys = keys[counts > 1]
-    texts = np.array(_format_floats(keys.view(np.float64).tolist()), dtype=object)
+    hi: np.ndarray  # 10**s for _POW_MIN <= s <= _POW_MAX as the sum hi + lo
+    lo: np.ndarray
+    hi_big: np.ndarray  # Veltkamp halves of hi
+    hi_small: np.ndarray
+    prefix: np.ndarray  # the word "[-]D." at 10 * sign + D
+    quads: np.ndarray  # the word of four digits at 0..9999
+    exponent: np.ndarray  # the two words of "e+XX" at 0..2 * _EXP_MAX
 
-    def cells(start: int, stop: int) -> list:
-        chunk = bits(values[start:stop])
-        at = np.searchsorted(keys, chunk)
-        repeated = at != np.searchsorted(keys, chunk, side="right")
-        text = np.empty(len(chunk), dtype=object)
-        text[repeated] = texts[at[repeated]]
-        once = ~repeated
-        text[once] = _format_floats(chunk[once].view(np.float64).tolist())
-        return text.tolist()
+
+@functools.cache
+def _digits() -> _Digits:
+    """The float kernel's tables, built on its first call.  Each power of
+    ten comes from exact integers: int / int rounds correctly."""
+    hi, lo = [], []
+    for s in range(_POW_MIN, _POW_MAX + 1):
+        num, den = (10 ** s, 1) if s >= 0 else (1, 10 ** -s)
+        head = num / den
+        head_num, head_den = head.as_integer_ratio()
+        hi.append(head)
+        lo.append((num * head_den - head_num * den) / (den * head_den))
+    hi = np.array(hi)
+    quad = np.arange(10000, dtype=np.uint16)[:, None]
+    quads = (quad // np.array([1000, 100, 10, 1], np.uint16) % 10 + ord("0")).astype(np.uint8)
+    return _Digits(
+        hi, np.array(lo), *_split(hi),
+        _words([b"%s%d." % (sign, d) for sign in (b"", b"-") for d in range(10)])[:, 0],
+        quads.view(np.uint32)[:, 0],
+        _words([b"e%+03d" % e for e in range(-_EXP_MAX, _EXP_MAX + 1)]).T.copy())
+
+
+def _split(a):
+    """Veltkamp's split of ``a`` into two halves of 26 bits each."""
+    c = 134217729.0 * a  # 2**27 + 1
+    big = c - (c - a)
+    return big, a - big
+
+
+def _scaled(ax, e10, digits: _Digits):
+    """``ax * 10**(16 - e10)`` as an int64 integer part and a fraction in
+    [0, 1), within 1e-14 of exact.  The product by the power's head is
+    exact (Dekker, Numer. Math. 18, 224 (1971)), so what rounds is the
+    power's tail (|lo| <= 2**-53 hi) times ``ax``, and the sum of the two
+    corrections."""
+    at = 16 - _POW_MIN - e10
+    hi, lo, hi_big, hi_small = (table.take(at) for table in digits[:4])
+    big, small = _split(ax)
+    head = ax * hi  # an integer whenever the product lies in [1e16, 1e17)
+    tail = ((big * hi_big - head) + big * hi_small + small * hi_big) + small * hi_small
+    tail += ax * lo
+    whole = np.floor(tail)
+    return head.astype(np.int64) + whole.astype(np.int64), tail - whole
+
+
+def _float_words(x: np.ndarray) -> np.ndarray:
+    """The ``"%.16e"`` text of each cell of a float64 array, as a
+    ``(len(x), _FLOAT_WORDS)`` uint32 matrix of NUL-padded bytes: the word
+    ``[-]D.``, four words of four digits, two of exponent.
+
+    A cell with 1/_DIRECT < |x| < _DIRECT is scaled to y = |x| * 10**(16 -
+    e10) in [1e16, 1e17), e10 its decimal exponent, and y is rounded to its
+    17 digits.  The scaling is exact to 1e-14, so only a cell whose fraction
+    lies within 1e-9 of one half could round either way.  That cell, and
+    each nonzero cell outside the range (nan and inf among them), gets
+    ``"%.16e"`` itself."""
+    digits = _digits()
+    ax = np.abs(x)
+    direct = (ax > 1 / _DIRECT) & (ax < _DIRECT)
+    ax[~direct] = 1.0
+    e10 = np.log10(ax)
+    e10 = np.floor(e10, out=e10).astype(np.intp)
+    whole, frac = _scaled(ax, e10, digits)
+    # where log10 rounded across a power of ten, y is one decade off
+    off = np.flatnonzero((whole < _TEN16) | (whole >= 10 * _TEN16))
+    if len(off):
+        e10[off] += np.where(whole[off] < _TEN16, -1, 1)
+        whole[off], frac[off] = _scaled(ax[off], e10[off], digits)
+    frac -= 0.5
+    exact = direct & (np.abs(frac) >= 1e-9) & (whole >= _TEN16) & (whole < 10 * _TEN16)
+    whole += frac > 0
+    whole[~exact] = 0  # so a zero prints as 0 * 10**0
+    e10[~exact] = 0
+    carry = whole == 10 * _TEN16  # 9.99...95 rounds up into the next decade
+    whole[carry] = _TEN16
+    e10 += carry
+    # integer division by a scalar is far faster than np.divmod
+    lead = whole // _TEN16
+    whole -= lead * _TEN16
+    high = whole // 10 ** 8
+    low = (whole - high * 10 ** 8).astype(np.uint32)
+    lead += 10 * np.signbit(x)
+    e10 += _EXP_MAX
+    words = np.empty((len(x), _FLOAT_WORDS), np.uint32)
+    words[:, 0] = digits.prefix.take(lead)
+    for column, eight in ((1, high.astype(np.uint32)), (3, low)):
+        quad = eight // 10000
+        words[:, column] = digits.quads.take(quad)
+        words[:, column + 1] = digits.quads.take(eight - quad * 10000)
+    words[:, 5] = digits.exponent[0].take(e10)
+    words[:, 6] = digits.exponent[1].take(e10)
+    fallback = np.flatnonzero(~exact & (x != 0))
+    if len(fallback):
+        texts = (_FLOAT_FMT + "\n") * len(fallback) % tuple(x[fallback].tolist())
+        words[fallback] = _words(texts.encode().split(), _FLOAT_WORDS)
+    return words
+
+
+def _float_column(values: np.ndarray):
+    """``cells(start, stop)`` of a float array: the words of rows
+    ``start:stop``, widened to float64 (exactly).  A run of bit-equal cells
+    in the chunk, a constant column's for one, is formatted once."""
+    def cells(start: int, stop: int) -> np.ndarray:
+        with np.errstate(invalid="ignore"):  # widening keeps a signalling nan a nan
+            chunk = values[start:stop].astype(np.float64, copy=False)
+        bits = chunk.view(np.int64)
+        first = np.empty(len(chunk), bool)
+        first[:1] = True
+        np.not_equal(bits[1:], bits[:-1], out=first[1:])
+        if first.all():
+            return _float_words(chunk)
+        return _float_words(chunk[first]).take(np.cumsum(first) - 1, axis=0)
     return cells
 
 
-def _column(values):
-    """Check one column and return ``(cells, empty)``: ``cells(start, stop)``
-    is the text of rows ``start:stop``, and ``empty`` says whether some
-    cell's text is the empty string.
+def _words(encoded: list, width: int = 1) -> np.ndarray:
+    """Byte strings as a NUL-padded uint32 matrix of ``len(encoded)`` rows
+    and at least ``width`` columns."""
+    width = max(width, -(-max(map(len, encoded), default=0) // 4))
+    return np.array(encoded, dtype=f"S{4 * width}").view(np.uint32).reshape(-1, width)
 
-    A 1-D array of one type is reduced to its distinct values, so each is
-    checked once.  Its distinct values (of a float array, those met more
-    than once) are formatted here, and a chunk finds its cells among them
-    by ``np.searchsorted``.  A list, or an array numpy holds as objects, is
-    checked cell by cell here and formatted chunk by chunk.  Nothing that
-    can be refused is left to the chunks."""
+
+def _column(values, encoding: str):
+    """Check one column and return ``(cells, empty)``: ``cells(start, stop)``
+    is the text of rows ``start:stop`` as a NUL-padded uint32 matrix, and
+    ``empty`` says whether some cell's text is the empty string.
+
+    A float array, or a list of floats, goes to the float kernel chunk by
+    chunk.  Another 1-D array of one type is reduced to its distinct values,
+    so each is checked and formatted once, and a chunk gathers its rows from
+    them.  Any other list, or an array numpy holds as objects, is checked
+    cell by cell here and formatted chunk by chunk.  Nothing that can be
+    refused is left to the chunks."""
     if isinstance(values, np.ndarray) and values.ndim == 1 and values.dtype != object:
         if values.dtype.kind == "f" and values.itemsize <= 8:
-            return _float_cells(values), False
-        # with no second output, np.unique takes a hash path that imports
-        # numpy.ma (~20 ms and ~1.7 MB on the first call)
-        keys = np.unique(values, return_counts=True)[0]
+            return _float_column(values), False
+        keys, key_of_row = np.unique(values, return_inverse=True)
         distinct = keys.tolist()
         formatted = _format_cells(distinct, _formatters(distinct))
-        texts = np.array(formatted, dtype=object)
-        return (lambda start, stop: texts[np.searchsorted(keys, values[start:stop])].tolist(),
+        texts = _words([text.encode(encoding) for text in formatted])
+        return (lambda start, stop: texts.take(key_of_row[start:stop], axis=0),
                 "" in formatted)
     if isinstance(values, np.ndarray):
         values = values.tolist()
     formatters = _formatters(values)
-    return (lambda start, stop: _format_cells(values[start:stop], formatters),
-            "" in values)
+    if all(issubclass(kind, float) for kind in formatters):
+        return _float_column(np.array(values, dtype=np.float64)), False
+
+    def cells(start: int, stop: int) -> np.ndarray:
+        texts = _format_cells(values[start:stop], formatters)
+        return _words([text.encode(encoding) for text in texts])
+    return cells, "" in values
 
 
 def _parse_cell(text: str):
@@ -172,27 +289,37 @@ def write_table(table: ResultTable, path: str) -> str:
     Every cell is checked before the temp file is created, so a refused cell
     leaves ``path`` as it was.  A one-column table may hold no empty name or
     cell, since its line would be blank.  Besides the columns, the write
-    holds the text of each distinct int or str value of an array column and
-    of each float a float array repeats; the rest is formatted with its
-    chunk of ``_CHUNK_ROWS`` rows, so no column's whole text exists at once.
-    The file gets the mode a plain ``open`` gives a new file: 0o666 less the
-    umask.
+    holds the text of each distinct value of an int or str array column;
+    the rest is formatted with its chunk of ``_CHUNK_ROWS`` rows, so no
+    column's whole text exists at once.  A chunk's cells sit at fixed byte
+    positions of one NUL-padded matrix, and dropping the NULs leaves the
+    rows, written in one call.  Text is encoded as ``open`` would encode
+    it.  The file gets the mode a plain ``open`` gives a new file: 0o666
+    less the umask.
     """
-    head = _head(table)
-    columns = [_column(values) for values in table.columns.values()]
+    encoding = io.TextIOWrapper(io.BytesIO()).encoding  # what a text-mode open uses
+    head = _head(table).encode(encoding)
+    columns = [_column(values, encoding) for values in table.columns.values()]
     if len(columns) == 1 and ("" in table.columns or columns[0][1]):
         raise InputError("an empty name or cell in a one-column table is a blank "
                          "line, which read_table skips")
+    separators = np.frombuffer(b",\0\0\0" * (len(columns) - 1) + b"\n\0\0\0", np.uint32)
     directory = os.path.dirname(os.path.abspath(path))
     os.makedirs(directory, exist_ok=True)
     tmp = os.path.join(directory, f".qptscale_{secrets.token_hex(8)}.tmp")
-    handle = open(tmp, "x")  # O_EXCL, so an existing file is never taken over
+    handle = open(tmp, "xb")  # O_EXCL, so an existing file is never taken over
     try:
         with handle:
             handle.write(head)
             for start in range(0, table.n_rows, _CHUNK_ROWS):
-                text = [cells(start, start + _CHUNK_ROWS) for cells, _ in columns]
-                handle.write("\n".join(map(",".join, zip(*text))) + "\n")
+                parts = [cells(start, start + _CHUNK_ROWS) for cells, _ in columns]
+                rows = np.empty((len(parts[0]), sum(p.shape[1] + 1 for p in parts)), np.uint32)
+                at = 0
+                for words, separator in zip(parts, separators):
+                    rows[:, at:at + words.shape[1]] = words
+                    at += words.shape[1] + 1
+                    rows[:, at - 1] = separator
+                handle.write(rows.tobytes().translate(None, b"\0"))
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):

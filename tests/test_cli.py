@@ -449,11 +449,12 @@ def test_config_hash_ignores_output():
      "not a phase of model"),
     ("dicke-converge", {"pairs": [[0.495, 0.45]], "etas": [0.1],
                         "converge": {"n_list": [8]}}, "etas"),
+    ("dicke-fidelity", {"pairs": [[0.45, 0.4]], "phases": ["super"]}, "phases"),
 ], ids=["collapse-unknown-phase", "collapse-two-phases", "collapse-pairs",
         "sweep-pairs", "sweep-lmg-exact", "converge-two-points", "fidelity-no-points",
         "echo-at-critical", "collapse-lmg", "lmg-fidelity-at-critical",
         "collapse-rounds-onto-critical", "sweep-rounds-onto-critical",
-        "fidelity-pairs-unknown-phase", "converge-half-grid"])
+        "fidelity-pairs-unknown-phase", "converge-half-grid", "fidelity-pairs-phases"])
 def test_ignored_or_ambiguous_input_is_usage_error(tmp_path, capsys, command, doc,
                                                    needle):
     cfg = write_config(tmp_path, dict(doc, output={"path": str(tmp_path / "r.csv")}))

@@ -1,4 +1,5 @@
 import math
+from decimal import Decimal
 import os
 import stat
 
@@ -281,3 +282,103 @@ def test_new_file_mode_follows_the_umask(tmp_path):
         finally:
             os.umask(previous)
         assert stat.S_IMODE(path.stat().st_mode) == mode
+
+
+def _cells_as_printed(tmp_path, column):
+    """The lines of ``column`` written as a one-column table."""
+    path = tmp_path / "k.csv"
+    write_table(ResultTable(columns={"x": column}, provenance={"k": "v"}), str(path))
+    return path.read_text().splitlines()[2:]
+
+
+def _printf(values):
+    return ("%.16e\n" * len(values) % tuple(map(float, values))).splitlines()
+
+
+def test_float_array_prints_as_printf_on_random_bit_patterns(tmp_path):
+    values = np.random.default_rng(22).integers(0, 2**64, 2**20, dtype=np.uint64)
+    values = values.view(np.float64)  # every sign, exponent and mantissa
+    assert _cells_as_printed(tmp_path, values) == _printf(values)
+
+
+def test_floats_near_every_power_of_ten_print_as_printf(tmp_path):
+    powers = np.array([float(f"1e{k}") for k in range(-320, 309)])
+    near = powers.view(np.int64)[:, None] + np.arange(-40, 41)
+    values = near.ravel().view(np.float64)
+    values = np.concatenate([values, -values])
+    printed = _cells_as_printed(tmp_path, values)
+    assert printed == _printf(values)
+    # the carry into the next decade: a double just below 10**k printed as 10**k
+    carried = [v for v, text in zip(values, printed)
+               if text.startswith("1.0000000000000000e") and abs(Decimal(v)) < Decimal(text)]
+    assert len(carried) >= 10
+
+
+def _exact_ties(rng):
+    """Doubles m * 2**-k with exactly 18 significant digits, the last a 5:
+    halfway between two 17-digit decimals."""
+    ties = []
+    for k in range(2, 26):
+        lo, hi = -(-10**17 // 5**k), min(10**18 // 5**k, 2**53)
+        for m in rng.integers(lo, hi, 20):
+            ties.append(math.ldexp(int(m) | 1, -k))
+    return [tie for tie in ties if len(Decimal(tie).as_tuple().digits) == 18]
+
+
+def test_exact_ties_print_as_printf(tmp_path, rng):
+    ties = _exact_ties(rng)
+    assert len(ties) > 300 and all(Decimal(tie).as_tuple().digits[-1] == 5 for tie in ties)
+    values = np.array(ties + [-tie for tie in ties])
+    assert _cells_as_printed(tmp_path, values) == _printf(values)
+
+
+def test_ties_deep_in_a_long_column_take_the_exact_fallback(tmp_path, rng):
+    # "%.16e" rounds a tie to the even digit: up where the 17th digit is odd.
+    # Rounded directly, an exact half would go down, so an odd tie printing
+    # as printf shows that the fallback formatted it.
+    ties = _exact_ties(rng)
+    odd = [t for t in ties if Decimal(t).as_tuple().digits[16] % 2]
+    even = [t for t in ties if not Decimal(t).as_tuple().digits[16] % 2]
+    assert odd and even
+    values = rng.standard_normal(3 * tables._CHUNK_ROWS)
+    values[-50:-50 + 4] = [odd[0], -odd[0], even[0], -even[0]]
+    printed = _cells_as_printed(tmp_path, values)
+    assert printed == _printf(values)
+    assert Decimal(printed[-50]) > Decimal(odd[0])  # rounded up
+
+
+def test_subnormals_edges_and_specials_print_as_printf(tmp_path, rng):
+    edges = np.array([1e-280, 1e280, 1e-281, 1e281, 1e-279, 1e279,
+                      2.2250738585072014e-308, 1.7976931348623157e308])
+    near = (edges.view(np.int64)[:, None] + np.arange(-100, 101)).ravel().view(np.float64)
+    subnormal = rng.integers(1, 2**52, 2000).view(np.float64)
+    special = np.array([0.0, -0.0, math.inf, -math.inf, math.nan, -math.nan, 5e-324])
+    values = np.concatenate([near, subnormal, special])
+    values = np.concatenate([values, -values])
+    assert _cells_as_printed(tmp_path, values) == _printf(values)
+
+
+def test_float32_bit_patterns_print_as_printf_of_their_float64(tmp_path, rng):
+    values = rng.integers(0, 2**32, 2**19, dtype=np.uint64).astype(np.uint32).view(np.float32)
+    assert _cells_as_printed(tmp_path, values) == _printf(values)
+
+
+def test_float_lists_print_as_printf(tmp_path, rng):
+    values = [float(v) for v in rng.standard_normal(tables._CHUNK_ROWS + 5)]
+    values[7:12] = [math.nan, -math.inf, 0.0, 5e-324, 1e300]
+    values[20] = np.float64(0.1)  # a float subclass
+    assert _cells_as_printed(tmp_path, values) == _printf(values)
+
+
+@pytest.mark.parametrize("columns", [
+    {"a": ["x\0y"], "b": [1]},
+    {"a": np.array(["ok", "x\0y"]), "b": [1, 2]},
+    {"a": ["ok", 1, "x\0"], "b": [1, 2, 3]},
+    {"a\0": [1], "b": [1]},
+], ids=["list-cell", "array-cell", "mixed-list-cell", "name"])
+def test_nul_in_a_cell_or_name_rejected(tmp_path, columns):
+    # the writer drops NUL bytes, so such text would not read back
+    table = ResultTable(columns=columns, provenance={"k": "v"})
+    with pytest.raises(InputError, match="NUL"):
+        write_table(table, str(tmp_path / "new" / "n.csv"))
+    assert list(tmp_path.iterdir()) == []
