@@ -3,13 +3,23 @@ dotted overrides."""
 
 from __future__ import annotations
 
-import hashlib
 import json
 import math
 import typing
 from dataclasses import MISSING, asdict, dataclass, field, fields, is_dataclass
 
 from .errors import InputError
+
+# SHA-256 from CPython's builtin module, the one hashlib itself falls back
+# to: importing hashlib maps OpenSSL's libcrypto (~3.4 MB resident) into
+# every CLI run for this one small digest
+try:
+    from _sha2 import sha256 as _sha256  # 3.12+
+except ImportError:
+    try:
+        from _sha256 import sha256 as _sha256  # 3.10, 3.11
+    except ImportError:
+        from hashlib import sha256 as _sha256
 
 
 @dataclass(frozen=True)
@@ -213,4 +223,4 @@ def config_hash(config: RunConfig) -> str:
     doc = asdict(config)
     doc.pop("output", None)
     canonical = json.dumps(doc, sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(canonical.encode()).hexdigest()
+    return _sha256(canonical.encode()).hexdigest()

@@ -12,7 +12,6 @@ import functools
 import io
 import os
 import re
-import secrets
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -203,6 +202,16 @@ def _float_words(x: np.ndarray) -> np.ndarray:
     return words
 
 
+def _runs(values: np.ndarray):
+    """``(heads, lengths)``: where each run of equal cells of ``values``
+    starts, and how many cells it holds."""
+    first = np.empty(len(values), bool)
+    first[:1] = True
+    np.not_equal(values[1:], values[:-1], out=first[1:])
+    heads = np.flatnonzero(first)
+    return heads, np.diff(heads, append=len(values))
+
+
 def _float_column(values: np.ndarray):
     """``cells(start, stop)`` of a float array: the words of rows
     ``start:stop``, widened to float64 (exactly).  A run of bit-equal cells
@@ -210,13 +219,10 @@ def _float_column(values: np.ndarray):
     def cells(start: int, stop: int) -> np.ndarray:
         with np.errstate(invalid="ignore"):  # widening keeps a signalling nan a nan
             chunk = values[start:stop].astype(np.float64, copy=False)
-        bits = chunk.view(np.int64)
-        first = np.empty(len(chunk), bool)
-        first[:1] = True
-        np.not_equal(bits[1:], bits[:-1], out=first[1:])
-        if first.all():
+        heads, lengths = _runs(chunk.view(np.int64))
+        if len(heads) == len(chunk):
             return _float_words(chunk)
-        return _float_words(chunk[first]).take(np.cumsum(first) - 1, axis=0)
+        return np.repeat(_float_words(chunk[heads]), lengths, axis=0)
     return cells
 
 
@@ -233,15 +239,17 @@ def _column(values, encoding: str):
     ``empty`` says whether some cell's text is the empty string.
 
     A float array, or a list of floats, goes to the float kernel chunk by
-    chunk.  Another 1-D array of one type is reduced to its distinct values,
-    so each is checked and formatted once, and a chunk gathers its rows from
-    them.  Any other list, or an array numpy holds as objects, is checked
-    cell by cell here and formatted chunk by chunk.  Nothing that can be
-    refused is left to the chunks."""
+    chunk.  Another 1-D array of one type is reduced to the distinct values
+    of its runs of equal cells, so each is checked and formatted once, and a
+    chunk gathers its rows from them.  Any other list, or an array numpy
+    holds as objects, is checked cell by cell here and formatted chunk by
+    chunk.  Nothing that can be refused is left to the chunks."""
     if isinstance(values, np.ndarray) and values.ndim == 1 and values.dtype != object:
         if values.dtype.kind == "f" and values.itemsize <= 8:
             return _float_column(values), False
-        keys, key_of_row = np.unique(values, return_inverse=True)
+        heads, lengths = _runs(values)
+        keys, key_of_run = np.unique(values[heads], return_inverse=True)
+        key_of_row = np.repeat(key_of_run, lengths)
         distinct = keys.tolist()
         formatted = _format_cells(distinct, _formatters(distinct))
         texts = _words([text.encode(encoding) for text in formatted])
@@ -306,7 +314,7 @@ def write_table(table: ResultTable, path: str) -> str:
     separators = np.frombuffer(b",\0\0\0" * (len(columns) - 1) + b"\n\0\0\0", np.uint32)
     directory = os.path.dirname(os.path.abspath(path))
     os.makedirs(directory, exist_ok=True)
-    tmp = os.path.join(directory, f".qptscale_{secrets.token_hex(8)}.tmp")
+    tmp = os.path.join(directory, f".qptscale_{os.urandom(8).hex()}.tmp")
     handle = open(tmp, "xb")  # O_EXCL, so an existing file is never taken over
     try:
         with handle:

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -425,6 +426,35 @@ def test_config_hash_ignores_output():
     assert config_hash(a) == config_hash(b)
 
 
+@pytest.mark.parametrize("doc", [
+    {"model": "dicke", "task": "sweep"},
+    {"model": "dicke", "task": "converge", "omega": 2.0, "omega0": 0.5,
+     "pairs": [[0.45, 0.4], [0.3, 0.2]], "etas": [0.1], "scales": [0.01, 0.001],
+     "phases": ["super"], "exact": {"n_atoms": 32, "n_boson": 40, "include": True},
+     "converge": {"n_list": [8, 16], "target": "effective"},
+     "time_grid": {"periods": 2.0, "samples_per_period": 128},
+     "output": {"path": "x.csv"}},
+], ids=["default", "full"])
+def test_config_hash_is_sha256_of_the_canonical_config(doc):
+    # the digest the provenance line has always carried, whichever module computes it
+    cfg = parse_document(doc)
+    canonical = asdict(cfg)
+    del canonical["output"]
+    text = json.dumps(canonical, sort_keys=True, separators=(",", ":"))
+    assert config_hash(cfg) == hashlib.sha256(text.encode()).hexdigest()
+
+
+def test_config_hash_falls_back_to_hashlib_without_a_builtin_sha256():
+    probe = ('import sys; sys.modules["_sha2"] = sys.modules["_sha256"] = None\n'
+             'from qptscale.config import RunConfig, config_hash\n'
+             'print(config_hash(RunConfig("dicke", "sweep")))')
+    env = dict(os.environ, PYTHONPATH=os.path.abspath(SRC_DIR))
+    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                          env=env, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == config_hash(RunConfig("dicke", "sweep"))
+
+
 @pytest.mark.parametrize("command,doc,needle", [
     ("collapse", {"etas": [0.01], "scales": [0.01], "phases": ["symmetric"]},
      "symmetric"),
@@ -647,6 +677,23 @@ def test_no_task_loads_scipy(tmp_path, runs):
     runs, (codes, heavy_modules) = _run_probe(_IMPORT_PROBE, runs, tmp_path)
     assert codes == [0] * len(runs)
     assert heavy_modules == []
+
+
+_OPENSSL_PROBE = """\
+import json, sys
+from qptscale.cli import main
+codes = [main(args) for args in json.loads(sys.argv[1])]
+print(json.dumps([codes, sorted({"_hashlib", "_ssl", "hmac", "secrets"} & set(sys.modules))]))
+"""
+
+
+# the config hash and the temp-file name need no OpenSSL, whose libcrypto
+# would be a few MB of every run's resident memory
+@pytest.mark.parametrize("runs", _PROBE_RUNS.values(), ids=_PROBE_RUNS.keys())
+def test_no_task_loads_openssl(tmp_path, runs):
+    runs, (codes, openssl_modules) = _run_probe(_OPENSSL_PROBE, runs, tmp_path)
+    assert codes == [0] * len(runs)
+    assert openssl_modules == []
 
 
 _NO_SCIPY_PROBE = """\

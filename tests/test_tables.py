@@ -273,6 +273,37 @@ def test_bad_string_met_once_in_the_last_chunk_rejected(tmp_path):
     assert not (tmp_path / "new").exists()
 
 
+def test_labels_alternating_over_many_runs_print_as_per_cell(tmp_path, rng):
+    # runs of random length, two labels taking turns, across several chunks
+    lengths = rng.integers(1, 700, 60)
+    kinds = np.repeat(np.array(["collapse", "exact"] * 30), lengths)
+    table = ResultTable(columns={"kind": kinds, "x": np.arange(len(kinds), dtype=float)},
+                        provenance={"k": "v"})
+    path = tmp_path / "runs.csv"
+    write_table(table, str(path))
+    assert path.read_text() == _per_cell_text(table)
+
+
+def test_int_runs_out_of_order_print_as_per_cell(tmp_path, rng):
+    # runs in no sorted order, a value coming back after others, and runs of one
+    values = np.array([7, -3, 2**40, 7, 0, -3, 5, 7])
+    pair = np.repeat(values, [4096, 1, 3000, 1, 5000, 2, 1, 4100])
+    table = ResultTable(columns={"pair": pair}, provenance={"k": "v"})
+    path = tmp_path / "pairs.csv"
+    write_table(table, str(path))
+    assert path.read_text() == _per_cell_text(table)
+
+
+def test_bad_label_in_the_last_run_rejected(tmp_path):
+    n = 3 * tables._CHUNK_ROWS
+    kinds = np.repeat(np.array(["collapse", "exact", "collapse", "a,b"]), n // 4)
+    table = ResultTable(columns={"x": np.arange(n, dtype=float), "kind": kinds},
+                        provenance={"k": "v"})
+    with pytest.raises(InputError, match="dialect"):
+        write_table(table, str(tmp_path / "new" / "k.csv"))
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_new_file_mode_follows_the_umask(tmp_path):
     path = tmp_path / "t.csv"
     for umask, mode in ((0o022, 0o644), (0o027, 0o640)):  # the second replaces the first
