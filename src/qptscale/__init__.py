@@ -15,25 +15,25 @@ from .echo import (EchoSeries, EnvelopeFit, GroupCollapse, SemiclassicalParams,
 from .errors import (CrossPhaseError, DomainError, FitError, InputError,
                      NumericError, QptError, ResourceError)
 from .linalg import lanczos_ground, lanczos_survival
-from .lmg import LmgMode, LmgParams, echo_lmg, fidelity_lmg, gap_angle
+from .lmg import LmgParams, echo_lmg, fidelity_lmg
 from .squeeze import (GroundExpansion, SqueezeMap, ground_expansion,
-                      overlap_matrix, participation_ratio, relative_map)
+                      overlap_matrix, participation_ratio, width_map)
 from .squeeze import fidelity as squeeze_fidelity
 
 __all__ = [
     "CrossPhaseError", "DickeParams", "DomainError",
     "EchoSeries", "EnvelopeFit", "FitError", "GroundExpansion",
-    "GroundState", "GroupCollapse", "InputError", "LmgMode", "LmgParams",
+    "GroundState", "GroupCollapse", "InputError", "LmgParams",
     "ModeSpectrum", "NumericError", "QptError", "ResourceError",
     "SemiclassicalParams", "SqueezeMap",
     "TruncatedDicke", "build_hamiltonian", "collapse_check",
     "critical_coupling", "echo_exact", "echo_lmg",
     "fidelity_exact", "fidelity_gaussian",
-    "fidelity_lmg", "fidelity_scaling", "fit_envelope", "gap_angle",
+    "fidelity_lmg", "fidelity_scaling", "fit_envelope",
     "ground_expansion", "ground_state_exact", "lanczos_ground",
     "lanczos_survival", "min_echo",
     "mode_energies", "mp_scaling", "overlap_matrix",
-    "participation_ratio", "relative_map",
+    "participation_ratio",
     "scaling_eta", "semiclassical_envelope",
-    "squeeze_fidelity", "survival_closed",
+    "squeeze_fidelity", "survival_closed", "width_map",
 ]

@@ -21,8 +21,8 @@ from .dicke_exact import TruncatedDicke, echo_exact, fidelity_exact, solve_once
 from .echo import collapse_check, survival_closed
 from .errors import DomainError, InputError, NumericError, ResourceError
 from .linalg import GROUND_TOL, SURVIVAL_TOL
-from .lmg import LmgParams, echo_lmg, fidelity_lmg, gap_angle
-from .squeeze import SqueezeMap
+from .lmg import LmgParams, echo_lmg, fidelity_lmg, gap
+from .squeeze import width_map
 from .tables import ResultTable, write_table
 
 _SUBCOMMANDS = {
@@ -104,7 +104,7 @@ _MODELS = {
         params=("h1", "h2"),
         unit="1",
         fidelity=lambda cfg, h1, h2: fidelity_lmg(cfg.lmg_gamma, h1, h2),
-        omega1=lambda cfg, h1: gap_angle(LmgParams(cfg.lmg_gamma, h1)).delta,
+        omega1=lambda cfg, h1: gap(LmgParams(cfg.lmg_gamma, h1)),
         echo=lambda cfg, h1, h2, t: echo_lmg(cfg.lmg_gamma, h1, h2, t),
         exact_fidelity=None,
         effective=None,
@@ -264,7 +264,7 @@ def _run_collapse(cfg: RunConfig, model: _Model):
         for l1, l2, eta, scale, _ in points[k:k + len(cfg.scales)]:
             e1a, e1b = model.omega1(cfg, l1), model.omega1(cfg, l2)
             members["analytic"].append((scale, survival_closed(
-                SqueezeMap(0.5 * math.log(e1b / e1a)), e1a, tau_grid / e1a)))
+                width_map(e1a, e1b), e1a, tau_grid / e1a)))
             if cfg.exact.include:
                 members["exact"].append((scale, model.echo(cfg, l1, l2, tau_grid / e1a)))
         groups += [(eta, kind, members[kind]) for kind in kinds]

@@ -10,6 +10,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import CrossPhaseError, InputError, NumericError
+from .squeeze import fidelity as squeeze_fidelity
+from .squeeze import width_map
 
 
 def critical_coupling(omega: float, omega0: float) -> float:
@@ -115,11 +117,6 @@ def fidelity_scaling(eta: float) -> float:
     return math.sqrt(2.0) * eta**0.125 / math.sqrt(math.sqrt(eta) + 1.0)
 
 
-def _mode_overlap(a: float, b: float) -> float:
-    # vacuum overlap of one harmonic mode at two frequencies
-    return math.sqrt(2.0 * math.sqrt(a * b) / (a + b))
-
-
 def _width_matrix(spectrum: ModeSpectrum) -> np.ndarray:
     c = math.cos(spectrum.gamma_angle)
     s = math.sin(spectrum.gamma_angle)
@@ -155,7 +152,9 @@ def fidelity_gaussian(p1: DickeParams, p2: DickeParams, *,
     s1 = mode_energies(p1)
     s2 = mode_energies(p2)
     if shared_rotation:
-        return _mode_overlap(s1.e1, s2.e1) * _mode_overlap(s1.e2, s2.e2)
+        # each mode's width is its frequency
+        return (squeeze_fidelity(width_map(s1.e1, s2.e1))
+                * squeeze_fidelity(width_map(s1.e2, s2.e2)))
     a1 = _width_matrix(s1)
     a2 = _width_matrix(s2)
     num = 2.0 * (_det2(a1) * _det2(a2)) ** 0.25

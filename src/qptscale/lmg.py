@@ -1,6 +1,14 @@
-"""Collective-spin (LMG) analytics in the large-N limit: excitation gap and
-Bogoliubov angle in both phases, ground-state fidelity, and the single-mode
-Loschmidt echo."""
+"""Collective-spin (LMG) analytics in the large-N limit: the quadratic mode of
+either phase, and from it the excitation gap, the ground-state fidelity and
+the single-mode Loschmidt echo.
+
+Energy convention: H = -(2/N)(S_x^2 + gamma S_y^2) - 2h S_z, Dusuel and
+Vidal's Pauli form with lambda = 1 (PRB 71, 224420 (2005)).  To order N^0
+about each phase's own mean field it is one mode 2 (T p^2/2 + V x^2/2), of
+gap 2 sqrt(T V) and ground-state width W = sqrt(V/T).  The spin form
+-(1/N)(S_x^2 + gamma S_y^2) - h S_z is half of this H: its echoes run at half
+the speed, while its fidelities are the same.
+"""
 
 from __future__ import annotations
 
@@ -10,7 +18,7 @@ from dataclasses import dataclass
 from .echo import EchoSeries, survival_closed
 from .errors import CrossPhaseError, InputError
 from .squeeze import fidelity as squeeze_fidelity
-from .squeeze import relative_map
+from .squeeze import width_map
 
 
 @dataclass(frozen=True)
@@ -19,7 +27,8 @@ class LmgParams:
 
     h = 1 is the critical point; it is accepted so sweeps can straddle it,
     with the phase reported as "critical".  In the broken phase h^2 must
-    exceed gamma for the Bogoliubov angle to be defined.
+    exceed gamma, which keeps the width W^2 = (1 - h^2)/(1 - gamma) below 1,
+    as it is throughout the symmetric phase.
     """
 
     gamma: float
@@ -42,32 +51,27 @@ class LmgParams:
         return "critical"
 
 
-@dataclass(frozen=True)
-class LmgMode:
-    """Excitation gap and Bogoliubov angle of the collective mode."""
-
-    delta: float
-    theta: float
-
-
-def gap_angle(params: LmgParams) -> LmgMode:
-    """Gap and angle in either phase.
-
-    Symmetric phase: delta = 2 sqrt((h-1)(h-gamma)), tanh(theta) =
-    (1-gamma)/(2h-1-gamma).  Broken phase: delta = 2 sqrt((1-h^2)(1-gamma)),
-    tanh(theta) = (h^2-gamma)/(2-h^2-gamma).  At h = 1 the gap closes and the
-    limiting angle diverges (tanh(theta) -> 1), returned as theta = inf.
-    """
+def quadratic(params: LmgParams) -> tuple[float, float]:
+    """(T, V) of the collective mode: T = h - gamma and V = h - 1 in the
+    symmetric phase, T = 1 - gamma and V = (1 - h)(1 + h) in the broken phase
+    and at h = 1, where V = 0.  V is formed from 1 - h, which is exact near
+    h = 1, so it keeps its digits as the gap closes."""
     g, h = params.gamma, params.h
     if h > 1.0:
-        delta = 2.0 * math.sqrt((h - 1.0) * (h - g))
-        tanh_theta = (1.0 - g) / (2.0 * h - 1.0 - g)
-    elif h < 1.0:
-        delta = 2.0 * math.sqrt((1.0 - h * h) * (1.0 - g))
-        tanh_theta = (h * h - g) / (2.0 - h * h - g)
-    else:
-        return LmgMode(delta=0.0, theta=math.inf)
-    return LmgMode(delta=delta, theta=math.atanh(tanh_theta))
+        return h - g, h - 1.0
+    return 1.0 - g, (1.0 - h) * (1.0 + h)
+
+
+def gap(params: LmgParams) -> float:
+    """Excitation gap 2 sqrt(T V); 0 at h = 1."""
+    t, v = quadratic(params)
+    return 2.0 * math.sqrt(t * v)
+
+
+def width(params: LmgParams) -> float:
+    """Ground-state width W = sqrt(V/T) of the collective mode; 0 at h = 1."""
+    t, v = quadratic(params)
+    return math.sqrt(v / t)
 
 
 def _same_phase_pair(gamma: float, h1: float, h2: float):
@@ -79,19 +83,17 @@ def _same_phase_pair(gamma: float, h1: float, h2: float):
 
 
 def fidelity_lmg(gamma: float, h1: float, h2: float) -> float:
-    """Ground-state fidelity [1 - tanh^2((theta2 - theta1)/2)]^{1/4}."""
+    """Ground-state fidelity (2 sqrt(W1 W2) / (W1 + W2))^{1/2}."""
     p1, p2 = _same_phase_pair(gamma, h1, h2)
-    return squeeze_fidelity(relative_map(gap_angle(p1).theta, gap_angle(p2).theta))
+    return squeeze_fidelity(width_map(width(p1), width(p2)))
 
 
 def echo_lmg(gamma: float, h1: float, h2: float, t_grid) -> EchoSeries:
-    """Single-mode echo of the h2 ground state evolved with the h1 gap.
+    """Single-mode echo of the h2 ground state evolved with the h1 mode.
 
     Number-state phases advance as 2 n delta(h1) t, so the series is periodic
     with period pi / delta(h1) and its minimum is (1-q^2)/(1+q^2) with
-    q = tanh((theta2 - theta1)/2).
+    q = tanh(ln(W2/W1)/2).
     """
     p1, p2 = _same_phase_pair(gamma, h1, h2)
-    mode1 = gap_angle(p1)
-    m = relative_map(mode1.theta, gap_angle(p2).theta)
-    return survival_closed(m, mode1.delta, t_grid)
+    return survival_closed(width_map(width(p1), width(p2)), gap(p1), t_grid)

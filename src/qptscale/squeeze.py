@@ -2,7 +2,7 @@
 
 One vacuum expanded over the other basis is a squeezed vacuum: only even
 number states appear, with amplitudes controlled by tanh(r) where r is half
-the difference of the two Bogoliubov angles.  Everything here is a metric
+the log of the ratio of the two ground-state widths.  Everything here is a metric
 quantity (absolute overlaps), so both phase angles of the transformation are
 fixed to zero.
 """
@@ -51,14 +51,12 @@ class SqueezeMap:
         return math.tanh(self.r)
 
 
-def relative_map(theta1: float, theta2: float) -> SqueezeMap:
-    """Squeeze map between the ground bases at Bogoliubov angles theta1, theta2.
-
-    The relative squeeze is r = (theta2 - theta1) / 2.
-    """
-    if not (math.isfinite(theta1) and math.isfinite(theta2)):
-        raise InputError("angles must be finite")
-    return SqueezeMap(r=(theta2 - theta1) / 2.0)
+def width_map(w1: float, w2: float) -> SqueezeMap:
+    """Squeeze map between the ground bases of one mode at widths w1 and w2,
+    W = sqrt(V/T) for the mode T p^2/2 + V x^2/2: r = ln(w2/w1) / 2."""
+    if not (0.0 < w1 < math.inf and 0.0 < w2 < math.inf):
+        raise InputError("widths must be positive and finite")
+    return SqueezeMap(0.5 * math.log(w2 / w1))
 
 
 @dataclass(frozen=True)

@@ -12,7 +12,7 @@ from qptscale import DickeParams, fidelity_exact, fidelity_gaussian, fidelity_sc
 from qptscale.cli import main, run
 from qptscale.config import RunConfig, config_hash, parse_document
 from qptscale.errors import InputError
-from qptscale.lmg import LmgParams, gap_angle
+from qptscale.lmg import LmgParams, gap
 from qptscale.tables import read_table
 from conftest import dicke_systems
 
@@ -158,7 +158,7 @@ def test_lmg_echo_subcommand(tmp_path):
         assert cols["M"][cols["pair"].index(pair)] == 1.0
     for h1, t, tau, m in zip(cols["h1"], cols["t"], cols["tau"], cols["M"]):
         assert 0.0 <= m <= 1.0
-        assert tau == gap_angle(LmgParams(0.0, h1)).delta * t
+        assert tau == gap(LmgParams(0.0, h1)) * t
 
 
 @pytest.mark.parametrize("model", ["bogus", [1]], ids=["unknown", "unhashable"])

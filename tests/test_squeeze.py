@@ -6,7 +6,7 @@ import scipy.linalg
 
 from qptscale import (DomainError, InputError, NumericError, SqueezeMap,
                       ground_expansion, overlap_matrix, participation_ratio,
-                      relative_map, squeeze_fidelity)
+                      squeeze_fidelity, width_map)
 
 
 def expm_overlap_oracle(r, n_rows, n_cols, fock=240):
@@ -21,39 +21,47 @@ def expm_overlap_oracle(r, n_rows, n_cols, fock=240):
             for s in (r, -r)]
 
 
-def test_relative_map_identity():
-    m = relative_map(0.7, 0.7)
+def test_width_map_identity():
+    m = width_map(0.7, 0.7)
     assert m.r == 0.0
     assert m.P11 == 1.0
     assert m.Q11 == 0.0
 
 
-def test_relative_map_frozen_example():
+def test_width_map_frozen_example():
     # mpmath: r = -0.15153395, tanh r = -0.15038463727322312
-    m = relative_map(1.1989476, 0.8958797)
+    m = width_map(math.exp(1.1989476), math.exp(0.8958797))
     assert m.r == pytest.approx(-0.15153395, abs=1e-12)
     assert m.q == pytest.approx(-0.15038463727322312, abs=1e-12)
 
 
-def test_relative_map_antisymmetry_is_exact():
-    m = relative_map(0.31, 1.27)
-    w = relative_map(1.27, 0.31)
-    assert w.r == -m.r
-    assert w.Q11 == -m.Q11
-    assert w.P11 == m.P11
+def test_width_map_antisymmetry():
+    # exact where the width ratio is exact; else to the rounding of the ratio
+    assert width_map(0.5, 2.0).r == -width_map(2.0, 0.5).r
+    m = width_map(0.31, 1.27)
+    w = width_map(1.27, 0.31)
+    assert w.r == pytest.approx(-m.r, abs=2 * math.ulp(m.r))
+    assert w.Q11 == pytest.approx(-m.Q11, abs=4 * math.ulp(m.Q11))
+    assert w.P11 == pytest.approx(m.P11, abs=4 * math.ulp(m.P11))
 
 
-def test_relative_map_rejects_nonfinite():
+def test_width_map_rejects_nonfinite():
     with pytest.raises(InputError):
-        relative_map(math.nan, 0.0)
+        width_map(math.nan, 1.0)
     with pytest.raises(InputError):
-        relative_map(0.0, math.inf)
+        width_map(1.0, math.inf)
+
+
+def test_width_map_rejects_nonpositive():
+    for w1, w2 in [(0.0, 1.0), (1.0, 0.0), (-0.5, 1.0), (1.0, -2.0)]:
+        with pytest.raises(InputError):
+            width_map(w1, w2)
 
 
 def test_squeeze_map_invariant_and_phases():
     # strict 1e-12 window over the working squeeze range
-    for t1, t2 in [(0.0, 0.1), (1.1989476, 0.8958797), (-2.0, 3.5), (4.0, -2.0)]:
-        m = relative_map(t1, t2)
+    for w1, w2 in [(1.0, 1.2), (3.3, 2.4), (0.1, 1e3), (50.0, 0.2)]:
+        m = width_map(w1, w2)
         assert abs((m.P11 - m.Q11) * (m.P11 + m.Q11) - 1.0) <= 1e-12
 
 

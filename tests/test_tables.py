@@ -149,6 +149,17 @@ def _per_cell_text(table):
     return "\n".join(lines) + "\n"
 
 
+def assert_same_text(got, want):
+    """got == want, failing with the first differing line and the line counts
+    rather than a diff of two tables of thousands of lines."""
+    if got == want:
+        return
+    a, b = got.splitlines(keepends=True), want.splitlines(keepends=True)
+    i = next((i for i, (x, y) in enumerate(zip(a, b)) if x != y), min(len(a), len(b)))
+    pytest.fail(f"texts differ first at line {i + 1}: {a[i:i + 1]} != {b[i:i + 1]}; "
+                f"{len(a)} lines against {len(b)}", pytrace=False)
+
+
 def test_streamed_rows_match_per_cell_rendering(tmp_path):
     rng = np.random.default_rng(5)
     n = 2 * tables._CHUNK_ROWS + 7  # two full chunks and a partial one
@@ -168,7 +179,7 @@ def test_streamed_rows_match_per_cell_rendering(tmp_path):
     }, units={"x": "energy"}, provenance={"k": "v"})
     path = tmp_path / "s.csv"
     write_table(table, str(path))
-    assert path.read_text() == _per_cell_text(table)
+    assert_same_text(path.read_text(), _per_cell_text(table))
 
 
 def test_floats_met_once_in_a_late_chunk_print_as_per_cell(tmp_path, rng):
@@ -181,7 +192,7 @@ def test_floats_met_once_in_a_late_chunk_print_as_per_cell(tmp_path, rng):
     path = tmp_path / "late.csv"
     write_table(table, str(path))
     text = path.read_text()
-    assert text == _per_cell_text(table)
+    assert_same_text(text, _per_cell_text(table))
     assert text.splitlines()[-100:-95] == [
         "nan", "inf", "-inf", "-0.0000000000000000e+00", "4.9406564584124654e-324"]
 
@@ -193,7 +204,7 @@ def test_float32_column_round_trips_byte_identically(tmp_path, rng):
     table = ResultTable(columns={"x": values, "i": np.arange(n)}, provenance={"k": "v"})
     first, second = tmp_path / "a.csv", tmp_path / "b.csv"
     write_table(table, str(first))
-    assert first.read_text() == _per_cell_text(table)  # widened to float64 exactly
+    assert_same_text(first.read_text(), _per_cell_text(table))  # widened to float64 exactly
     back = read_table(str(first))
     assert np.array_equal(np.array(back.columns["x"], dtype=np.float32), values)
     write_table(back, str(second))
@@ -281,7 +292,7 @@ def test_labels_alternating_over_many_runs_print_as_per_cell(tmp_path, rng):
                         provenance={"k": "v"})
     path = tmp_path / "runs.csv"
     write_table(table, str(path))
-    assert path.read_text() == _per_cell_text(table)
+    assert_same_text(path.read_text(), _per_cell_text(table))
 
 
 def test_int_runs_out_of_order_print_as_per_cell(tmp_path, rng):
@@ -291,7 +302,7 @@ def test_int_runs_out_of_order_print_as_per_cell(tmp_path, rng):
     table = ResultTable(columns={"pair": pair}, provenance={"k": "v"})
     path = tmp_path / "pairs.csv"
     write_table(table, str(path))
-    assert path.read_text() == _per_cell_text(table)
+    assert_same_text(path.read_text(), _per_cell_text(table))
 
 
 def test_bad_label_in_the_last_run_rejected(tmp_path):
