@@ -26,11 +26,9 @@ _solved: ContextVar[dict | None] = ContextVar("solved", default=None)
 @dataclass(frozen=True)
 class TruncatedDicke:
     """Finite-size description: n_atoms two-level atoms (collective spin
-    j = n_atoms / 2) and boson levels 0 .. n_boson - 1, in a basis of at most
-    ``MAX_DIM`` states (ResourceError above it).
-
-    Basis index = boson_level * (n_atoms + 1) + k with k = m + j in 0..n_atoms.
-    """
+    j = n_atoms / 2) and boson levels 0 .. n_boson - 1, in a basis of
+    ``dim`` = n_boson * (n_atoms + 1) states, at most ``MAX_DIM``
+    (ResourceError above it)."""
 
     n_atoms: int
     n_boson: int
@@ -59,14 +57,11 @@ class TruncatedDicke:
     def dim(self) -> int:
         return self.n_boson * (self.n_atoms + 1)
 
-    def index(self, boson_level: int, k: int) -> int:
-        return boson_level * (self.n_atoms + 1) + k
-
 
 def build_hamiltonian(system: TruncatedDicke, parity: str = "even") -> GatherOperator:
     """The ``parity`` block of the truncated Hamiltonian, the basis states
-    whose n + m + j is even or odd, as a
-    :class:`~qptscale.linalg.GatherOperator` with four gather rows.
+    whose n + m + j is even or odd, in ascending n * (n_atoms + 1) + m + j,
+    as a :class:`~qptscale.linalg.GatherOperator` with four gather rows.
 
     Diagonal entries are omega * n + omega0 * m; the coupling connects
     (n, m) to (n +/- 1, m +/- 1) with amplitude
@@ -80,12 +75,12 @@ def build_hamiltonian(system: TruncatedDicke, parity: str = "even") -> GatherOpe
     na, nb, j = system.n_atoms, system.n_boson, system.j
     width = na + 1
     n, k = np.divmod(np.arange(system.dim), width)
-    idx = np.flatnonzero((n + k) % 2 == (parity == "odd"))
+    in_block = (n + k) % 2 == (parity == "odd")
+    position = np.cumsum(in_block) - 1  # block position of each block state
+    idx = np.flatnonzero(in_block)
     n, k = n[idx], k[idx]
     m = k - j
     diagonal = system.omega * n + system.omega0 * m
-    position = np.zeros(system.dim, dtype=np.intp)
-    position[idx] = np.arange(idx.size)
     g = system.coupling / math.sqrt(na)
     raising = lambda m: np.sqrt((j - m) * (j + m + 1.0))  # <m + 1| J+ |m>
     lowering = lambda m: np.sqrt((j + m) * (j - m + 1.0))  # <m - 1| J- |m>
@@ -99,12 +94,14 @@ def build_hamiltonian(system: TruncatedDicke, parity: str = "even") -> GatherOpe
         ok = (n + dn >= 0) & (n + dn < nb) & (k + dk >= 0) & (k + dk <= na)
         neighbours[row, ok] = position[idx[ok] + dn * width + dk]
         amplitudes[row, ok] = g * factor[ok]
-    return GatherOperator(idx, diagonal, neighbours, amplitudes)
+    return GatherOperator(diagonal, neighbours, amplitudes)
 
 
 @dataclass(frozen=True)
 class GroundState:
-    """Lowest eigenpair with parity bookkeeping (vector in the full basis)."""
+    """Lowest eigenpair with parity bookkeeping.  ``vector`` is the Ritz vector
+    :func:`~qptscale.linalg.lanczos_ground` returns for the parity block
+    ``build_hamiltonian(system, parity)``, in that block's coordinates."""
 
     energy: float
     vector: np.ndarray
@@ -144,17 +141,14 @@ def ground_state_exact(system: TruncatedDicke) -> GroundState:
         start = np.zeros(block.shape[0])
         start[0] = 1.0  # the block's lowest bare state
         e, v, info = lanczos_ground(block, start=start)
-        solved.append((e, v, name, block.indices, info))
+        solved.append((e, v, name, info))
     parity_gap = abs(solved[1][0] - solved[0][0]) if len(solved) > 1 else None
     quasi_degenerate = parity_gap is not None and parity_gap < QUASI_DEGENERATE_GAP
     odd = parity_gap is not None and not quasi_degenerate and solved[1][0] < solved[0][0]
-    e0, v0, name, idx, info = solved[odd]
-    vector = np.zeros(system.dim)
-    vector[idx] = v0  # largest component positive, as lanczos_ground returns it
+    e0, vector, name, info = solved[odd]
     meta = {
         "iterations": info.iterations,
         "residual": info.residual,
-        "block_dim": idx.size,
         "parity_gap": parity_gap,
         "quasi_degenerate": quasi_degenerate,
     }
@@ -201,7 +195,7 @@ def _check_pair(system1: TruncatedDicke, system2: TruncatedDicke) -> None:
 
 
 def fidelity_exact(system1: TruncatedDicke, system2: TruncatedDicke) -> float:
-    """|<g1|g2>| of the two systems' ground states on their common basis.
+    """|<g1|g2>| of the two systems' ground states, on their even parity block.
 
     The systems may differ only in ``coupling`` (InputError otherwise), and
     both couplings must lie below the critical coupling (DomainError
@@ -229,7 +223,7 @@ def echo_exact(system1: TruncatedDicke, system2: TruncatedDicke, t_grid) -> Echo
     t = _as_time_grid(t_grid)
     g2 = _ground_state(system2)
     h1 = build_hamiltonian(system1, g2.parity)
-    amp, depth = lanczos_survival(h1, g2.vector[h1.indices], t)
+    amp, depth = lanczos_survival(h1, g2.vector, t)
     e1 = mode_energies(DickeParams(system1.omega, system1.omega0, system1.coupling)).e1
     return EchoSeries(t=t, echo=np.abs(amp) ** 2, omega1=e1,
                       meta={"krylov_depth": depth})

@@ -29,22 +29,21 @@ GROUND_TOL = 1e-11  # Lanczos residual threshold, relative to |A|
 SURVIVAL_TOL = 1e-12
 KRYLOV_CHECK_EVERY = 20  # Lanczos steps between stopping-rule checks
 KRYLOV_MAX_STEPS = 600   # Lanczos steps either solver may take
+QUADRATURE_BLOCK = 2**18  # time samples x quadrature nodes summed at once
 
 
 class GatherOperator:
-    """A real symmetric operator on a subset of a basis, matrix-free, with
-    ``.shape`` and ``@``: ``indices`` are the subset's indices in the full
-    basis, ascending, and ``op @ x`` adds to ``diagonal * x`` one gather
+    """A real symmetric operator, matrix-free, a diagonal plus gathers, with
+    ``.shape`` and ``@``: ``op @ x`` adds to ``diagonal * x`` one gather
     ``amplitudes[r] * x[neighbours[r]]`` per row r of the ``(k, dim)``
     arrays.  A missing neighbour points at entry 0 with amplitude 0."""
 
-    def __init__(self, indices: np.ndarray, diagonal: np.ndarray,
-                 neighbours: np.ndarray, amplitudes: np.ndarray):
-        self.indices = indices
+    def __init__(self, diagonal: np.ndarray, neighbours: np.ndarray,
+                 amplitudes: np.ndarray):
         self.diagonal = diagonal
-        self.neighbours = neighbours  # (k, dim) subset positions
+        self.neighbours = neighbours  # (k, dim) positions
         self.amplitudes = amplitudes  # (k, dim) matrix elements
-        self.shape = (indices.size, indices.size)
+        self.shape = (diagonal.size, diagonal.size)
 
     def __matmul__(self, x: np.ndarray) -> np.ndarray:
         return self.diagonal * x + np.einsum("ij,ij->j", self.amplitudes,
@@ -192,7 +191,8 @@ def lanczos_survival(a, psi0: np.ndarray, t) -> tuple[np.ndarray, int]:
     spectral measure, A(t) = sum_j s_j[0]^2 exp(-i theta_j t), from the
     eigenpairs (theta_j, s_j) of the tridiagonal projection.  The sum runs
     over the nodes that can move it: the smallest weights s_j[0]^2, which
-    together stay below one ulp of the total, are dropped.  Every
+    together stay below one ulp of the total, are dropped; it is summed over
+    stretches of the 1-D grid ``t`` of ``QUADRATURE_BLOCK`` terms each.  Every
     ``KRYLOV_CHECK_EVERY`` steps the echo |A|^2 on the grid is compared
     with the previous check; the run stops once it moves by at most
     ``SURVIVAL_TOL``.  The echo, not the amplitude, is tested because the
@@ -212,7 +212,11 @@ def lanczos_survival(a, psi0: np.ndarray, t) -> tuple[np.ndarray, int]:
         weights = s[0] ** 2
         order = np.argsort(weights)
         nodes = np.sort(order[np.cumsum(weights[order]) >= np.spacing(1.0)])
-        amp = np.exp(-1j * np.multiply.outer(t, theta[nodes])) @ weights[nodes]
+        amp = np.empty(t.size, dtype=complex)
+        rows = max(1, QUADRATURE_BLOCK // nodes.size)
+        for i in range(0, t.size, rows):
+            amp[i:i + rows] = (np.exp(-1j * np.multiply.outer(t[i:i + rows], theta[nodes]))
+                               @ weights[nodes])
         if closed:
             return amp, alphas.size
         echo = np.abs(amp) ** 2

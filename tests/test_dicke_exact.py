@@ -23,13 +23,6 @@ def even_block_dense(spec):
     return even, dicke_reference(spec)[np.ix_(even, even)]
 
 
-def test_truncated_dicke_layout():
-    spec = TruncatedDicke(4, 6, 1.0, 1.0, 0.2)
-    assert spec.j == 2.0
-    assert spec.dim == 30
-    assert spec.index(2, 3) == 13
-
-
 def test_truncated_dicke_validation():
     with pytest.raises(InputError):
         TruncatedDicke(0, 4, 1.0, 1.0, 0.1)
@@ -50,11 +43,10 @@ class TestBuildHamiltonian:
     def test_decoupled_is_diagonal(self):
         spec = TruncatedDicke(3, 5, 1.3, 0.7, 0.0)
         j = spec.j
-        for parity in ("even", "odd"):
-            block = build_hamiltonian(spec, parity)
-            dense = block_dense(block)
+        for parity, indices in zip(("even", "odd"), dicke_parity_indices(spec)):
+            dense = block_dense(build_hamiltonian(spec, parity))
             assert np.all(dense == np.diag(np.diag(dense)))
-            for pos, idx in enumerate(block.indices):
+            for pos, idx in enumerate(indices):
                 n, k = divmod(int(idx), spec.n_atoms + 1)
                 expected = 1.3 * n + 0.7 * (k - j)
                 assert dense[pos, pos] == pytest.approx(expected, abs=1e-14)
@@ -62,12 +54,12 @@ class TestBuildHamiltonian:
     def test_hand_checked_coupling_element(self):
         # <n=1, m=0| H |n=0, m=-1> = (0.45/sqrt(2)) * 1 * sqrt(2) = 0.45
         spec = TruncatedDicke(2, 3, 1.0, 1.0, 0.45)
-        row = spec.index(1, 1)
-        col = spec.index(0, 0)
+        row, col = 1 * 3 + 1, 0 * 3 + 0  # n * (N + 1) + m + j
         assert dicke_reference(spec)[row, col] == pytest.approx(0.45, abs=1e-14)
-        block = build_hamiltonian(spec, "even")
-        pos = {int(idx): p for p, idx in enumerate(block.indices)}
-        assert block_dense(block)[pos[row], pos[col]] == pytest.approx(0.45, abs=1e-14)
+        even, _ = dicke_parity_indices(spec)
+        pos = {int(idx): p for p, idx in enumerate(even)}
+        dense = block_dense(build_hamiltonian(spec, "even"))
+        assert dense[pos[row], pos[col]] == pytest.approx(0.45, abs=1e-14)
 
     def test_parity_blocks_decouple_exactly(self):
         spec = TruncatedDicke(5, 8, 1.0, 2.0, 0.9)
@@ -89,7 +81,6 @@ class TestBuildHamiltonian:
         reference = dicke_reference(spec)
         for parity, idx in zip(("even", "odd"), dicke_parity_indices(spec)):
             block = build_hamiltonian(spec, parity)
-            assert np.array_equal(block.indices, idx)
             assert block.shape == (idx.size, idx.size)
             assert np.allclose(block_dense(block), reference[np.ix_(idx, idx)],
                                rtol=0.0, atol=1e-14)
@@ -114,8 +105,8 @@ class TestGroundStateExact:
                              (TruncatedDicke(8, 6, 1.0, 2.0, 0.0), -8.0)):
             gs = ground_state_exact(spec)
             assert gs.energy == pytest.approx(energy, abs=1e-12)
-            expected = np.zeros(spec.dim)
-            expected[spec.index(0, 0)] = 1.0
+            even, _ = dicke_parity_indices(spec)
+            expected = (even == 0).astype(float)  # basis index 0 is |n=0, m=-j>
             assert np.allclose(gs.vector, expected, atol=1e-10)
             assert gs.parity == "even"
             assert gs.meta["iterations"] == 1
@@ -145,7 +136,7 @@ class TestGroundStateExact:
         values, vectors = np.linalg.eigh(block)
         energy, vector = values[0], vectors[:, 0]
         assert abs(gs.energy - energy) <= 1e-8
-        assert abs(abs(gs.vector[even] @ vector) - 1.0) <= 1e-8
+        assert abs(abs(gs.vector @ vector) - 1.0) <= 1e-8
         assert 0 < gs.meta["iterations"] <= even.size
         assert gs.meta["residual"] <= 1e-11 * 2.0 * np.linalg.norm(block)
 
@@ -156,12 +147,30 @@ class TestGroundStateExact:
 
     def test_quasi_degenerate_tie_returns_even_block(self):
         # the two blocks differ by ~3e-14 here; the lower one by round-off is odd
-        gs = ground_state_exact(TruncatedDicke(64, 64, 1.0, 1.0, 1.0))
+        spec = TruncatedDicke(64, 64, 1.0, 1.0, 1.0)
+        gs = ground_state_exact(spec)
         assert gs.meta["parity_gap"] < 1e-10
         assert gs.meta["quasi_degenerate"] is True
         assert gs.parity == "even"
-        even, _ = dicke_parity_indices(TruncatedDicke(64, 64, 1.0, 1.0, 1.0))
-        assert np.linalg.norm(gs.vector[even]) == pytest.approx(1.0, abs=1e-12)
+        # the vector is the even block's eigenvector, not the odd one's
+        residual = {parity: np.linalg.norm(build_hamiltonian(spec, parity) @ gs.vector
+                                           - gs.energy * gs.vector)
+                    for parity in ("even", "odd")}
+        assert residual["even"] <= 1e-8 < residual["odd"]
+
+    @pytest.mark.parametrize("spec", [
+        TruncatedDicke(4, 5, 1.0, 1.0, 0.3),
+        TruncatedDicke(4, 5, 1.0, 1.0, 0.9),
+        TruncatedDicke(5, 8, 1.0, 2.0, 1.6),
+    ], ids=["normal", "super-radiant", "super-radiant-omega0-2"])
+    def test_vector_lives_on_its_block(self, spec):
+        # the vector has its block's length (13 even and 12 odd states for
+        # N = 4, n_b = 5) and is that block's lowest eigenvector
+        gs = ground_state_exact(spec)
+        block = build_hamiltonian(spec, gs.parity)
+        assert gs.vector.size == block.shape[0]
+        assert gs.energy == pytest.approx(np.linalg.eigvalsh(block_dense(block))[0], abs=1e-10)
+        assert np.linalg.norm(block @ gs.vector - gs.energy * gs.vector) <= 1e-8
 
     def test_lanczos_on_decoupled_hamiltonian(self):
         from qptscale import lanczos_ground
@@ -183,6 +192,12 @@ class TestFidelityExact:
     def test_bounded(self):
         lp = fidelity_exact(*dicke_systems(6, 6, 0.4, 0.2))
         assert 0.0 <= lp <= 1.0
+
+    def test_dots_the_block_vectors(self):
+        spec1, spec2 = dicke_systems(8, 8, 0.495, 0.45)
+        g1, g2 = ground_state_exact(spec1), ground_state_exact(spec2)
+        assert g1.vector.size == g2.vector.size == build_hamiltonian(spec1).shape[0]
+        assert fidelity_exact(spec1, spec2) == abs(g1.vector @ g2.vector)
 
     def test_approaches_thermodynamic_value(self):
         # N = 64 sits within ~6e-2 of the two-mode limit at these couplings
@@ -273,7 +288,7 @@ class TestEchoExact:
         t = np.linspace(0.0, math.pi / e1, 301)
         series = echo_exact(*dicke_systems(32, 32, 0.495, 0.45), t)
         even, block = even_block_dense(TruncatedDicke(32, 32, 1.0, 1.0, 0.495))
-        psi0 = ground_state_exact(TruncatedDicke(32, 32, 1.0, 1.0, 0.45)).vector[even]
+        psi0 = ground_state_exact(TruncatedDicke(32, 32, 1.0, 1.0, 0.45)).vector
         oracle = np.abs(spectral_sum(*np.linalg.eigh(block), psi0, t)) ** 2
         assert np.max(np.abs(series.echo - oracle)) <= 1e-10
         assert 0 < series.meta["krylov_depth"] < even.size

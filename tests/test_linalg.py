@@ -96,7 +96,7 @@ class TestLanczos:
         pos = np.arange(dim)
         neighbours = np.array([np.r_[pos[1:], 0], np.r_[0, pos[:-1]]])
         amplitudes = np.array([np.r_[hop, 0.0], np.r_[0.0, hop]])
-        op = GatherOperator(2 * pos, diagonal, neighbours, amplitudes)
+        op = GatherOperator(diagonal, neighbours, amplitudes)
         dense = np.diag(diagonal) + np.diag(hop, 1) + np.diag(hop, -1)
         assert op.shape == (dim, dim)
         x = rng.standard_normal(dim)
@@ -174,6 +174,32 @@ class TestLanczosSurvival:
         monkeypatch.setattr(qptscale.linalg, "KRYLOV_MAX_STEPS", 40)
         with pytest.raises(NumericError):
             lanczos_survival(m, psi, np.linspace(0.0, 50.0, 101))
+
+    def test_quadrature_memory_bounded_on_long_grids(self):
+        # 64 levels take 80 steps here; summing the quadrature over the whole
+        # 2^16-sample grid at once holds ~140 MB of 2^16 x nodes arrays
+        a = np.diag(np.linspace(0.0, 1.0, 64))
+        psi = np.ones(64) / 8.0
+        t = np.linspace(0.0, 200.0, 2**16)
+        item = np.dtype(complex).itemsize
+        bound = 4 * qptscale.linalg.QUADRATURE_BLOCK * item + 8 * t.size * item
+        assert peak_bytes(lambda: lanczos_survival(a, psi, t)) <= bound
+
+    def test_blocked_quadrature_gives_the_same_bytes(self, monkeypatch):
+        # a Dicke echo whose grid spans many blocks of 4096 terms, against
+        # the whole grid summed in one block
+        block = build_hamiltonian(TruncatedDicke(16, 16, 1.0, 1.0, 0.495))
+        vacuum = np.zeros(block.shape[0])
+        vacuum[0] = 1.0
+        quenched = build_hamiltonian(TruncatedDicke(16, 16, 1.0, 1.0, 0.45))
+        psi0 = lanczos_ground(quenched, start=vacuum)[1]
+        t = np.linspace(0.0, 40.0, 3001)
+        amps = []
+        for terms in (4096, 2**30):
+            monkeypatch.setattr(qptscale.linalg, "QUADRATURE_BLOCK", terms)
+            amps.append(lanczos_survival(block, psi0, t))
+        assert amps[0][1] == amps[1][1]
+        assert np.array_equal(amps[0][0], amps[1][0])
 
 
 class TestSpectralPropagate:
