@@ -50,16 +50,11 @@ class DickeParams:
 
 @dataclass(frozen=True)
 class ModeSpectrum:
-    """Energies of the two effective modes, with e1 <= e2.
-
-    ``mu`` is populated only in the super-radiant branch; ``gamma_angle`` is
-    the orthogonal mixing angle used by the Gaussian fidelity formula.
-    """
+    """Energies of the two effective modes, with e1 <= e2; ``gamma_angle`` is
+    the orthogonal mixing angle used by the Gaussian fidelity formula."""
 
     e1: float
     e2: float
-    phase: str
-    mu: float | None
     gamma_angle: float
 
 
@@ -71,13 +66,12 @@ def mode_energies(params: DickeParams) -> ModeSpectrum:
     ssum = w * w + w0 * w0
     try:
         if lam <= params.lambda_c:
-            phase, mu = "normal", None
             disc = math.sqrt((w0 * w0 - w * w) ** 2 + 16.0 * lam * lam * w * w0)
             e1 = math.sqrt(max(0.5 * (ssum - disc), 0.0))
             e2 = math.sqrt(0.5 * (ssum + disc))
             angle = 0.5 * math.atan(4.0 * lam * math.sqrt(w * w0) / ssum)
         else:
-            phase, mu = "super", w * w0 / (4.0 * lam * lam)
+            mu = w * w0 / (4.0 * lam * lam)
             a = w0 * w0 / (mu * mu)
             disc = math.sqrt((a - w * w) ** 2 + 4.0 * w * w * w0 * w0)
             e1 = math.sqrt(max(0.5 * (w * w + a - disc), 0.0))
@@ -89,7 +83,7 @@ def mode_energies(params: DickeParams) -> ModeSpectrum:
         e1 = 0.0
     elif not 0 < e1 < math.inf:  # omega and omega0 orders of magnitude apart
         raise NumericError(f"the lower mode energy cancels to {e1} at {params}")
-    return ModeSpectrum(e1=e1, e2=e2, phase=phase, mu=mu, gamma_angle=angle)
+    return ModeSpectrum(e1=e1, e2=e2, gamma_angle=angle)
 
 
 def scaling_eta(lambda1: float, lambda2: float, lambda_c: float) -> float:

@@ -140,7 +140,7 @@ def ground_state_exact(system: TruncatedDicke) -> GroundState:
         block = build_hamiltonian(system, name)
         start = np.zeros(block.shape[0])
         start[0] = 1.0  # the block's lowest bare state
-        e, v, info = lanczos_ground(block, start=start)
+        e, v, info = lanczos_ground(block, start)
         solved.append((e, v, name, info))
     parity_gap = abs(solved[1][0] - solved[0][0]) if len(solved) > 1 else None
     quasi_degenerate = parity_gap is not None and parity_gap < QUASI_DEGENERATE_GAP

@@ -62,14 +62,6 @@ class EchoSeries:
         return bool(math.isfinite(self.period)
                     and self.t[-1] >= self.period * (1 - 1e-12))
 
-    def validate(self) -> None:
-        if len(self.t) != len(self.echo):
-            raise InputError("t and echo must have equal length")
-        if abs(self.echo[0] - 1.0) > 1e-10:
-            raise InputError("echo must start at 1")
-        if np.min(self.echo) < -1e-12 or np.max(self.echo) > 1.0 + 1e-10:
-            raise InputError("echo values leave [0, 1]")
-
 
 def survival_closed(map: SqueezeMap, delta1: float, t_grid) -> EchoSeries:
     """Closed-form single-mode echo for a squeezed initial vacuum.
@@ -98,8 +90,6 @@ class SemiclassicalParams:
 
     ``gamma`` (1/time^2) drives the initial Gaussian decay, ``xi`` (1/time)
     the crossover to the 1/(xi t) tail; ``b0`` is an amplitude of order 1.
-    ``g_rescaled`` and ``f_rescaled`` are the dimensionless combinations
-    gamma / omega1^2 and xi / omega1.
     """
 
     gamma: float
@@ -116,14 +106,6 @@ class SemiclassicalParams:
             raise InputError(f"b0 must lie in (0, {FIT_B0_BOUNDS[1]}]")
         if not self.omega1 > 0:
             raise InputError("omega1 must be positive")
-
-    @property
-    def g_rescaled(self) -> float:
-        return self.gamma / self.omega1**2
-
-    @property
-    def f_rescaled(self) -> float:
-        return self.xi / self.omega1
 
 
 def semiclassical_envelope(params: SemiclassicalParams, t):

@@ -3,9 +3,9 @@ alone.
 
 One three-term Lanczos recurrence, with no stored basis and no
 reorthogonalization, serves two solvers: :func:`lanczos_ground`, the lowest
-eigenpair from a caller's start vector (a fixed Gaussian draw by default),
-stopped on its residual, its Ritz vector summed by a second run that
-replays the first; and :func:`lanczos_survival`, the survival amplitude
+eigenpair from a caller's start vector, stopped on its residual at
+``GROUND_TOL``, its Ritz vector summed by a second run that replays the
+first; and :func:`lanczos_survival`, the survival amplitude
 <psi0| exp(-i A t) |psi0> on a time grid from a start at psi0, by Gauss
 quadrature of psi0's spectral measure.  Both take any real symmetric
 operator with ``.shape`` and ``@`` (an ndarray, a :class:`GatherOperator`, a
@@ -56,16 +56,6 @@ def _operator_dim(a) -> int:
     if len(shape) != 2 or shape[0] != shape[1] or shape[0] < 1:
         raise InputError(f"operator must be square and non-empty, got shape {shape}")
     return int(shape[0])
-
-
-def _unit_state(psi0, dim: int) -> np.ndarray:
-    psi0 = np.asarray(psi0, dtype=float)
-    if psi0.shape != (dim,):
-        raise InputError(f"psi0 must be a state vector of dimension {dim}")
-    nrm = float(np.linalg.norm(psi0))
-    if abs(nrm - 1.0) > 1e-6:
-        raise InputError(f"psi0 must be unit norm (got {nrm:.8f})")
-    return psi0
 
 
 def _tridiagonal_eigh(alphas: np.ndarray, betas: np.ndarray):
@@ -134,30 +124,25 @@ class LanczosInfo:
     residual: float
 
 
-def lanczos_ground(a, tol: float = GROUND_TOL, *, start=None):
+def lanczos_ground(a, start):
     """Lowest eigenpair of the operator ``a`` by two Lanczos runs from the
-    vector ``start`` (any nonzero length-dim vector; normalised here).  With
-    ``start=None`` the runs start from the Gaussian vector
-    ``np.random.default_rng(0).standard_normal(dim)``.  The start must
-    overlap the lowest eigenvector, which a random one does almost surely; a
-    start close to it cuts the steps taken.
+    vector ``start`` (any nonzero length-dim vector; normalised here).  The
+    start must overlap the lowest eigenvector; a start close to it cuts the
+    steps taken.
 
     The first run finds the Ritz value.  Its residual |A v - E v| is tested
     every ``KRYLOV_CHECK_EVERY`` steps; the run stops at the first test
-    where it is within ``tol`` times a Gershgorin estimate of |A|, or at a
-    breakdown, where the projection is exact.  Reaching
-    ``KRYLOV_MAX_STEPS`` steps first raises NumericError.  The second run
-    replays the same k steps and sums the Ritz vector sum_i s_i q_i from the
-    projection's eigenvector s, so memory stays a few vectors of length dim.
+    where it is within ``GROUND_TOL`` (read at each call) times a
+    Gershgorin estimate of |A|, or at a breakdown, where the projection is
+    exact.  Reaching ``KRYLOV_MAX_STEPS`` steps first raises NumericError.
+    The second run replays the same k steps and sums the Ritz vector
+    sum_i s_i q_i from the projection's eigenvector s, so memory stays a few
+    vectors of length dim.
 
     Returns ``(energy, vector, info)``: the Ritz value, the unit-norm Ritz
     vector with its largest component positive, and a :class:`LanczosInfo`.
     """
     dim = _operator_dim(a)
-    if not tol > 0:
-        raise InputError("tol must be positive")
-    if start is None:
-        start = np.random.default_rng(0).standard_normal(dim)
     start = np.asarray(start, dtype=float)
     if start.shape != (dim,) or not 0 < np.linalg.norm(start) < math.inf:
         raise InputError(f"start must be a nonzero finite vector of dimension {dim}")
@@ -165,7 +150,7 @@ def lanczos_ground(a, tol: float = GROUND_TOL, *, start=None):
         values, vectors = _tridiagonal_eigh(alphas, betas)
         theta, s = float(values[0]), vectors[:, 0]
         resid = beta * abs(s[-1])
-        bound = tol * norm
+        bound = GROUND_TOL * norm
         if resid <= bound:
             break
     k = alphas.size
@@ -200,12 +185,20 @@ def lanczos_survival(a, psi0: np.ndarray, t) -> tuple[np.ndarray, int]:
     depth removes.  A breakdown gives the exact amplitude.
 
     Returns ``(amplitude, depth)`` with ``depth`` the number of Lanczos
-    steps.  Raises NumericError if the echo has not settled within
+    steps.  Raises InputError unless ``t`` is a non-empty 1-D grid of finite
+    times, and NumericError if the echo has not settled within
     ``KRYLOV_MAX_STEPS`` steps.
     """
     dim = _operator_dim(a)
-    psi0 = _unit_state(psi0, dim)
+    psi0 = np.asarray(psi0, dtype=float)
+    if psi0.shape != (dim,):
+        raise InputError(f"psi0 must be a state vector of dimension {dim}")
+    nrm = float(np.linalg.norm(psi0))
+    if abs(nrm - 1.0) > 1e-6:
+        raise InputError(f"psi0 must be unit norm (got {nrm:.8f})")
     t = np.asarray(t, dtype=float)
+    if t.ndim != 1 or not t.size or not np.all(np.isfinite(t)):
+        raise InputError("t must be a non-empty 1-D grid of finite times")
     previous, change = None, math.inf
     for _, alphas, betas, _, _, closed in _lanczos(a, psi0):
         theta, s = _tridiagonal_eigh(alphas, betas)

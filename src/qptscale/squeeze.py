@@ -22,12 +22,9 @@ OVERLAP_TRUNC_TOL = 1e-10  # weight an overlap column may lose to truncation
 
 @dataclass(frozen=True)
 class SqueezeMap:
-    """Relative squeeze between two single-mode ground-state bases.
-
-    P11 = cosh(r) and Q11 = sinh(r) are the coefficients mixing creation and
-    annihilation operators of the two bases; bosonic commutation enforces
-    P11^2 - Q11^2 = 1.
-    """
+    """Relative squeeze r between two single-mode ground-state bases, whose
+    creation and annihilation operators mix with coefficients cosh(r) and
+    sinh(r)."""
 
     r: float
 
@@ -36,14 +33,6 @@ class SqueezeMap:
             raise InputError("squeeze parameter must be finite")
         if abs(self.r) > 700.0:
             raise InputError("squeeze parameter too large: cosh(r) overflows")
-
-    @property
-    def P11(self) -> float:
-        return math.cosh(self.r)
-
-    @property
-    def Q11(self) -> float:
-        return math.sinh(self.r)
 
     @property
     def q(self) -> float:
@@ -101,10 +90,10 @@ def _signed_overlaps(map: SqueezeMap, n_rows: int, n_cols: int) -> np.ndarray:
     in n.  Both recursions follow from inserting the Bogoliubov relation in
     matrix elements of the annihilators, so no factorials ever appear.
     """
-    p = map.P11
+    p = math.cosh(map.r)
     q = map.q
     s = np.zeros((n_rows + 1, n_cols + 1))
-    s[0, 0] = math.cosh(map.r) ** -0.5
+    s[0, 0] = p ** -0.5
     for m in range(1, n_cols):
         s[0, m + 1] = -q * math.sqrt(m / (m + 1)) * s[0, m - 1]
     for m in range(n_cols + 1):

@@ -23,6 +23,19 @@ def peak_bytes(solve):
         tracemalloc.stop()
 
 
+def gaussian_start(a):
+    """The seed-0 Gaussian start vector for a Lanczos solve on ``a``."""
+    return np.random.default_rng(0).standard_normal(a.shape[0])
+
+
+def assert_echo_series(series):
+    """An echo series holds one value per time, starts at 1 and stays in
+    [0, 1]."""
+    assert len(series.t) == len(series.echo)
+    assert abs(series.echo[0] - 1.0) <= 1e-10
+    assert np.min(series.echo) >= -1e-12 and np.max(series.echo) <= 1.0 + 1e-10
+
+
 def random_sparse_symmetric(rng, dim, nnz_factor=4):
     """Random sparse symmetric csr_array helper shared by several suites:
     ``nnz_factor * dim`` upper-triangle draws (duplicates summed), mirrored."""

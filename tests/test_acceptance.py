@@ -18,7 +18,7 @@ from qptscale import (DickeParams, SqueezeMap, TruncatedDicke,
                       semiclassical_envelope, squeeze_fidelity, survival_closed)
 from qptscale.echo import EchoSeries, SemiclassicalParams
 from conftest import (dicke_parity_indices, dicke_reference, dicke_systems,
-                      random_sparse_symmetric, spectral_sum)
+                      gaussian_start, random_sparse_symmetric, spectral_sum)
 
 
 def ratio_map(eta):
@@ -181,8 +181,7 @@ def test_criterion_7_solver_integrity():
         dim = int(rng.integers(20, 501))
         sym = random_sparse_symmetric(rng, dim)
         e_dense = np.linalg.eigh(sym.toarray())[0][0]
-        e_kry, _, _ = lanczos_ground(
-            sym, 1e-10, start=np.random.default_rng(k).standard_normal(dim))
+        e_kry, _, _ = lanczos_ground(sym, np.random.default_rng(k).standard_normal(dim))
         worst_gap = max(worst_gap, abs(e_dense - e_kry))
     assert worst_gap <= 1e-8
 
@@ -218,7 +217,7 @@ def test_criterion_7_solver_integrity():
             dense = np.column_stack([block @ e for e in np.eye(idx.size)])
             worst_block = max(worst_block, float(np.max(np.abs(
                 dense - reference[np.ix_(idx, idx)]))))
-            e_kry, _, _ = lanczos_ground(block, 1e-10)
+            e_kry, _, _ = lanczos_ground(block, gaussian_start(block))
             worst_dicke = max(worst_dicke, abs(
                 np.linalg.eigvalsh(reference[np.ix_(idx, idx)])[0] - e_kry))
     assert worst_block <= 1e-12

@@ -10,7 +10,8 @@ from qptscale import (DickeParams, DomainError, InputError, ResourceError,
 from qptscale import dicke_exact
 from qptscale.config import parse_document
 from qptscale.dicke_exact import solve_once
-from conftest import dicke_parity_indices, dicke_reference, dicke_systems, spectral_sum
+from conftest import (assert_echo_series, dicke_parity_indices, dicke_reference, dicke_systems,
+                      gaussian_start, spectral_sum)
 
 
 def block_dense(block):
@@ -176,7 +177,7 @@ class TestGroundStateExact:
         from qptscale import lanczos_ground
         spec = TruncatedDicke(2, 6, 1.0, 1.0, 0.0)
         h = build_hamiltonian(spec)
-        energy, _, _ = lanczos_ground(h, 1e-10)
+        energy, _, _ = lanczos_ground(h, gaussian_start(h))
         assert energy == pytest.approx(-1.0, abs=1e-10)
 
 
@@ -245,7 +246,7 @@ class TestEchoExact:
         t = np.linspace(0.0, 5.0, 41)
         series = echo_exact(*dicke_systems(6, 6, 0.45, 0.4), t)
         assert series.echo[0] == pytest.approx(1.0, abs=1e-12)
-        series.validate()
+        assert_echo_series(series)
 
     def test_equal_couplings_stay_at_one(self):
         t = np.linspace(0.0, 20.0, 101)
@@ -300,7 +301,7 @@ class TestEchoExact:
         series = echo_exact(*dicke_systems(96, 96, 0.45, 0.4), t)
         assert series.echo[0] == pytest.approx(1.0, abs=1e-12)
         assert np.all(series.echo >= 0.0) and np.all(series.echo <= 1.0 + 1e-12)
-        series.validate()
+        assert_echo_series(series)
 
 
 def test_solve_once_reuses_ground_states_inside_its_block(monkeypatch):

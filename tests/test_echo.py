@@ -8,6 +8,7 @@ from qptscale import (DomainError, EchoSeries, FitError, InputError, Semiclassic
                       mp_scaling, semiclassical_envelope,
                       survival_closed)
 from qptscale.dicke import DickeParams, critical_coupling, mode_energies
+from conftest import assert_echo_series
 
 
 def ratio_map(eta):
@@ -34,7 +35,7 @@ class TestSurvivalClosed:
         t = np.linspace(0.0, 10.0, 101)
         series = survival_closed(SqueezeMap(0.4), 1.0, t)
         assert series.echo[0] == pytest.approx(1.0, abs=1e-14)
-        series.validate()
+        assert_echo_series(series)
 
     def test_frozen_values_at_tenth_ratio(self):
         m = ratio_map(0.1)
@@ -108,9 +109,12 @@ class TestSemiclassicalEnvelope:
             semiclassical_envelope(SemiclassicalParams(0.1, 0.1), -1.0)
 
     def test_rescaled_combinations(self):
-        p = SemiclassicalParams(gamma=0.5, xi=0.2, b0=1.0, omega1=0.1)
-        assert p.g_rescaled == pytest.approx(50.0, rel=1e-14)
-        assert p.f_rescaled == pytest.approx(2.0, rel=1e-14)
+        # on tau = omega1 t the envelope takes gamma / omega1^2 and xi / omega1
+        omega1, t = 0.1, np.linspace(0.0, 30.0, 61)
+        p = SemiclassicalParams(gamma=0.5, xi=0.2)
+        rescaled = SemiclassicalParams(gamma=0.5 / omega1**2, xi=0.2 / omega1)
+        assert np.allclose(semiclassical_envelope(p, t),
+                           semiclassical_envelope(rescaled, omega1 * t), rtol=1e-13, atol=0.0)
 
 
 class TestFitEnvelope:

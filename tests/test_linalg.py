@@ -6,7 +6,7 @@ import qptscale.linalg
 from qptscale import (InputError, NumericError, TruncatedDicke, build_hamiltonian,
                       lanczos_ground, lanczos_survival)
 from qptscale.linalg import GatherOperator
-from conftest import peak_bytes, random_sparse_symmetric, spectral_sum
+from conftest import gaussian_start, peak_bytes, random_sparse_symmetric, spectral_sum
 
 
 def stored_ritz_vector(a, start, steps):
@@ -31,7 +31,8 @@ def stored_ritz_vector(a, start, steps):
 
 class TestLanczos:
     def test_diagonal_operator(self):
-        e, v, _ = lanczos_ground(np.diag([5.0, -2.0, 7.0]))
+        d = np.diag([5.0, -2.0, 7.0])
+        e, v, _ = lanczos_ground(d, gaussian_start(d))
         assert e == pytest.approx(-2.0, abs=1e-10)
         assert np.abs(v[1]) == pytest.approx(1.0, abs=1e-8)
 
@@ -40,20 +41,20 @@ class TestLanczos:
             dim = int(rng.integers(30, 501))
             m = random_sparse_symmetric(rng, dim)
             e_dense = np.linalg.eigh(m.toarray())[0][0]
-            e_lr, v, _ = lanczos_ground(
-                m, 1e-10, start=np.random.default_rng(k).standard_normal(dim))
+            e_lr, v, _ = lanczos_ground(m, np.random.default_rng(k).standard_normal(dim))
             assert abs(e_lr - e_dense) <= 1e-8
             assert np.linalg.norm(v) == pytest.approx(1.0, abs=1e-12)
 
     def test_accepts_callable_oracle(self, rng):
         a = rng.standard_normal((60, 60))
         a = (a + a.T) / 2
-        e, _, _ = lanczos_ground(LinearOperator((60, 60), matvec=lambda x: a @ x))
+        op = LinearOperator((60, 60), matvec=lambda x: a @ x)
+        e, _, _ = lanczos_ground(op, gaussian_start(op))
         assert e == pytest.approx(np.linalg.eigvalsh(a)[0], abs=1e-9)
 
     def test_residual_bound_holds(self, rng):
         m = random_sparse_symmetric(rng, 200)
-        e, v, info = lanczos_ground(m, 1e-10)
+        e, v, info = lanczos_ground(m, gaussian_start(m))
         resid = np.linalg.norm(m @ v - e * v)
         scale = max(np.abs(np.linalg.eigh(m.toarray())[0]).max(), 1.0)
         assert resid <= 1e-9 * scale
@@ -63,30 +64,31 @@ class TestLanczos:
     def test_iteration_cap_raises(self, rng, monkeypatch):
         m = random_sparse_symmetric(rng, 300)
         monkeypatch.setattr(qptscale.linalg, "KRYLOV_MAX_STEPS", 4)
+        monkeypatch.setattr(qptscale.linalg, "GROUND_TOL", 1e-14)
         with pytest.raises(NumericError):
-            lanczos_ground(m, 1e-14)
+            lanczos_ground(m, gaussian_start(m))
 
-    def test_breakdown_counts_as_converged(self):
+    def test_breakdown_counts_as_converged(self, monkeypatch):
         # two distinct eigenvalues: the Krylov space closes after two steps,
         # with a residual above this tol
-        e, v, info = lanczos_ground(np.diag([1.0] * 10 + [3.0] * 10), 1e-17)
+        monkeypatch.setattr(qptscale.linalg, "GROUND_TOL", 1e-17)
+        d = np.diag([1.0] * 10 + [3.0] * 10)
+        e, v, info = lanczos_ground(d, gaussian_start(d))
         assert e == pytest.approx(1.0, abs=1e-12)
         assert np.linalg.norm(v[10:]) <= 1e-12
         assert info.iterations == 2
 
     def test_bad_inputs(self):
-        with pytest.raises(InputError):
-            lanczos_ground(np.eye(3), tol=0.0)
         for bad in (np.zeros((0, 0)), np.ones((2, 3)), np.ones(3)):
             with pytest.raises(InputError):
-                lanczos_ground(bad)
+                lanczos_ground(bad, np.ones(3))
             with pytest.raises(InputError):
                 lanczos_survival(bad, np.ones(1), [0.0])
         with pytest.raises(InputError):
             lanczos_survival(np.eye(3), np.ones(4) / 2.0, [0.0])
         for bad in (np.ones(4), np.zeros(3), np.array([1.0, np.inf, 0.0])):
             with pytest.raises(InputError):
-                lanczos_ground(np.eye(3), start=bad)
+                lanczos_ground(np.eye(3), bad)
 
     def test_gather_operator_is_its_dense_matrix(self, rng):
         # a chain with two gather rows, the shape of a tridiagonal block; the
@@ -101,14 +103,18 @@ class TestLanczos:
         assert op.shape == (dim, dim)
         x = rng.standard_normal(dim)
         assert np.allclose(op @ x, dense @ x, rtol=0.0, atol=1e-13)
-        e, _, _ = lanczos_ground(op, 1e-10)
+        e, _, _ = lanczos_ground(op, gaussian_start(op))
         assert e == pytest.approx(np.linalg.eigvalsh(dense)[0], abs=1e-8)
 
-    def test_default_start_is_seed_zero_gaussian(self, rng):
-        m = random_sparse_symmetric(rng, 80)
-        e, v, info = lanczos_ground(m)
-        e2, v2, info2 = lanczos_ground(m, start=np.random.default_rng(0).standard_normal(80))
-        assert e == e2 and np.array_equal(v, v2) and info == info2
+    def test_ground_tol_is_read_at_call_time(self, monkeypatch):
+        # a looser GROUND_TOL, patched after import, stops the solve sooner
+        block = build_hamiltonian(TruncatedDicke(32, 32, 1.0, 1.0, 0.45))
+        vacuum = np.zeros(block.shape[0])
+        vacuum[0] = 1.0
+        tight = lanczos_ground(block, start=vacuum)[2]
+        monkeypatch.setattr(qptscale.linalg, "GROUND_TOL", 1e-4)
+        loose = lanczos_ground(block, start=vacuum)[2]
+        assert loose.iterations < tight.iterations
 
 
 class TestKrylovCore:
@@ -118,7 +124,7 @@ class TestKrylovCore:
         vacuum[0] = 1.0
         m = random_sparse_symmetric(rng, 300)
         for a, start in ((block, vacuum), (m, rng.standard_normal(300))):
-            _, v, info = lanczos_ground(a, 1e-10, start=start)
+            _, v, info = lanczos_ground(a, start)
             reference = stored_ritz_vector(a, start, info.iterations)
             assert np.max(np.abs(v - reference)) <= 1e-12
 
@@ -131,24 +137,27 @@ class TestKrylovCore:
         vacuum = np.zeros(dim)
         vacuum[0] = 1.0
         quenched = build_hamiltonian(TruncatedDicke(128, 128, 1.0, 1.0, 0.49))
-        psi0 = lanczos_ground(quenched, 1e-11, start=vacuum)[1]
+        psi0 = lanczos_ground(quenched, vacuum)[1]
         t = np.linspace(0.0, 30.0, 513)
-        for solve in (lambda: lanczos_ground(block, 1e-11, start=vacuum),
+        for solve in (lambda: lanczos_ground(block, vacuum),
                       lambda: lanczos_survival(block, psi0, t)):
             assert peak_bytes(solve) <= 32 * dim * np.dtype(float).itemsize
 
-    def test_breakdown_between_checks(self):
-        e, v, info = lanczos_ground(np.diag([1.0] * 5 + [2.0] * 5 + [4.0] * 5), 1e-17)
+    def test_breakdown_between_checks(self, monkeypatch):
+        monkeypatch.setattr(qptscale.linalg, "GROUND_TOL", 1e-17)
+        d = np.diag([1.0] * 5 + [2.0] * 5 + [4.0] * 5)
+        e, v, info = lanczos_ground(d, gaussian_start(d))
         assert info.iterations == 3
         assert e == pytest.approx(1.0, abs=1e-12)
         assert np.linalg.norm(v[5:]) <= 1e-12
 
-    def test_space_fills_between_checks(self, rng):
+    def test_space_fills_between_checks(self, rng, monkeypatch):
         a = rng.standard_normal((36, 36))
         a = (a + a.T) / 2
         values, vectors = np.linalg.eigh(a)
         # both runs go past dim 36: only a breakdown ends a run early
-        e, _, _ = lanczos_ground(a, 1e-17)
+        monkeypatch.setattr(qptscale.linalg, "GROUND_TOL", 1e-17)
+        e, _, _ = lanczos_ground(a, gaussian_start(a))
         assert e == pytest.approx(values[0], abs=1e-10)
         psi = rng.standard_normal(36)
         psi /= np.linalg.norm(psi)
@@ -175,6 +184,14 @@ class TestLanczosSurvival:
         with pytest.raises(NumericError):
             lanczos_survival(m, psi, np.linspace(0.0, 50.0, 101))
 
+    @pytest.mark.parametrize("t", [np.zeros((2, 3)), np.array(0.5), np.array([]),
+                                   np.array([0.0, np.nan, 1.0]), np.array([0.0, np.inf])],
+                             ids=["2-d", "0-d", "empty", "nan", "inf"])
+    def test_bad_time_grid_is_an_input_error(self, t):
+        psi = np.ones(400) / 20.0
+        with pytest.raises(InputError, match="1-D grid"):
+            lanczos_survival(np.diag(np.linspace(0.0, 1.0, 400)), psi, t)
+
     def test_quadrature_memory_bounded_on_long_grids(self):
         # 64 levels take 80 steps here; summing the quadrature over the whole
         # 2^16-sample grid at once holds ~140 MB of 2^16 x nodes arrays
@@ -192,7 +209,7 @@ class TestLanczosSurvival:
         vacuum = np.zeros(block.shape[0])
         vacuum[0] = 1.0
         quenched = build_hamiltonian(TruncatedDicke(16, 16, 1.0, 1.0, 0.45))
-        psi0 = lanczos_ground(quenched, start=vacuum)[1]
+        psi0 = lanczos_ground(quenched, vacuum)[1]
         t = np.linspace(0.0, 40.0, 3001)
         amps = []
         for terms in (4096, 2**30):

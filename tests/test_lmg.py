@@ -8,6 +8,7 @@ from qptscale import (CrossPhaseError, InputError, LmgParams, echo_lmg,
                       fidelity_lmg, fidelity_scaling, min_echo, mp_scaling,
                       scaling_eta, width_map)
 from qptscale.lmg import gap, quadratic, width
+from conftest import assert_echo_series
 
 
 def test_params_validation():
@@ -186,7 +187,7 @@ class TestEchoLmg:
         t = self.grid(0.0, 1.2)
         series = echo_lmg(0.0, 1.2, 1.4, t)
         assert series.echo[0] == 1.0
-        series.validate()
+        assert_echo_series(series)
 
     def test_minimum_matches_ratio_law_near_criticality(self):
         eta = 0.1
@@ -228,7 +229,7 @@ class TestEchoLmg:
     def test_broken_phase_series(self):
         t = self.grid(0.0, 0.7)
         series = echo_lmg(0.0, 0.7, 0.8, t)
-        series.validate()
+        assert_echo_series(series)
         assert min_echo(series) < 1.0
 
     def test_cross_phase_rejected(self):

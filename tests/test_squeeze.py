@@ -24,8 +24,6 @@ def expm_overlap_oracle(r, n_rows, n_cols, fock=240):
 def test_width_map_identity():
     m = width_map(0.7, 0.7)
     assert m.r == 0.0
-    assert m.P11 == 1.0
-    assert m.Q11 == 0.0
 
 
 def test_width_map_frozen_example():
@@ -41,8 +39,6 @@ def test_width_map_antisymmetry():
     m = width_map(0.31, 1.27)
     w = width_map(1.27, 0.31)
     assert w.r == pytest.approx(-m.r, abs=2 * math.ulp(m.r))
-    assert w.Q11 == pytest.approx(-m.Q11, abs=4 * math.ulp(m.Q11))
-    assert w.P11 == pytest.approx(m.P11, abs=4 * math.ulp(m.P11))
 
 
 def test_width_map_rejects_nonfinite():
@@ -59,10 +55,11 @@ def test_width_map_rejects_nonpositive():
 
 
 def test_squeeze_map_invariant_and_phases():
-    # strict 1e-12 window over the working squeeze range
+    # strict 1e-12 window over the working squeeze range: the vacuum
+    # overlap from cosh r is (1 - tanh^2 r)^{1/4}
     for w1, w2 in [(1.0, 1.2), (3.3, 2.4), (0.1, 1e3), (50.0, 0.2)]:
         m = width_map(w1, w2)
-        assert abs((m.P11 - m.Q11) * (m.P11 + m.Q11) - 1.0) <= 1e-12
+        assert abs(squeeze_fidelity(m) ** 4 - (1.0 - m.q * m.q)) <= 1e-12
 
 
 class TestGroundExpansion:
