@@ -185,21 +185,12 @@ def _time_grid(cfg: RunConfig, omega1: float):
     return np.linspace(0.0, cfg.time_grid.periods * (math.pi / omega1), n + 1)
 
 
-def _repeated(values, sizes):
-    """``values[i]`` repeated ``sizes[i]`` times: an array when the values
-    share one type, else a list, so that each cell keeps its own type (etas
-    1 and 0.5 print as ``1`` and as a float)."""
-    if len(set(map(type, values))) == 1:
-        return np.repeat(np.array(values), sizes)
-    return [value for value, size in zip(values, sizes) for _ in range(size)]
-
-
 def _series_columns(names, items) -> dict:
     """Stack (constants, EchoSeries) items into columns: one column per name
     in ``names`` repeating that item's constant, then t, tau and M, each one
     float64 array."""
     sizes = [len(series.t) for _, series in items]
-    cols = {name: _repeated([constants[i] for constants, _ in items], sizes)
+    cols = {name: np.repeat([constants[i] for constants, _ in items], sizes)
             for i, name in enumerate(names)}
     for name, attr in (("t", "t"), ("tau", "tau"), ("M", "echo")):
         cols[name] = np.concatenate([getattr(series, attr) for _, series in items],
@@ -208,7 +199,8 @@ def _series_columns(names, items) -> dict:
 
 
 def _columns(names, rows) -> dict:
-    return {name: [row[i] for row in rows] for i, name in enumerate(names)}
+    """One array per name, of the rows' cells at that name's position."""
+    return {name: np.array([row[i] for row in rows]) for i, name in enumerate(names)}
 
 
 def _run_fidelity(cfg: RunConfig, model: _Model):

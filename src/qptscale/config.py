@@ -37,7 +37,7 @@ class ExactOpts:
 
 @dataclass(frozen=True)
 class ConvergeOpts:
-    n_list: tuple = (8, 16, 32, 64, 128)
+    n_list: tuple[int, ...] = (8, 16, 32, 64, 128)
     target: str = "scaling"
 
 
@@ -53,10 +53,10 @@ class RunConfig:
     omega: float = 1.0
     omega0: float = 1.0
     lmg_gamma: float = 0.0
-    pairs: tuple = ()
-    etas: tuple = ()
-    scales: tuple = ()
-    phases: tuple | None = None  # None: the model's first phase
+    pairs: tuple[tuple[float, float], ...] = ()
+    etas: tuple[float, ...] = ()
+    scales: tuple[float, ...] = ()
+    phases: tuple[str, ...] | None = None  # None: the model's first phase
     time_grid: TimeGridOpts = field(default_factory=TimeGridOpts)
     exact: ExactOpts = field(default_factory=ExactOpts)
     converge: ConvergeOpts = field(default_factory=ConvergeOpts)
@@ -120,17 +120,24 @@ _RULES = {
 }
 
 
-def _frozen(value):
-    """Lists become tuples; the inner lists (the pairs) become float pairs."""
-    if not isinstance(value, list):
-        return value
-    return tuple(tuple(map(float, v)) if isinstance(v, list) else v for v in value)
+def _floats(hint) -> bool:
+    """Whether the numbers of a field of type ``hint`` are floats."""
+    return hint is float or any(map(_floats, typing.get_args(hint)))
+
+
+def _frozen(value, floats: bool):
+    """Lists become tuples, and with ``floats`` every number a float, so
+    that 1 and 1.0 give one config."""
+    if isinstance(value, list):
+        return tuple(_frozen(item, floats) for item in value)
+    return float(value) if floats else value
 
 
 def _build(cls, doc, where: str = ""):
     """``cls`` from the object ``doc`` found at dotted path ``where``: every
     field without a default must be given, every key must be a field, and
-    every value must pass its ``_RULES`` entry; lists become tuples."""
+    every value must pass its ``_RULES`` entry; lists become tuples, and
+    the numbers of a float field floats."""
     if not isinstance(doc, dict):
         raise InputError(f"config error at {where or '(top level)'}: {doc!r} is not an object")
     prefix = where and where + "."
@@ -149,7 +156,10 @@ def _build(cls, doc, where: str = ""):
         text, test = _RULES[path]
         if not test(value):
             raise InputError(f"config error at {path}: {value!r} is not {text}")
-        kwargs[key] = _frozen(value)
+        try:
+            kwargs[key] = _frozen(value, _floats(types[key]))
+        except OverflowError:
+            raise InputError(f"config error at {path}: a number too large for a float") from None
     return cls(**kwargs)
 
 

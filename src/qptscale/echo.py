@@ -95,7 +95,6 @@ class SemiclassicalParams:
     gamma: float
     xi: float
     b0: float = 1.0
-    omega1: float = 1.0
 
     def __post_init__(self):
         if not (self.gamma >= 0 and math.isfinite(self.gamma)):
@@ -104,8 +103,6 @@ class SemiclassicalParams:
             raise InputError("xi must be finite and nonnegative")
         if not 0.0 < self.b0 <= FIT_B0_BOUNDS[1]:
             raise InputError(f"b0 must lie in (0, {FIT_B0_BOUNDS[1]}]")
-        if not self.omega1 > 0:
-            raise InputError("omega1 must be positive")
 
 
 def semiclassical_envelope(params: SemiclassicalParams, t):
@@ -190,9 +187,8 @@ def fit_envelope(series: EchoSeries, window: tuple[float, float]) -> EnvelopeFit
     xi = math.exp(grid[k])
     (c, g), residual = _fit_at_xi(tt, y, xi)
     b0 = min(max(math.exp(c), FIT_B0_BOUNDS[0]), FIT_B0_BOUNDS[1])
-    fitted = SemiclassicalParams(gamma=g, xi=xi, b0=b0,
-                                 omega1=series.omega1 if series.omega1 > 0 else 1.0)
-    return EnvelopeFit(params=fitted, max_log_residual=float(np.max(np.abs(residual))))
+    return EnvelopeFit(params=SemiclassicalParams(gamma=g, xi=xi, b0=b0),
+                       max_log_residual=float(np.max(np.abs(residual))))
 
 
 def min_echo(series: EchoSeries) -> float:

@@ -1,10 +1,9 @@
 """Typed result tables with provenance comments and atomic CSV round-trips.
 
 Besides the columns, a write holds the text of each distinct value of an int
-or str array column, with their keys.  The rest is made a chunk of rows at a
-time: floats by a numpy kernel that prints the bytes of ``"%.16e"``, the
-cells of any other list one by one.  Every check runs before the temp file
-is made."""
+or str column, with their keys.  Float columns are printed a chunk of rows
+at a time by a numpy kernel that gives the bytes of ``"%.16e"``.  Every
+check runs before the temp file is made."""
 
 from __future__ import annotations
 
@@ -34,14 +33,22 @@ _EXP_MAX = 300  # the decimal exponents it writes lie in [-_EXP_MAX, _EXP_MAX]
 
 @dataclass
 class ResultTable:
-    """Columns plus units and a provenance block.  A column is a list of
-    int/float/str cells or a 1-D numpy array of one such type."""
+    """Columns plus units and a provenance block.  A column is a 1-D numpy
+    array of float (at most 64 bits), int or str."""
 
     columns: dict
     units: dict = field(default_factory=dict)
     provenance: dict = field(default_factory=dict)
 
     def __post_init__(self):
+        for name, values in self.columns.items():
+            if not (isinstance(values, np.ndarray) and values.ndim == 1 and (
+                    values.dtype.kind in "iuU"
+                    or values.dtype.kind == "f" and values.itemsize <= 8)):
+                what = (f"a {values.ndim}-D {values.dtype} array"
+                        if isinstance(values, np.ndarray) else f"a {type(values).__name__}")
+                raise InputError(f"column {name!r} is {what}, not a 1-D array of float "
+                                 "(at most 64 bits), int or str")
         lengths = {name: len(col) for name, col in self.columns.items()}
         if len(set(lengths.values())) > 1:
             raise InputError(f"column lengths differ: {lengths}")
@@ -59,38 +66,6 @@ def _check_text(value: str, what: str = "string cell") -> str:
     if "\0" in value:
         raise InputError(f"{what} {value!r} holds a NUL, which the writer drops")
     return value
-
-
-def _formatter(kind: type):
-    """The function that writes cells of type ``kind``; refuses bools and
-    any type other than int, float and str."""
-    if issubclass(kind, bool):
-        raise InputError("boolean cells are not supported; use strings")
-    if issubclass(kind, int):
-        return str
-    if issubclass(kind, float):
-        return _FLOAT_FMT.__mod__
-    if issubclass(kind, str):
-        return str  # the cell is checked by _formatters
-    raise InputError(f"unsupported cell type {kind.__name__}")
-
-
-def _formatters(values: list) -> dict:
-    """The formatter of each cell type in ``values``.  Refuses a bool, an
-    unsupported type and a str cell that would break the dialect, so the
-    cells can then be formatted at any time without a refusal."""
-    formatters = {kind: _formatter(kind) for kind in set(map(type, values))}
-    if any(issubclass(kind, str) for kind in formatters):
-        for value in values:
-            if isinstance(value, str):
-                _check_text(value)
-    return formatters
-
-
-def _format_cells(values: list, formatters: dict) -> list:
-    """The text of each cell of a list, by the cell's own type, so a column
-    may mix int, float and str cells."""
-    return [formatters[type(value)](value) for value in values]
 
 
 class _Digits(NamedTuple):
@@ -233,47 +208,34 @@ def _words(encoded: list, width: int = 1) -> np.ndarray:
     return np.array(encoded, dtype=f"S{4 * width}").view(np.uint32).reshape(-1, width)
 
 
-def _column(values, encoding: str):
+def _column(values: np.ndarray, encoding: str):
     """Check one column and return ``(cells, empty)``: ``cells(start, stop)``
     is the text of rows ``start:stop`` as a NUL-padded uint32 matrix, and
     ``empty`` says whether some cell's text is the empty string.
 
-    A float array, or a list of floats, goes to the float kernel chunk by
-    chunk.  Another 1-D array of one type is reduced to the distinct values
-    of its runs of equal cells, so each is checked and formatted once, and a
-    chunk gathers its rows from them.  Any other list, or an array numpy
-    holds as objects, is checked cell by cell here and formatted chunk by
-    chunk.  Nothing that can be refused is left to the chunks."""
-    if isinstance(values, np.ndarray) and values.ndim == 1 and values.dtype != object:
-        if values.dtype.kind == "f" and values.itemsize <= 8:
-            return _float_column(values), False
-        heads, lengths = _runs(values)
-        keys, key_of_run = np.unique(values[heads], return_inverse=True)
-        key_of_row = np.repeat(key_of_run, lengths)
-        distinct = keys.tolist()
-        formatted = _format_cells(distinct, _formatters(distinct))
-        texts = _words([text.encode(encoding) for text in formatted])
-        return (lambda start, stop: texts.take(key_of_row[start:stop], axis=0),
-                "" in formatted)
-    if isinstance(values, np.ndarray):
-        values = values.tolist()
-    formatters = _formatters(values)
-    if all(issubclass(kind, float) for kind in formatters):
-        return _float_column(np.array(values, dtype=np.float64)), False
-
-    def cells(start: int, stop: int) -> np.ndarray:
-        texts = _format_cells(values[start:stop], formatters)
-        return _words([text.encode(encoding) for text in texts])
-    return cells, "" in values
+    A float column goes to the float kernel chunk by chunk.  An int or str
+    column is reduced to the distinct values of its runs of equal cells, so
+    each is checked and formatted once, and a chunk gathers its rows from
+    them.  Nothing that can be refused is left to the chunks."""
+    if values.dtype.kind == "f":
+        return _float_column(values), False
+    heads, lengths = _runs(values)
+    keys, key_of_run = np.unique(values[heads], return_inverse=True)
+    key_of_row = np.repeat(key_of_run, lengths)
+    formatted = [_check_text(str(key)) for key in keys.tolist()]
+    texts = _words([text.encode(encoding) for text in formatted])
+    return lambda start, stop: texts.take(key_of_row[start:stop], axis=0), "" in formatted
 
 
-def _parse_cell(text: str):
-    if _INT_RE.match(text):
-        return int(text)
+def _parsed(cells: list) -> np.ndarray:
+    """A column's cells as one array: int when every cell is an integer of
+    at most 64 bits, float when every cell is a number, else str."""
     try:
-        return float(text)
-    except ValueError:
-        return text
+        if all(map(_INT_RE.match, cells)):
+            return np.array(list(map(int, cells)), dtype=np.int64)
+        return np.array(list(map(float, cells)))
+    except (ValueError, OverflowError):
+        return np.array(cells, dtype=str)
 
 
 def _head(table: ResultTable) -> str:
@@ -297,8 +259,8 @@ def write_table(table: ResultTable, path: str) -> str:
     Every cell is checked before the temp file is created, so a refused cell
     leaves ``path`` as it was.  A one-column table may hold no empty name or
     cell, since its line would be blank.  Besides the columns, the write
-    holds the text of each distinct value of an int or str array column;
-    the rest is formatted with its chunk of ``_CHUNK_ROWS`` rows, so no
+    holds the text of each distinct value of an int or str column; a float
+    column is formatted with its chunk of ``_CHUNK_ROWS`` rows, so no
     column's whole text exists at once.  A chunk's cells sit at fixed byte
     positions of one NUL-padded matrix, and dropping the NULs leaves the
     rows, written in one call.  Text is encoded as ``open`` would encode
@@ -337,7 +299,8 @@ def write_table(table: ResultTable, path: str) -> str:
 
 
 def read_table(path: str) -> ResultTable:
-    """Parse a table written by :func:`write_table` back, losslessly."""
+    """Parse a table written by :func:`write_table` back, losslessly: each
+    column comes back as an int, float or str array."""
     provenance = {}
     units = {}
     header = None
@@ -361,10 +324,8 @@ def read_table(path: str) -> ResultTable:
                 rows.append(line.split(","))
     if header is None:
         raise InputError(f"{path}: no header row found")
-    columns = {name: [] for name in header}
     for row in rows:
         if len(row) != len(header):
             raise InputError(f"{path}: row width {len(row)} != header width {len(header)}")
-        for name, cell in zip(header, row):
-            columns[name].append(_parse_cell(cell))
+    columns = {name: _parsed([row[i] for row in rows]) for i, name in enumerate(header)}
     return ResultTable(columns=columns, units=units, provenance=provenance)

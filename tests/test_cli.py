@@ -72,7 +72,7 @@ def test_fig2_config_gap_strictly_decreasing(tmp_path):
     assert gaps[0] > gaps[1] > gaps[2]
     assert float(table.provenance["reference"]) == pytest.approx(fidelity_scaling(0.1),
                                                                  abs=1e-12)
-    assert table.columns["n_b"] == table.columns["N"] == [8, 16, 32]
+    assert table.columns["n_b"].tolist() == table.columns["N"].tolist() == [8, 16, 32]
 
 
 def test_converge_degenerate_pair_gives_constant_zero(tmp_path):
@@ -81,7 +81,7 @@ def test_converge_degenerate_pair_gives_constant_zero(tmp_path):
     assert run_cli(["dicke-converge", "--set", "pairs=[[0.4,0.4]]",
                     "--set", "converge.n_list=[4,8,12]", "--output", str(out)]) == 0
     table = read_table(str(out))
-    assert table.columns["N"] == [4, 8, 12]
+    assert table.columns["N"].tolist() == [4, 8, 12]
     assert all(lp == pytest.approx(1.0, abs=1e-12) for lp in table.columns["LpN"])
     assert all(d <= 1e-12 for d in table.columns["D"])
 
@@ -92,7 +92,7 @@ def test_converge_uses_the_stated_boson_cutoff(tmp_path):
                     "--set", "converge.n_list=[8,16]", "--set", "exact.n_boson=12",
                     "--output", str(out)]) == 0
     table = read_table(str(out))
-    assert table.columns["n_b"] == [12, 12]
+    assert table.columns["n_b"].tolist() == [12, 12]
     assert table.columns["LpN"] == pytest.approx(
         [fidelity_exact(*dicke_systems(n, 12, 0.495, 0.45)) for n in (8, 16)], abs=1e-14)
 
@@ -129,7 +129,7 @@ def test_lmg_grid_defaults_to_an_lmg_phase(tmp_path):
     out = tmp_path / "lmg.csv"
     assert run_cli(["lmg-fidelity", "--set", "etas=[0.1]", "--set", "scales=[0.01]",
                     "--output", str(out)]) == 0
-    assert read_table(str(out)).columns["phase"] == ["symmetric"]
+    assert read_table(str(out)).columns["phase"].tolist() == ["symmetric"]
 
 
 def test_library_grid_defaults_to_the_model_first_phase(tmp_path):
@@ -140,8 +140,10 @@ def test_library_grid_defaults_to_the_model_first_phase(tmp_path):
                         "scales": [0.01], "output": {"path": str(lib)}}))
     assert run_cli(["lmg-fidelity", "--set", "etas=[0.1]", "--set", "scales=[0.01]",
                     "--output", str(cli)]) == 0
-    assert read_table(str(lib)).columns == read_table(str(cli)).columns
-    assert read_table(str(lib)).columns["phase"] == ["symmetric"]
+    lib_columns, cli_columns = (read_table(str(path)).columns for path in (lib, cli))
+    assert {name: col.tolist() for name, col in lib_columns.items()} == {
+        name: col.tolist() for name, col in cli_columns.items()}
+    assert lib_columns["phase"].tolist() == ["symmetric"]
 
 
 def test_lmg_echo_subcommand(tmp_path):
@@ -155,7 +157,7 @@ def test_lmg_echo_subcommand(tmp_path):
     cols = table.columns
     assert sorted(set(cols["pair"])) == [0, 1]
     for pair in (0, 1):
-        assert cols["M"][cols["pair"].index(pair)] == 1.0
+        assert cols["M"][cols["pair"] == pair][0] == 1.0
     for h1, t, tau, m in zip(cols["h1"], cols["t"], cols["tau"], cols["M"]):
         assert 0.0 <= m <= 1.0
         assert tau == gap(LmgParams(0.0, h1)) * t
@@ -321,6 +323,8 @@ _REFUSALS = {
     "doc25-n_list": (dict(_BASE_DOC, converge={"n_list": [16, 8]}), "n_list"),
     "doc26-n_list": (dict(_BASE_DOC, converge={"n_list": [8, 8]}), "n_list"),
     "doc27-phases": (dict(_BASE_DOC, phases="normal"), "phases"),
+    "doc28-omega": (dict(_BASE_DOC, omega=10**400), "omega"),
+    "doc29-etas": (dict(_BASE_DOC, etas=[0.5, 10**400]), "etas"),
 }
 
 
@@ -328,6 +332,20 @@ _REFUSALS = {
 def test_parse_document_refuses_each_rule_naming_the_key(doc, key):
     with pytest.raises(InputError, match=key):
         parse_document(doc)
+
+
+def test_float_fields_parse_to_floats_and_integer_fields_stay_integers():
+    as_int = parse_document(dict(_BASE_DOC, omega=1, omega0=2, lmg_gamma=0, pairs=[[1, 2]],
+                                 etas=[1], scales=[3], time_grid={"periods": 2},
+                                 exact={"n_atoms": 8}, converge={"n_list": [8]}))
+    as_float = parse_document(dict(_BASE_DOC, omega=1.0, omega0=2.0, lmg_gamma=0.0,
+                                   pairs=[[1.0, 2.0]], etas=[1.0], scales=[3.0],
+                                   time_grid={"periods": 2.0}, exact={"n_atoms": 8},
+                                   converge={"n_list": [8]}))
+    assert as_int == as_float and config_hash(as_int) == config_hash(as_float)
+    assert {type(v) for v in (as_int.omega, as_int.omega0, as_int.lmg_gamma, *as_int.pairs[0],
+                              *as_int.etas, *as_int.scales, as_int.time_grid.periods)} == {float}
+    assert {type(v) for v in (as_int.exact.n_atoms, *as_int.converge.n_list)} == {int}
 
 
 # exact.max_dim is no longer a key at all, and is refused as unknown
@@ -506,19 +524,15 @@ def test_collapse_emits_series_and_summary(tmp_path):
     assert all(s <= 1e-4 for s in summary.columns["spread"])
 
 
-def test_collapse_series_prints_int_and_float_etas_as_given(tmp_path):
-    # eta 1 (a JSON integer) and eta 0.5 share one column, which therefore
-    # cannot be a single numpy array without reprinting 1 as a float
-    out = tmp_path / "c.csv"
-    assert run_cli(["collapse", "--set", "etas=[1,0.5]", "--set", "scales=[0.01,0.001]",
-                    "--set", "time_grid.samples_per_period=64", "--output", str(out)]) == 0
-    lines = [line for line in out.read_text().splitlines() if not line.startswith("#")]
-    eta = lines[0].split(",").index("eta")
-    cells = [line.split(",")[eta] for line in lines[1:]]
-    assert cells.count("1") == cells.count("5.0000000000000000e-01") == len(cells) // 2
-    assert cells == sorted(cells, key=lambda cell: cell != "1")  # eta 1 rows first
-    assert [type(v) for v in read_table(str(out)).columns["eta"][::len(cells) // 2]] == [
-        int, float]
+@pytest.mark.parametrize("args,as_int,as_float", [
+    (["sweep", "--set", "scales=[0.1]"], "etas=[1,0.5]", "etas=[1.0,0.5]"),
+    (["dicke-fidelity", "--set", "pairs=[[0.45,0.4]]"], "omega=1", "omega=1.0"),
+], ids=["sweep-etas", "dicke-fidelity-omega"])
+def test_int_and_float_spellings_are_one_config(tmp_path, args, as_int, as_float):
+    # a float setting parses to a float: one config, one hash, one file
+    for name, setting in (("int.csv", as_int), ("float.csv", as_float)):
+        assert run_cli([*args, "--set", setting, "--output", str(tmp_path / name)]) == 0
+    assert (tmp_path / "int.csv").read_bytes() == (tmp_path / "float.csv").read_bytes()
 
 
 @pytest.mark.parametrize("include", [False, True], ids=["analytic", "exact"])
