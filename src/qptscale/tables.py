@@ -1,9 +1,10 @@
 """Typed result tables with provenance comments and atomic CSV round-trips.
 
-Besides the columns, a write holds the text of each distinct value of an int
-or str column, with their keys.  Float columns are printed a chunk of rows
-at a time by a numpy kernel that gives the bytes of ``"%.16e"``.  Every
-check runs before the temp file is made."""
+A write reduces each column to the distinct values of its runs of equal
+cells, floats compared bit for bit, and checks and formats each value once.
+Only a float column of more than ``_CHUNK_ROWS`` runs is printed a chunk of
+rows at a time instead.  Floats are printed by a numpy kernel that gives the
+bytes of ``"%.16e"``.  Every check runs before the temp file is made."""
 
 from __future__ import annotations
 
@@ -125,9 +126,10 @@ def _scaled(ax, e10, digits: _Digits):
 
 
 def _float_words(x: np.ndarray) -> np.ndarray:
-    """The ``"%.16e"`` text of each cell of a float64 array, as a
-    ``(len(x), _FLOAT_WORDS)`` uint32 matrix of NUL-padded bytes: the word
-    ``[-]D.``, four words of four digits, two of exponent.
+    """The ``"%.16e"`` text of each cell of a float array, widened to
+    float64 (exactly), as a ``(len(x), _FLOAT_WORDS)`` uint32 matrix of
+    NUL-padded bytes: the word ``[-]D.``, four words of four digits, two of
+    exponent.
 
     A cell with 1/_DIRECT < |x| < _DIRECT is scaled to y = |x| * 10**(16 -
     e10) in [1e16, 1e17), e10 its decimal exponent, and y is rounded to its
@@ -136,6 +138,8 @@ def _float_words(x: np.ndarray) -> np.ndarray:
     each nonzero cell outside the range (nan and inf among them), gets
     ``"%.16e"`` itself."""
     digits = _digits()
+    with np.errstate(invalid="ignore"):  # widening keeps a signalling nan a nan
+        x = x.astype(np.float64, copy=False)
     ax = np.abs(x)
     direct = (ax > 1 / _DIRECT) & (ax < _DIRECT)
     ax[~direct] = 1.0
@@ -177,30 +181,6 @@ def _float_words(x: np.ndarray) -> np.ndarray:
     return words
 
 
-def _runs(values: np.ndarray):
-    """``(heads, lengths)``: where each run of equal cells of ``values``
-    starts, and how many cells it holds."""
-    first = np.empty(len(values), bool)
-    first[:1] = True
-    np.not_equal(values[1:], values[:-1], out=first[1:])
-    heads = np.flatnonzero(first)
-    return heads, np.diff(heads, append=len(values))
-
-
-def _float_column(values: np.ndarray):
-    """``cells(start, stop)`` of a float array: the words of rows
-    ``start:stop``, widened to float64 (exactly).  A run of bit-equal cells
-    in the chunk, a constant column's for one, is formatted once."""
-    def cells(start: int, stop: int) -> np.ndarray:
-        with np.errstate(invalid="ignore"):  # widening keeps a signalling nan a nan
-            chunk = values[start:stop].astype(np.float64, copy=False)
-        heads, lengths = _runs(chunk.view(np.int64))
-        if len(heads) == len(chunk):
-            return _float_words(chunk)
-        return np.repeat(_float_words(chunk[heads]), lengths, axis=0)
-    return cells
-
-
 def _words(encoded: list, width: int = 1) -> np.ndarray:
     """Byte strings as a NUL-padded uint32 matrix of ``len(encoded)`` rows
     and at least ``width`` columns."""
@@ -208,33 +188,53 @@ def _words(encoded: list, width: int = 1) -> np.ndarray:
     return np.array(encoded, dtype=f"S{4 * width}").view(np.uint32).reshape(-1, width)
 
 
-def _column(values: np.ndarray, encoding: str):
-    """Check one column and return ``(cells, empty)``: ``cells(start, stop)``
-    is the text of rows ``start:stop`` as a NUL-padded uint32 matrix, and
-    ``empty`` says whether some cell's text is the empty string.
+def _column(name: str, values: np.ndarray, encoding: str):
+    """Check one column and return ``(cells, width, empty)``: ``cells(start,
+    stop)`` is the text of rows ``start:stop`` as a NUL-padded uint32 matrix
+    of ``width`` columns, and ``empty`` says whether some cell's text is the
+    empty string.
 
-    A float column goes to the float kernel chunk by chunk.  An int or str
-    column is reduced to the distinct values of its runs of equal cells, so
-    each is checked and formatted once, and a chunk gathers its rows from
-    them.  Nothing that can be refused is left to the chunks."""
-    if values.dtype.kind == "f":
-        return _float_column(values), False
-    heads, lengths = _runs(values)
-    keys, key_of_run = np.unique(values[heads], return_inverse=True)
-    key_of_row = np.repeat(key_of_run, lengths)
-    formatted = [_check_text(str(key)) for key in keys.tolist()]
-    texts = _words([text.encode(encoding) for text in formatted])
-    return lambda start, stop: texts.take(key_of_row[start:stop], axis=0), "" in formatted
+    The column is reduced to the distinct values of its runs of equal cells,
+    floats compared bit for bit, so each is checked and formatted once, and
+    a chunk gathers its rows from them.  A float column of more than
+    ``_CHUNK_ROWS`` runs goes to the float kernel a chunk at a time instead,
+    so no more than a chunk of its text exists at once.  Nothing that can be
+    refused is left to the chunks."""
+    is_float = values.dtype.kind == "f"
+    bits = values.view(f"i{values.itemsize}") if is_float else values
+    first = np.empty(len(values), bool)
+    first[:1] = True
+    np.not_equal(bits[1:], bits[:-1], out=first[1:])
+    if is_float and np.count_nonzero(first) > _CHUNK_ROWS:
+        return lambda start, stop: _float_words(values[start:stop]), _FLOAT_WORDS, False
+    heads = np.flatnonzero(first)
+    keys, key_of_run = np.unique(bits[heads], return_inverse=True)
+    key_of_row = np.repeat(key_of_run.astype(np.min_scalar_type(len(keys))),
+                           np.diff(heads, append=len(values)))
+    if is_float:
+        texts, empty = _float_words(keys.view(values.dtype)), False
+    else:
+        formatted = [_check_text(str(key)) for key in keys.tolist()]
+        if values.dtype.kind == "U" and formatted and _parsed(formatted).dtype.kind != "U":
+            raise InputError(f"str column {name!r} would read back as numbers: "
+                             f"each of its cells, such as {formatted[0]!r}, is one")
+        texts, empty = _words([text.encode(encoding) for text in formatted]), "" in formatted
+    return lambda start, stop: texts.take(key_of_row[start:stop], axis=0), texts.shape[1], empty
 
 
 def _parsed(cells: list) -> np.ndarray:
-    """A column's cells as one array: int when every cell is an integer of
-    at most 64 bits, float when every cell is a number, else str."""
+    """A column's cells as one array: int64, or else uint64, when every cell
+    is an integer that fits it, float when every cell is a number, else str."""
+    if all(map(_INT_RE.match, cells)):
+        ints = list(map(int, cells))
+        low, high = min(ints, default=0), max(ints, default=0)
+        for dtype in (np.int64, np.uint64):
+            if np.iinfo(dtype).min <= low and high <= np.iinfo(dtype).max:
+                return np.array(ints, dtype=dtype)
+        return np.array(cells, dtype=str)
     try:
-        if all(map(_INT_RE.match, cells)):
-            return np.array(list(map(int, cells)), dtype=np.int64)
         return np.array(list(map(float, cells)))
-    except (ValueError, OverflowError):
+    except ValueError:
         return np.array(cells, dtype=str)
 
 
@@ -257,23 +257,30 @@ def write_table(table: ResultTable, path: str) -> str:
     """Write atomically (temp file + rename); returns the path.
 
     Every cell is checked before the temp file is created, so a refused cell
-    leaves ``path`` as it was.  A one-column table may hold no empty name or
-    cell, since its line would be blank.  Besides the columns, the write
-    holds the text of each distinct value of an int or str column; a float
-    column is formatted with its chunk of ``_CHUNK_ROWS`` rows, so no
-    column's whole text exists at once.  A chunk's cells sit at fixed byte
-    positions of one NUL-padded matrix, and dropping the NULs leaves the
-    rows, written in one call.  Text is encoded as ``open`` would encode
-    it.  The file gets the mode a plain ``open`` gives a new file: 0o666
-    less the umask.
+    leaves ``path`` as it was.  A table with no column, or a one-column table
+    with an empty name or cell, is refused: it would hold a blank line.  A
+    str column is refused if every cell reads as a number.  Besides the
+    columns, the write holds the text of each distinct value of a column
+    (see ``_column``); a float column of more than ``_CHUNK_ROWS`` runs is
+    formatted with its chunk of ``_CHUNK_ROWS`` rows, so no column's whole
+    text exists at once.  A column's cells take a fixed slot of every row
+    for the whole write, ``_FLOAT_WORDS`` words from the kernel or the words
+    of its widest distinct text, in one NUL-padded uint32 matrix whose
+    separators are written once.  Each chunk fills the slots, and dropping
+    the NULs leaves its rows, written in one call.  Text is encoded as
+    ``open`` would encode it.  The file gets the mode a plain ``open`` gives
+    a new file: 0o666 less the umask.
     """
     encoding = io.TextIOWrapper(io.BytesIO()).encoding  # what a text-mode open uses
     head = _head(table).encode(encoding)
-    columns = [_column(values, encoding) for values in table.columns.values()]
-    if len(columns) == 1 and ("" in table.columns or columns[0][1]):
-        raise InputError("an empty name or cell in a one-column table is a blank "
-                         "line, which read_table skips")
-    separators = np.frombuffer(b",\0\0\0" * (len(columns) - 1) + b"\n\0\0\0", np.uint32)
+    columns = [_column(name, values, encoding) for name, values in table.columns.items()]
+    if not columns or len(columns) == 1 and ("" in table.columns or columns[0][2]):
+        raise InputError("a table with no column, or an empty name or cell in a one-column "
+                         "table, is a blank line, which read_table skips")
+    stops = np.cumsum([width + 1 for _, width, _ in columns])
+    rows = np.empty((min(table.n_rows, _CHUNK_ROWS), stops[-1]), np.uint32)
+    rows[:, stops - 1] = ord(",")  # one byte once the NULs are dropped
+    rows[:, -1] = ord("\n")
     directory = os.path.dirname(os.path.abspath(path))
     os.makedirs(directory, exist_ok=True)
     tmp = os.path.join(directory, f".qptscale_{os.urandom(8).hex()}.tmp")
@@ -282,14 +289,10 @@ def write_table(table: ResultTable, path: str) -> str:
         with handle:
             handle.write(head)
             for start in range(0, table.n_rows, _CHUNK_ROWS):
-                parts = [cells(start, start + _CHUNK_ROWS) for cells, _ in columns]
-                rows = np.empty((len(parts[0]), sum(p.shape[1] + 1 for p in parts)), np.uint32)
-                at = 0
-                for words, separator in zip(parts, separators):
-                    rows[:, at:at + words.shape[1]] = words
-                    at += words.shape[1] + 1
-                    rows[:, at - 1] = separator
-                handle.write(rows.tobytes().translate(None, b"\0"))
+                chunk = rows[:table.n_rows - start]
+                for (cells, width, _), stop in zip(columns, stops):
+                    chunk[:, stop - 1 - width:stop - 1] = cells(start, start + _CHUNK_ROWS)
+                handle.write(chunk.tobytes().translate(None, b"\0"))
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):

@@ -17,8 +17,9 @@ def sample_table():
             "n": np.array([1, 2, 30000000000]),
             "value": np.array([0.1, -3.5e-120, 1.0]),
             "tag": np.array(["a", "b", "c"]),
+            "u": np.array([0, 2**63 + 5, 7], dtype=np.uint64),  # above int64
         },
-        units={"n": "1", "value": "energy", "tag": "label"},
+        units={"n": "1", "value": "energy", "tag": "label", "u": "1"},
         provenance={"config_hash": "deadbeef", "package_version": "0.1.0"},
     )
 
@@ -33,13 +34,15 @@ def assert_same_columns(got, want):
 
 
 def test_round_trip_is_lossless(tmp_path):
-    path = tmp_path / "t.csv"
+    path, again = tmp_path / "t.csv", tmp_path / "again.csv"
     table = sample_table()
     write_table(table, str(path))
     back = read_table(str(path))
     assert_same_columns(back.columns, table.columns)
     assert back.units == table.units
     assert back.provenance == table.provenance
+    write_table(back, str(again))
+    assert again.read_bytes() == path.read_bytes()
 
 
 def test_floats_round_trip_exactly(tmp_path):
@@ -98,9 +101,11 @@ def test_header_text_that_breaks_the_round_trip_rejected(tmp_path, columns, unit
     {"tag": np.array([""])},
     {"tag": np.array(["a", "", "b"])},
     {"": np.array([1, 2])},
-], ids=["empty-cell", "empty-array-cell", "empty-name"])
+    {},
+], ids=["empty-cell", "empty-array-cell", "empty-name", "no-columns"])
 def test_one_column_table_with_an_empty_line_rejected(tmp_path, columns):
-    # its empty name or cell would be a blank line, which read_table skips
+    # its empty name or cell, or the header of no columns, would be a blank
+    # line, which read_table skips
     table = ResultTable(columns=columns, provenance={"k": "v"})
     with pytest.raises(InputError, match="blank line"):
         write_table(table, str(tmp_path / "new" / "e.csv"))
@@ -165,12 +170,20 @@ def assert_same_text(got, want):
                 f"{len(a)} lines against {len(b)}", pytrace=False)
 
 
-def test_streamed_rows_match_per_cell_rendering(tmp_path):
+@pytest.mark.parametrize("runs", [tables._CHUNK_ROWS, tables._CHUNK_ROWS + 1],
+                         ids=["chunk-rows-runs", "one-run-more"])
+def test_streamed_rows_match_per_cell_rendering(tmp_path, runs):
     rng = np.random.default_rng(5)
     n = 2 * tables._CHUNK_ROWS + 7  # two full chunks and a partial one
     pool = [0.0, -0.0, 0.5, -2.25e-300, 1e300, 3.0]
     special = np.array([0.0, -0.0, math.nan, math.inf, -math.inf, 5e-324,
                         2.2250738585072014e-308, 1e300])
+    # float columns of ``runs`` runs each: up to _CHUNK_ROWS runs a column is
+    # reduced to its distinct values, above it goes to the kernel chunk by chunk
+    run = np.zeros(n, int)
+    run[rng.choice(np.arange(1, n), runs - 1, replace=False)] = 1
+    run = np.cumsum(run)
+    signalling = np.array([0x7FF0000000000001], np.uint64).view(np.float64)[0]
     table = ResultTable(columns={
         "f": np.array(pool)[rng.integers(0, len(pool), n)],
         "x": rng.standard_normal(n),
@@ -180,6 +193,9 @@ def test_streamed_rows_match_per_cell_rendering(tmp_path):
                        rng.standard_normal(n)),
         "ai": rng.integers(-3, 2**40, n) * rng.integers(0, 2, n),
         "as": np.array(["a", "bb", "c-1"])[rng.integers(0, 3, n)],
+        "zeros": np.array([0.0, -0.0])[run % 2],
+        "nans": np.array([signalling, -math.nan, math.inf])[run % 3],
+        "f32": np.array([0.1, -0.0, math.nan, 3.0], np.float32)[np.arange(n) * 4 // n],
     }, units={"x": "energy"}, provenance={"k": "v"})
     path = tmp_path / "s.csv"
     write_table(table, str(path))
@@ -403,17 +419,22 @@ def test_nul_in_a_cell_or_name_rejected(tmp_path, columns):
     assert list(tmp_path.iterdir()) == []
 
 
-@pytest.mark.parametrize("column", [
-    [1.0, 2.0],
-    np.array([1, "a"], dtype=object),
-    np.array([1j, 2.0]),
-    pytest.param(np.array([1.0, 2.0], dtype=np.longdouble), marks=pytest.mark.skipif(
+NOT_TYPED = "'c' is .*, not a 1-D array"
+
+
+@pytest.mark.parametrize("column,match", [
+    ([1.0, 2.0], NOT_TYPED),
+    (np.array([1, "a"], dtype=object), NOT_TYPED),
+    (np.array([1j, 2.0]), NOT_TYPED),
+    pytest.param(np.array([1.0, 2.0], dtype=np.longdouble), NOT_TYPED, marks=pytest.mark.skipif(
         np.dtype(np.longdouble).itemsize <= 8, reason="long double is float64 here")),
-    np.zeros((2, 1)),
-], ids=["list", "object", "complex", "float128", "2-D"])
-def test_columns_other_than_typed_arrays_rejected(tmp_path, column):
-    # a column is one 1-D array of float (at most 64 bits), int or str
-    with pytest.raises(InputError, match="'c' is .*, not a 1-D array"):
+    (np.zeros((2, 1)), NOT_TYPED),
+    (np.array(["1.50", "2"]), "str column 'c' would read back as numbers"),
+], ids=["list", "object", "complex", "float128", "2-D", "numeric-str"])
+def test_columns_other_than_typed_arrays_rejected(tmp_path, column, match):
+    # a column is one 1-D array of float (at most 64 bits), int or str, and
+    # reads back as the same kind
+    with pytest.raises(InputError, match=match):
         write_table(ResultTable(columns={"x": np.arange(2.0), "c": column},
                                 provenance={"k": "v"}), str(tmp_path / "new" / "c.csv"))
     assert list(tmp_path.iterdir()) == []
