@@ -1,8 +1,7 @@
 """Loschmidt-echo analytics and post-processing.
 
-Closed-form single-mode echo, the Gaussian-to-power-law envelope model and
-its variable-projection fit (numpy only), minimum extraction, the echo-minimum
-law, and multi-series collapse checks.
+Closed-form single-mode echo, minimum extraction, the echo-minimum law, and
+multi-series collapse checks.
 """
 
 from __future__ import annotations
@@ -13,14 +12,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DomainError, FitError, InputError
+from .errors import DomainError, InputError
 from .squeeze import SqueezeMap
-
-FIT_MIN_SAMPLES = 10  # fewest samples an envelope-fit window may hold
-FIT_B0_BOUNDS = (1e-6, 1.2)  # envelope amplitude b0 allowed by the fit
-FIT_XI_SPAN = (1e-4, 1e3)  # xi scanned, in units of 1 / (window end)
-FIT_XI_GRID = 65  # log-spaced xi samples per scan
-FIT_XI_ROUNDS = 8  # scans, each over two grid steps of the last
 
 
 def _as_time_grid(t_grid) -> np.ndarray:
@@ -68,7 +61,9 @@ def survival_closed(map: SqueezeMap, delta1: float, t_grid) -> EchoSeries:
 
     The even-state expansion with phases advancing as 2 n delta1 t resums to
     M(t) = (1 - q^2) / sqrt((1 - q^2)^2 + 4 q^2 sin^2(delta1 t)), q = tanh r.
-    Periodic with period pi / delta1; minimum (1 - q^2)/(1 + q^2).
+    Periodic with period pi / delta1; minimum (1 - q^2)/(1 + q^2).  At the
+    scaling map r = ln(1/eta) / 4 it is the eta law of the whole curve,
+    M = [1 + (1 - eta)^2 / (4 eta) sin^2(tau)]^{-1/2} with tau = delta1 t.
     """
     t = _as_time_grid(t_grid)
     q = map.q
@@ -82,113 +77,6 @@ def survival_closed(map: SqueezeMap, delta1: float, t_grid) -> EchoSeries:
     m = one_minus_q2 / np.sqrt(one_minus_q2**2
                                + 4.0 * q * q * np.sin(delta1 * t) ** 2)
     return EchoSeries(t=t, echo=m, omega1=delta1)
-
-
-@dataclass(frozen=True)
-class SemiclassicalParams:
-    """Parameters of the Gaussian-then-power-law echo envelope.
-
-    ``gamma`` (1/time^2) drives the initial Gaussian decay, ``xi`` (1/time)
-    the crossover to the 1/(xi t) tail; ``b0`` is an amplitude of order 1.
-    """
-
-    gamma: float
-    xi: float
-    b0: float = 1.0
-
-    def __post_init__(self):
-        if not (self.gamma >= 0 and math.isfinite(self.gamma)):
-            raise InputError("gamma must be finite and nonnegative")
-        if not (self.xi >= 0 and math.isfinite(self.xi)):
-            raise InputError("xi must be finite and nonnegative")
-        if not 0.0 < self.b0 <= FIT_B0_BOUNDS[1]:
-            raise InputError(f"b0 must lie in (0, {FIT_B0_BOUNDS[1]}]")
-
-
-def semiclassical_envelope(params: SemiclassicalParams, t):
-    """Envelope b0 (1 + xi^2 t^2)^{-1/2} exp(-gamma t^2 / (1 + xi^2 t^2))."""
-    t_in = np.asarray(t, dtype=float)
-    if np.any(t_in < 0):
-        raise InputError("t must be nonnegative")
-    den = 1.0 + (params.xi * t_in) ** 2
-    out = params.b0 / np.sqrt(den) * np.exp(-params.gamma * t_in**2 / den)
-    if t_in.ndim == 0:
-        return float(out)
-    return out
-
-
-@dataclass(frozen=True)
-class EnvelopeFit:
-    """Fitted envelope parameters and the largest log-domain residual."""
-
-    params: SemiclassicalParams
-    max_log_residual: float
-
-
-def _fit_at_xi(tt, y, xi):
-    """Best (ln b0, gamma) for a fixed xi, and the log residual there.
-
-    At fixed xi the residual ln b0 - ln(1 + xi^2 t^2)/2 - gamma u - ln M,
-    u = t^2 / (1 + xi^2 t^2), is linear in (ln b0, gamma): a convex problem
-    whose bounded minimum is the unconstrained one when feasible, else the
-    best point on an edge (gamma = 0, or ln b0 at either bound).
-    """
-    den = 1.0 + (xi * tt) ** 2
-    u = tt**2 / den
-    z = y + 0.5 * np.log(den)
-    lo, hi = (math.log(b) for b in FIT_B0_BOUNDS)
-    zm, um = float(z.mean()), float(u.mean())
-    du = u - um
-    g = float(du @ (zm - z)) / float(du @ du)
-    c = zm + g * um
-    candidates = [(min(max(zm, lo), hi), 0.0)]
-    candidates += [(cb, max(float(u @ (cb - z)) / float(u @ u), 0.0)) for cb in (lo, hi)]
-    if g >= 0.0 and lo <= c <= hi:
-        candidates.append((c, g))
-    residuals = [cb - gb * u - z for cb, gb in candidates]
-    k = int(np.argmin([r @ r for r in residuals]))
-    return candidates[k], residuals[k]
-
-
-def fit_envelope(series: EchoSeries, window: tuple[float, float]) -> EnvelopeFit:
-    """Least-squares fit of the envelope to ln M over a time window.
-
-    Variable projection: (ln b0, gamma) are solved exactly for each xi, and
-    xi is found by log-spaced scans over FIT_XI_SPAN / (window end), each
-    narrowed to the two grid steps around the previous best.  The window
-    should stay inside the first echo period and hold at least
-    FIT_MIN_SAMPLES samples.  Raises FitError when the windowed echo is not
-    finite.
-    """
-    lo, hi = float(window[0]), float(window[1])
-    if not hi > lo:
-        raise InputError("window must satisfy hi > lo")
-    mask = (series.t >= lo) & (series.t <= hi)
-    n_in = int(np.count_nonzero(mask))
-    if n_in < FIT_MIN_SAMPLES:
-        raise InputError(f"window holds {n_in} samples; need at least {FIT_MIN_SAMPLES}")
-    tt = series.t[mask]
-    mm = series.echo[mask]
-    if np.any(mm <= 0):
-        raise InputError("echo must stay positive for a log-domain fit")
-    if not np.all(np.isfinite(mm)):
-        raise FitError("echo is not finite inside the fit window")
-    y = np.log(mm)
-
-    def cost(s):
-        residual = _fit_at_xi(tt, y, math.exp(s))[1]
-        return float(residual @ residual)
-
-    s_lo, s_hi = (math.log(x / tt[-1]) for x in FIT_XI_SPAN)
-    for _ in range(FIT_XI_ROUNDS):
-        grid = np.linspace(s_lo, s_hi, FIT_XI_GRID)
-        k = int(np.argmin([cost(s) for s in grid]))
-        s_lo, s_hi = grid[max(k - 1, 0)], grid[min(k + 1, FIT_XI_GRID - 1)]
-    xi = math.exp(grid[k])
-    (c, g), residual = _fit_at_xi(tt, y, xi)
-    b0 = min(max(math.exp(c), FIT_B0_BOUNDS[0]), FIT_B0_BOUNDS[1])
-    return EnvelopeFit(params=SemiclassicalParams(gamma=g, xi=xi, b0=b0),
-                       max_log_residual=float(np.max(np.abs(residual))))
 
 
 def min_echo(series: EchoSeries) -> float:

@@ -21,9 +21,5 @@ class NumericError(QptError, RuntimeError):
     """A numerical procedure failed to converge or lost required accuracy."""
 
 
-class FitError(NumericError):
-    """A nonlinear fit did not converge."""
-
-
 class ResourceError(QptError, RuntimeError):
     """Requested problem size exceeds a configured resource cap."""

@@ -258,8 +258,9 @@ def write_table(table: ResultTable, path: str) -> str:
 
     Every cell is checked before the temp file is created, so a refused cell
     leaves ``path`` as it was.  A table with no column, or a one-column table
-    with an empty name or cell, is refused: it would hold a blank line.  A
-    str column is refused if every cell reads as a number.  Besides the
+    with an empty name or cell, is refused: it would hold a blank line.  So
+    is a table with no row, whose columns would all read back as int, and a
+    str column whose every cell reads as a number.  Besides the
     columns, the write holds the text of each distinct value of a column
     (see ``_column``); a float column of more than ``_CHUNK_ROWS`` runs is
     formatted with its chunk of ``_CHUNK_ROWS`` rows, so no column's whole
@@ -277,6 +278,9 @@ def write_table(table: ResultTable, path: str) -> str:
     if not columns or len(columns) == 1 and ("" in table.columns or columns[0][2]):
         raise InputError("a table with no column, or an empty name or cell in a one-column "
                          "table, is a blank line, which read_table skips")
+    if not table.n_rows:
+        raise InputError("a table with no row is refused: every column would read back "
+                         "as int")
     stops = np.cumsum([width + 1 for _, width, _ in columns])
     rows = np.empty((min(table.n_rows, _CHUNK_ROWS), stops[-1]), np.uint32)
     rows[:, stops - 1] = ord(",")  # one byte once the NULs are dropped

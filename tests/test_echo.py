@@ -3,10 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from qptscale import (DomainError, EchoSeries, FitError, InputError, SemiclassicalParams,
-                      SqueezeMap, collapse_check, fit_envelope, min_echo,
-                      mp_scaling, semiclassical_envelope,
-                      survival_closed)
+from qptscale import (DomainError, EchoSeries, InputError, SqueezeMap,
+                      collapse_check, min_echo, mp_scaling, survival_closed)
 from qptscale.dicke import DickeParams, critical_coupling, mode_energies
 from conftest import assert_echo_series
 
@@ -76,136 +74,6 @@ class TestSurvivalClosed:
             survival_closed(m, 1.0, np.array([0.0, 1.0, 0.5]))
         with pytest.raises(InputError):
             survival_closed(m, -1.0, np.array([0.0, 1.0]))
-
-
-class TestSemiclassicalEnvelope:
-    def test_amplitude_at_zero(self):
-        p = SemiclassicalParams(gamma=0.3, xi=0.1, b0=0.97)
-        assert semiclassical_envelope(p, 0.0) == pytest.approx(0.97, abs=1e-15)
-
-    def test_pure_gaussian_limit(self):
-        p = SemiclassicalParams(gamma=1.0, xi=0.0, b0=1.0)
-        assert semiclassical_envelope(p, 1.0) == pytest.approx(math.exp(-1.0), abs=1e-15)
-
-    def test_frozen_value(self):
-        # mpmath: 1.16^{-1/2} exp(-2/1.16) = 0.16557219866316629
-        p = SemiclassicalParams(gamma=0.5, xi=0.2, b0=1.0)
-        assert semiclassical_envelope(p, 2.0) == pytest.approx(
-            0.16557219866316629, abs=1e-15)
-
-    def test_long_time_tail(self):
-        # for xi*t >> 1 the envelope approaches b0 exp(-gamma/xi^2)/(xi t)
-        p = SemiclassicalParams(gamma=0.09, xi=0.3, b0=1.0)
-        t = 100.0 / p.xi
-        predicted = math.exp(-p.gamma / p.xi**2) / (p.xi * t)
-        assert semiclassical_envelope(p, t) == pytest.approx(predicted, rel=0.01)
-
-    def test_parameter_validation(self):
-        with pytest.raises(InputError):
-            SemiclassicalParams(gamma=-0.1, xi=0.1)
-        with pytest.raises(InputError):
-            SemiclassicalParams(gamma=0.1, xi=0.1, b0=1.5)
-        with pytest.raises(InputError):
-            semiclassical_envelope(SemiclassicalParams(0.1, 0.1), -1.0)
-
-    def test_rescaled_combinations(self):
-        # on tau = omega1 t the envelope takes gamma / omega1^2 and xi / omega1
-        omega1, t = 0.1, np.linspace(0.0, 30.0, 61)
-        p = SemiclassicalParams(gamma=0.5, xi=0.2)
-        rescaled = SemiclassicalParams(gamma=0.5 / omega1**2, xi=0.2 / omega1)
-        assert np.allclose(semiclassical_envelope(p, t),
-                           semiclassical_envelope(rescaled, omega1 * t), rtol=1e-13, atol=0.0)
-
-
-class TestFitEnvelope:
-    def synthetic(self, gamma, xi, b0, t_max=20.0, n=400):
-        t = np.linspace(0.0, t_max, n)
-        data = semiclassical_envelope(SemiclassicalParams(gamma, xi, b0), t)
-        return EchoSeries(t=t, echo=data, omega1=1.0)
-
-    def fit_case(self, name):
-        if name == "synthetic":
-            return self.synthetic(0.5, 0.2, 1.0), (0.0, 20.0)
-        if name == "constant":
-            t = np.linspace(0.0, 5.0, 60)
-            return EchoSeries(t=t, echo=np.ones_like(t), omega1=1.0), (0.0, 5.0)
-        if name == "early-window":
-            return survival_closed(SqueezeMap(0.05), 1.0, np.linspace(0.0, 0.2, 300)), (0.0, 0.2)
-        # acceptance criterion 6: eta = 0.3, second coupling 0.1% below critical
-        spectrum = mode_energies(DickeParams(1.0, 1.0, critical_coupling(1.0, 1.0) * (1 - 3e-4)))
-        t_echo = math.pi / spectrum.e1
-        series = survival_closed(ratio_map(0.3), spectrum.e1,
-                                 np.linspace(0.0, 0.5 * t_echo, 4001))
-        return series, (2.0 * math.pi / spectrum.e2, 0.4 * t_echo)
-
-    def test_round_trip_within_one_percent(self):
-        fit = fit_envelope(*self.fit_case("synthetic"))
-        assert fit.params.gamma == pytest.approx(0.5, rel=0.01)
-        assert fit.params.xi == pytest.approx(0.2, rel=0.01)
-        assert fit.params.b0 == pytest.approx(1.0, rel=0.01)
-        assert fit.max_log_residual <= 1e-8
-
-    def test_constant_series_fits_to_no_decay(self):
-        fit = fit_envelope(*self.fit_case("constant"))
-        assert fit.params.gamma <= 1e-6
-        assert fit.params.xi <= 1e-3
-        assert fit.params.b0 == pytest.approx(1.0, abs=1e-6)
-
-    def test_early_window_recovers_quadratic_decay(self):
-        # small q: -ln M ~ (Gamma + xi^2/2) t^2 with coefficient B^2 d^2/2
-        q = SqueezeMap(0.05).q
-        delta1 = 1.0
-        b_sq = (2.0 * q / (1.0 - q * q)) ** 2
-        fit = fit_envelope(*self.fit_case("early-window"))
-        quadratic = fit.params.gamma + 0.5 * fit.params.xi**2
-        assert quadratic == pytest.approx(0.5 * b_sq * delta1**2, rel=0.05)
-
-    def test_window_needs_enough_samples(self):
-        series = self.synthetic(0.5, 0.2, 1.0)
-        with pytest.raises(InputError):
-            fit_envelope(series, (0.0, 0.1))
-        with pytest.raises(InputError):
-            fit_envelope(series, (3.0, 1.0))
-
-    def test_amplitude_bound_is_active(self):
-        series = self.synthetic(0.5, 0.2, 1.0)
-        scaled = EchoSeries(t=series.t, echo=1.5 * series.echo, omega1=1.0)
-        assert fit_envelope(scaled, (0.0, 20.0)).params.b0 == 1.2
-
-    def test_nonfinite_echo_in_window_is_fit_error(self):
-        series = self.synthetic(0.5, 0.2, 1.0)
-        echo = series.echo.copy()
-        echo[100] = np.nan
-        with pytest.raises(FitError):
-            fit_envelope(EchoSeries(t=series.t, echo=echo, omega1=1.0), (0.0, 20.0))
-        # outside the window the sample is never read
-        fit_envelope(EchoSeries(t=series.t, echo=echo, omega1=1.0), (0.0, 4.0))
-
-    @pytest.mark.parametrize("name", ["synthetic", "constant", "early-window", "criterion-6"])
-    def test_cost_no_worse_than_scipy_least_squares(self, name):
-        import scipy.optimize
-
-        series, (lo, hi) = self.fit_case(name)
-        mask = (series.t >= lo) & (series.t <= hi)
-        tt, y = series.t[mask], np.log(series.echo[mask])
-
-        def residual(p):
-            g, x, b = p
-            den = 1.0 + (x * tt) ** 2
-            return math.log(b) - 0.5 * np.log(den) - g * tt**2 / den - y
-
-        p = fit_envelope(series, (lo, hi)).params
-        cost = 0.5 * float(np.sum(residual((p.gamma, p.xi, p.b0)) ** 2))
-        # scipy's best of three starts, under the same bounds
-        drop = max(-float(y[-1]), 1e-8)
-        starts = [(drop / tt[-1]**2, 1.0 / tt[-1], 1.0),
-                  (1e-8, math.sqrt(2.0 * drop) / tt[-1], 1.0),
-                  (0.5 * drop / tt[-1]**2, 4.0 / tt[-1], 1.0)]
-        reference = min(scipy.optimize.least_squares(
-            residual, x0, bounds=([0.0, 0.0, 1e-6], [np.inf, np.inf, 1.2])).cost
-            for x0 in starts)
-        # 1e-18 is the cost of log residuals of ~1e-10 over a few hundred samples
-        assert cost <= reference * (1.0 + 1e-9) + 1e-18
 
 
 class TestRescaleTime:

@@ -112,6 +112,15 @@ def test_one_column_table_with_an_empty_line_rejected(tmp_path, columns):
     assert list(tmp_path.iterdir()) == []  # refused before the directory exists
 
 
+def test_table_with_no_row_rejected(tmp_path):
+    # its header alone would read back with every column as int
+    table = ResultTable(columns={"x": np.array([], float), "s": np.array([], str)},
+                        provenance={"k": "v"})
+    with pytest.raises(InputError, match="no row"):
+        write_table(table, str(tmp_path / "new" / "z.csv"))
+    assert list(tmp_path.iterdir()) == []  # refused before the directory exists
+
+
 def test_empty_cells_beside_other_columns_round_trip(tmp_path):
     path = tmp_path / "t.csv"
     table = ResultTable(columns={"tag": np.array(["a", "", "b"]), "n": np.array([1, 2, 3])},
