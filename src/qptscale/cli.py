@@ -342,7 +342,7 @@ def _config_from_args(args) -> RunConfig:
                 f"config {key} {stated!r} conflicts with subcommand {args.command!r}")
         doc[key] = doc.get(key, "dicke") if value is None else value
     apply_overrides(doc, args.set)
-    if args.output:
+    if args.output is not None:
         _set_dotted(doc, "output.path", args.output)
     return parse_document(doc)
 

@@ -2,9 +2,10 @@
 
 One vacuum expanded over the other basis is a squeezed vacuum: only even
 number states appear, with amplitudes controlled by tanh(r) where r is half
-the log of the ratio of the two ground-state widths.  Everything here is a metric
-quantity (absolute overlaps), so both phase angles of the transformation are
-fixed to zero.
+the log of the ratio of the two ground-state widths.  Every quantity returned
+here is a metric one, built from absolute overlaps, so both phase angles of
+the transformation are fixed to zero; the signed overlaps of the recursion
+stay private.
 """
 
 from __future__ import annotations
@@ -14,9 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, InputError, NumericError
+from .errors import InputError, NumericError
 
-R_CAP = 20.0               # largest |r| ground_expansion accepts
 OVERLAP_TRUNC_TOL = 1e-10  # weight an overlap column may lose to truncation
 
 
@@ -45,37 +45,9 @@ def width_map(w1: float, w2: float) -> SqueezeMap:
     W = sqrt(V/T) for the mode T p^2/2 + V x^2/2: r = ln(w2/w1) / 2."""
     if not (0.0 < w1 < math.inf and 0.0 < w2 < math.inf):
         raise InputError("widths must be positive and finite")
+    if not 0.0 < w2 / w1 < math.inf:
+        raise InputError(f"width ratio {w2!r} / {w1!r} is outside (0, inf)")
     return SqueezeMap(0.5 * math.log(w2 / w1))
-
-
-@dataclass(frozen=True)
-class GroundExpansion:
-    """Even-number-state amplitudes of one vacuum in the other basis.
-
-    ``amplitudes[n]`` is the coefficient of the 2n-th number state; odd
-    states are absent by parity.  ``tail_bound`` bounds the probability
-    weight beyond the truncation.
-    """
-
-    amplitudes: np.ndarray
-    tail_bound: float
-
-
-def ground_expansion(map: SqueezeMap, n_max: int) -> GroundExpansion:
-    """Expansion of the mapped vacuum over even number states, from column 0
-    of the overlap recursion :func:`_signed_overlaps`.
-
-    a_{2n} = (cosh r)^{-1/2} * sqrt((2n-1)!!/(2n)!!) * tanh(r)^n, accumulated
-    multiplicatively to avoid factorial overflow.
-    """
-    if n_max < 0:
-        raise InputError("n_max must be nonnegative")
-    if abs(map.r) >= R_CAP:
-        raise DomainError(
-            f"|r| = {abs(map.r):.3f} >= cap {R_CAP}: refine the parameter step")
-    amps = _signed_overlaps(map, 2 * n_max, 0)[::2, 0]
-    tail = float(amps[-1] ** 2 * math.sinh(map.r) ** 2)
-    return GroundExpansion(amplitudes=amps, tail_bound=tail)
 
 
 def fidelity(map: SqueezeMap) -> float:
@@ -131,18 +103,11 @@ def overlap_matrix(map: SqueezeMap, n_max: int, *,
 
 
 def participation_ratio(map: SqueezeMap, m: int, n_max: int) -> float:
-    """Participation ratio chi = 1 / sum_n C_nm^4 of basis state m.
-
-    Requires the overlap column to be converged (probability weight within
-    OVERLAP_TRUNC_TOL of unity) at the given n_max.
+    """Participation ratio chi = 1 / sum_n C_nm^4 of basis state m, from
+    column m of :func:`overlap_matrix`, which must be converged at n_max
+    (together with every lower column) or a NumericError names the column.
     """
     if m < 0:
         raise InputError("m must be nonnegative")
-    if n_max < 0:
-        raise InputError("n_max must be nonnegative")
-    col = _signed_overlaps(map, n_max, m)[:, m]
-    weight = float(np.sum(col**2))
-    if weight < 1.0 - OVERLAP_TRUNC_TOL:
-        raise NumericError(
-            f"overlap column {m} unconverged at n_max={n_max}: weight {weight:.12f}")
+    col = overlap_matrix(map, n_max, m_max=m)[:, m]
     return float(1.0 / np.sum(col**4))

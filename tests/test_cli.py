@@ -281,6 +281,16 @@ def test_output_flag_over_non_object_output_is_usage_error(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_empty_output_flag_is_usage_error(tmp_path, capsys, monkeypatch):
+    # an empty --output is refused like an empty output.path, not dropped
+    # in favour of the default path
+    monkeypatch.chdir(tmp_path)
+    assert run_cli(["dicke-fidelity", "--set", "pairs=[[0.45,0.4]]",
+                    "--output", ""]) == 2
+    assert "output.path" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_schema_violation_reports_path(tmp_path, capsys):
     cfg = write_config(tmp_path, {"etas": [0.1], "scales": [0.01],
                                   "omega": -1.0})

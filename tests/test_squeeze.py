@@ -4,9 +4,8 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from qptscale import (DomainError, InputError, NumericError, SqueezeMap,
-                      ground_expansion, overlap_matrix, participation_ratio,
-                      squeeze_fidelity, width_map)
+from qptscale import (InputError, NumericError, SqueezeMap, overlap_matrix,
+                      participation_ratio, squeeze_fidelity, width_map)
 
 
 def expm_overlap_oracle(r, n_rows, n_cols, fock=240):
@@ -49,7 +48,9 @@ def test_width_map_rejects_nonfinite():
 
 
 def test_width_map_rejects_nonpositive():
-    for w1, w2 in [(0.0, 1.0), (1.0, 0.0), (-0.5, 1.0), (1.0, -2.0)]:
+    # the last two are valid widths whose ratio underflows to 0 or overflows
+    for w1, w2 in [(0.0, 1.0), (1.0, 0.0), (-0.5, 1.0), (1.0, -2.0),
+                   (1e300, 1e-300), (1e-300, 1e300)]:
         with pytest.raises(InputError):
             width_map(w1, w2)
 
@@ -60,44 +61,6 @@ def test_squeeze_map_invariant_and_phases():
     for w1, w2 in [(1.0, 1.2), (3.3, 2.4), (0.1, 1e3), (50.0, 0.2)]:
         m = width_map(w1, w2)
         assert abs(squeeze_fidelity(m) ** 4 - (1.0 - m.q * m.q)) <= 1e-12
-
-
-class TestGroundExpansion:
-    def test_vacuum_to_vacuum(self):
-        ge = ground_expansion(SqueezeMap(0.0), 6)
-        assert ge.amplitudes[0] == 1.0
-        assert np.all(ge.amplitudes[1:] == 0.0)
-        assert ge.tail_bound == 0.0
-
-    def test_frozen_amplitudes_at_half(self):
-        # mpmath: a0 = 0.9306048591020996, a2 = 0.32901850323812312,
-        #         a4 = 0.1424691910596736
-        ge = ground_expansion(SqueezeMap(math.atanh(0.5)), 4)
-        assert ge.amplitudes[0] == pytest.approx(0.9306048591020996, abs=1e-14)
-        assert ge.amplitudes[1] == pytest.approx(0.32901850323812312, abs=1e-14)
-        assert ge.amplitudes[2] == pytest.approx(0.1424691910596736, abs=1e-14)
-
-    @pytest.mark.parametrize("r", [0.2, -0.6, 1.1])
-    def test_normalization_when_tail_negligible(self, r):
-        ge = ground_expansion(SqueezeMap(r), 400)
-        assert ge.tail_bound <= 1e-12
-        assert np.sum(ge.amplitudes**2) == pytest.approx(1.0, abs=1e-12)
-
-    def test_sign_pattern_follows_tanh(self):
-        ge = ground_expansion(SqueezeMap(-0.4), 7)
-        signs = np.sign(ge.amplitudes)
-        assert np.array_equal(signs, [(-1.0) ** n for n in range(8)])
-
-    def test_weight_bracketed_by_tail_bound(self):
-        ge = ground_expansion(SqueezeMap(1.1), 20)
-        total = float(np.sum(ge.amplitudes**2))
-        assert 1.0 - ge.tail_bound <= total <= 1.0 + 1e-14
-
-    def test_rejects_cap_and_bad_order(self):
-        with pytest.raises(DomainError):
-            ground_expansion(SqueezeMap(25.0), 4)
-        with pytest.raises(InputError):
-            ground_expansion(SqueezeMap(0.1), -1)
 
 
 class TestFidelity:
@@ -120,8 +83,6 @@ class TestFidelity:
     def test_matches_leading_amplitude_and_overlap(self):
         for r in (0.05, -0.8, 1.7):
             m = SqueezeMap(r)
-            ge = ground_expansion(m, 0)
-            assert abs(squeeze_fidelity(m) - abs(ge.amplitudes[0])) <= 1e-12
             c = overlap_matrix(m, 600, m_max=0)
             assert abs(squeeze_fidelity(m) - c[0, 0]) <= 1e-12
 
@@ -139,11 +100,18 @@ class TestOverlapMatrix:
         n, m = np.meshgrid(np.arange(41), np.arange(7), indexing="ij")
         assert np.all(c[(n + m) % 2 == 1] == 0.0)
 
-    def test_column_zero_matches_expansion(self):
+    def test_column_zero_matches_closed_form(self):
+        # |a_2n| = (cosh r)^{-1/2} sqrt(C(2n, n) / 4^n) |tanh r|^n; at
+        # tanh r = 1/2, mpmath: a_0 = 0.9306048591020996,
+        # a_2 = 0.32901850323812312, a_4 = 0.1424691910596736
         m = SqueezeMap(math.atanh(0.5))
         c = overlap_matrix(m, 60, m_max=0)
-        ge = ground_expansion(m, 30)
-        assert np.max(np.abs(c[0::2, 0] - np.abs(ge.amplitudes))) <= 1e-12
+        closed = [squeeze_fidelity(m) * math.sqrt(math.comb(2 * n, n) / 4**n)
+                  * 0.5**n for n in range(31)]
+        assert np.max(np.abs(c[0::2, 0] - closed)) <= 1e-12
+        assert c[0:5:2, 0] == pytest.approx(
+            [0.9306048591020996, 0.32901850323812312, 0.1424691910596736],
+            abs=1e-14)
 
     @pytest.mark.parametrize("r,n_rows", [(0.2, 40), (-0.45, 70), (0.8, 120)])
     def test_against_matrix_exponential_oracle(self, r, n_rows):
@@ -184,10 +152,21 @@ class TestParticipationRatio:
         assert all(v >= 1.0 for v in values)
 
     def test_unconverged_column_raises(self):
-        with pytest.raises(NumericError):
+        with pytest.raises(NumericError, match="column"):
             participation_ratio(SqueezeMap(1.5), 0, 12)
 
     def test_even_in_r(self):
         a = participation_ratio(SqueezeMap(0.7), 2, 300)
         b = participation_ratio(SqueezeMap(-0.7), 2, 300)
         assert a == b
+
+
+@pytest.mark.parametrize("call", [
+    lambda: overlap_matrix(SqueezeMap(0.3), -1),
+    lambda: overlap_matrix(SqueezeMap(0.3), 8, m_max=-1),
+    lambda: participation_ratio(SqueezeMap(0.3), -1, 8),
+    lambda: participation_ratio(SqueezeMap(0.3), 0, -1),
+], ids=["overlap-n_max", "overlap-m_max", "ratio-m", "ratio-n_max"])
+def test_negative_order_is_refused(call):
+    with pytest.raises(InputError, match="nonnegative"):
+        call()
