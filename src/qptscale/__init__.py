@@ -7,8 +7,8 @@ __version__ = "0.1.0"
 from .dicke import (DickeParams, ModeSpectrum, critical_coupling,
                     fidelity_gaussian, fidelity_scaling, mode_energies,
                     scaling_eta)
-from .dicke_exact import (GroundState, TruncatedDicke, build_hamiltonian,
-                          echo_exact, fidelity_exact, ground_state_exact)
+from .dicke_exact import (TruncatedDicke, build_hamiltonian, echo_exact,
+                          fidelity_exact, ground_state_exact)
 from .echo import (EchoSeries, GroupCollapse, collapse_check, min_echo,
                    mp_scaling, survival_closed)
 from .errors import (CrossPhaseError, DomainError, InputError, NumericError,
@@ -20,7 +20,7 @@ from .squeeze import fidelity as squeeze_fidelity
 
 __all__ = [
     "CrossPhaseError", "DickeParams", "DomainError", "EchoSeries",
-    "GroundState", "GroupCollapse", "InputError", "LmgParams", "ModeSpectrum",
+    "GroupCollapse", "InputError", "LmgParams", "ModeSpectrum",
     "NumericError", "QptError", "ResourceError", "SqueezeMap",
     "TruncatedDicke", "build_hamiltonian", "collapse_check",
     "critical_coupling", "echo_exact", "echo_lmg", "fidelity_exact",

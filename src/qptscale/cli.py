@@ -64,6 +64,9 @@ class _Model:
 
 
 def _n_boson(cfg: RunConfig, n_atoms: int) -> int:  # the cutoff of every exact task
+    if cfg.exact.n_boson is None and n_atoms < 2:  # a set n_boson passed its rule
+        raise InputError(f"exact.n_boson defaults to N = {n_atoms}, but a truncation "
+                         f"needs at least 2 boson levels: set exact.n_boson")
     return cfg.exact.n_boson or n_atoms
 
 
@@ -334,7 +337,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _config_from_args(args) -> RunConfig:
     model, task = _SUBCOMMANDS[args.command]
-    doc = load_document(args.config) if args.config else {}
+    doc = {} if args.config is None else load_document(args.config)
     for key, value in (("model", model), ("task", task)):
         stated = doc.get(key)
         if value is not None and stated is not None and stated != value:

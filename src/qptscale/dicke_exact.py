@@ -1,5 +1,5 @@
-"""Exact numerics for the spin-boson Hamiltonian on a truncated basis:
-matrix-free parity-block operators, parity-resolved ground states,
+"""Exact numerics for the spin-boson Hamiltonian on a truncated basis in
+the normal phase: the matrix-free even parity block, its ground state,
 finite-size fidelity (the CLI's ``converge`` task turns it into D(N)) and
 exact echo curves.  numpy only."""
 
@@ -15,10 +15,9 @@ import numpy as np
 from .dicke import DickeParams, critical_coupling, mode_energies
 from .echo import EchoSeries, _as_time_grid
 from .errors import DomainError, InputError, ResourceError
-from .linalg import GatherOperator, lanczos_ground, lanczos_survival
+from .linalg import GatherOperator, LanczosInfo, lanczos_ground, lanczos_survival
 
 MAX_DIM = 200_000  # basis states a truncated system may have
-QUASI_DEGENERATE_GAP = 1e-10  # parity gap below which blocks count as degenerate
 
 _solved: ContextVar[dict | None] = ContextVar("solved", default=None)
 
@@ -58,24 +57,23 @@ class TruncatedDicke:
         return self.n_boson * (self.n_atoms + 1)
 
 
-def build_hamiltonian(system: TruncatedDicke, parity: str = "even") -> GatherOperator:
-    """The ``parity`` block of the truncated Hamiltonian, the basis states
-    whose n + m + j is even or odd, in ascending n * (n_atoms + 1) + m + j,
-    as a :class:`~qptscale.linalg.GatherOperator` with four gather rows.
+def build_hamiltonian(system: TruncatedDicke) -> GatherOperator:
+    """The even parity block of the truncated Hamiltonian, the basis states
+    whose n + m + j is even, in ascending n * (n_atoms + 1) + m + j, as a
+    :class:`~qptscale.linalg.GatherOperator` with four gather rows.
 
     Diagonal entries are omega * n + omega0 * m; the coupling connects
     (n, m) to (n +/- 1, m +/- 1) with amplitude
     (coupling / sqrt(n_atoms)) * sqrt(boson factor) * sqrt(j(j+1) - m(m +/- 1)),
     where the boson factor is n + 1 for n -> n + 1 and n for n -> n - 1.
-    Both moves change n + m + j by an even number, so the parity blocks
-    decouple.
+    Both moves change n + m + j by an even number, so the even block
+    decouples from the odd one, and below the critical coupling it holds
+    the ground state.
     """
-    if parity not in ("even", "odd"):
-        raise InputError(f"parity must be 'even' or 'odd', got {parity!r}")
     na, nb, j = system.n_atoms, system.n_boson, system.j
     width = na + 1
     n, k = np.divmod(np.arange(system.dim), width)
-    in_block = (n + k) % 2 == (parity == "odd")
+    in_block = (n + k) % 2 == 0
     position = np.cumsum(in_block) - 1  # block position of each block state
     idx = np.flatnonzero(in_block)
     n, k = n[idx], k[idx]
@@ -97,62 +95,37 @@ def build_hamiltonian(system: TruncatedDicke, parity: str = "even") -> GatherOpe
     return GatherOperator(diagonal, neighbours, amplitudes)
 
 
-@dataclass(frozen=True)
-class GroundState:
-    """Lowest eigenpair with parity bookkeeping.  ``vector`` is the Ritz vector
-    :func:`~qptscale.linalg.lanczos_ground` returns for the parity block
-    ``build_hamiltonian(system, parity)``, in that block's coordinates."""
+def _check_normal(*systems: TruncatedDicke) -> None:
+    """Refuse systems at or above the critical coupling of the first one
+    (DomainError): there the parity-symmetric exact ground states carry the
+    sqrt(N) mean-field displacement, which the normal-phase analytics do
+    not describe."""
+    lc = critical_coupling(systems[0].omega, systems[0].omega0)
+    couplings = [s.coupling for s in systems]
+    if any(c >= lc for c in couplings):
+        raise DomainError(
+            f"exact ground states, fidelities and echoes need couplings below "
+            f"the critical coupling {lc:.6g} (got {', '.join(f'{c:.6g}' for c in couplings)})")
 
-    energy: float
-    vector: np.ndarray
-    parity: str
-    meta: dict
 
+def ground_state_exact(system: TruncatedDicke) -> tuple[float, np.ndarray, LanczosInfo]:
+    """Ground state of the truncated Hamiltonian below the critical coupling
+    (DomainError at or above it): :func:`~qptscale.linalg.lanczos_ground`'s
+    ``(energy, vector, LanczosInfo)`` for the even parity block
+    ``build_hamiltonian(system)``, the vector in that block's coordinates.
 
-def ground_state_exact(system: TruncatedDicke) -> GroundState:
-    """Ground state of the truncated Hamiltonian, by Lanczos on parity blocks.
-
-    Below the critical coupling only the even parity block is solved (the
-    ground state lives there); at and above it both blocks are solved and the
-    lower one is returned, the even one when the two energies differ by less
-    than ``QUASI_DEGENERATE_GAP``.  Near-degeneracy of the two blocks is
-    reported in the metadata, with the Lanczos step count and final residual
-    of the returned block.  The step count is that of the first residual
-    check that passed: a multiple of ``KRYLOV_CHECK_EVERY`` unless the run
-    broke down first.  Each block takes two Lanczos runs of that many steps,
-    the second replaying the first to sum the Ritz vector, so a solve holds
-    a few block-length vectors and no Krylov basis (see
-    :func:`qptscale.linalg.lanczos_ground`).
-
-    Lanczos starts each block from its position 0, the block's lowest bare
-    state: |n=0, m=-j> (even) or |n=0, m=-j+1> (odd).  The even start is the
-    exact ground state at coupling 0, and the normal-phase ground state, a
-    squeezed vacuum of the zero mode, stays piled up next to it.  The start
-    overlaps the ground state of either block: for any coupling > 0 the
-    block is irreducible, and after the gauge (-1)^n every off-diagonal
-    element is negative, so by Perron-Frobenius the ground state has no
-    zero component.
+    Lanczos starts from block position 0, |n=0, m=-j>, the exact ground
+    state at coupling 0; the normal-phase ground state, a squeezed vacuum of
+    the zero mode, stays piled up next to it.  The start overlaps the ground
+    state: for any coupling > 0 the block is irreducible, and after the
+    gauge (-1)^n every off-diagonal element is negative, so by
+    Perron-Frobenius the ground state has no zero component.
     """
-    lc = critical_coupling(system.omega, system.omega0)
-    normal = system.coupling < lc
-    solved = []
-    for name in ["even"] if normal else ["even", "odd"]:
-        block = build_hamiltonian(system, name)
-        start = np.zeros(block.shape[0])
-        start[0] = 1.0  # the block's lowest bare state
-        e, v, info = lanczos_ground(block, start)
-        solved.append((e, v, name, info))
-    parity_gap = abs(solved[1][0] - solved[0][0]) if len(solved) > 1 else None
-    quasi_degenerate = parity_gap is not None and parity_gap < QUASI_DEGENERATE_GAP
-    odd = parity_gap is not None and not quasi_degenerate and solved[1][0] < solved[0][0]
-    e0, vector, name, info = solved[odd]
-    meta = {
-        "iterations": info.iterations,
-        "residual": info.residual,
-        "parity_gap": parity_gap,
-        "quasi_degenerate": quasi_degenerate,
-    }
-    return GroundState(energy=float(e0), vector=vector, parity=name, meta=meta)
+    _check_normal(system)
+    block = build_hamiltonian(system)
+    start = np.zeros(block.shape[0])
+    start[0] = 1.0  # |n=0, m=-j>
+    return lanczos_ground(block, start)
 
 
 @contextmanager
@@ -167,7 +140,7 @@ def solve_once():
         _solved.reset(token)
 
 
-def _ground_state(system: TruncatedDicke) -> GroundState:
+def _ground_state(system: TruncatedDicke) -> tuple[float, np.ndarray, LanczosInfo]:
     """:func:`ground_state_exact`, reused inside :func:`solve_once`."""
     solved = _solved.get()
     if solved is None:
@@ -180,18 +153,12 @@ def _ground_state(system: TruncatedDicke) -> GroundState:
 def _check_pair(system1: TruncatedDicke, system2: TruncatedDicke) -> None:
     """Refuse two systems whose ground states cannot be compared.  Systems
     that differ in any field but ``coupling``, compared as whole systems,
-    lay out their vectors on different bases (InputError).  The
-    parity-symmetric exact ground states at and above the critical coupling
-    carry the sqrt(N) mean-field displacement, so overlaps built from them
-    are not the fluctuation fidelity the analytics describe (DomainError)."""
+    lay out their vectors on different bases (InputError); couplings at or
+    above the critical one have no normal-phase ground state to compare
+    (DomainError, see :func:`_check_normal`)."""
     if replace(system1, coupling=system2.coupling) != system2:
         raise InputError(f"the two systems must differ only in coupling: {system1}, {system2}")
-    lc = critical_coupling(system1.omega, system1.omega0)
-    couplings = (system1.coupling, system2.coupling)
-    if any(c >= lc for c in couplings):
-        raise DomainError(
-            f"exact fidelities and echoes need couplings below the critical "
-            f"coupling {lc:.6g} (got {', '.join(f'{c:.6g}' for c in couplings)})")
+    _check_normal(system1, system2)
 
 
 def fidelity_exact(system1: TruncatedDicke, system2: TruncatedDicke) -> float:
@@ -202,9 +169,9 @@ def fidelity_exact(system1: TruncatedDicke, system2: TruncatedDicke) -> float:
     otherwise).
     """
     _check_pair(system1, system2)
-    g1 = _ground_state(system1)
-    g2 = _ground_state(system2)
-    return float(abs(g1.vector @ g2.vector))
+    _, g1, _ = _ground_state(system1)
+    _, g2, _ = _ground_state(system2)
+    return float(abs(g1 @ g2))
 
 
 def echo_exact(system1: TruncatedDicke, system2: TruncatedDicke, t_grid) -> EchoSeries:
@@ -212,7 +179,7 @@ def echo_exact(system1: TruncatedDicke, system2: TruncatedDicke, t_grid) -> Echo
     system1's Hamiltonian.
 
     The survival amplitude comes from Lanczos tridiagonalization of the
-    parity block of H1 holding g2, seeded with g2 (see
+    even parity block of H1, which holds g2, seeded with g2 (see
     :func:`qptscale.linalg.lanczos_survival`); its depth is the one entry
     of ``meta``, ``"krylov_depth"``.  The systems obey the rules of
     :func:`fidelity_exact`.  ``omega1`` is the thermodynamic-limit
@@ -221,9 +188,8 @@ def echo_exact(system1: TruncatedDicke, system2: TruncatedDicke, t_grid) -> Echo
     """
     _check_pair(system1, system2)
     t = _as_time_grid(t_grid)
-    g2 = _ground_state(system2)
-    h1 = build_hamiltonian(system1, g2.parity)
-    amp, depth = lanczos_survival(h1, g2.vector, t)
+    _, g2, _ = _ground_state(system2)
+    amp, depth = lanczos_survival(build_hamiltonian(system1), g2, t)
     e1 = mode_energies(DickeParams(system1.omega, system1.omega0, system1.coupling)).e1
     return EchoSeries(t=t, echo=np.abs(amp) ** 2, omega1=e1,
                       meta={"krylov_depth": depth})

@@ -6,8 +6,9 @@ import math
 import time
 
 import numpy as np
+import pytest
 
-from qptscale import (DickeParams, SqueezeMap, TruncatedDicke,
+from qptscale import (DickeParams, DomainError, SqueezeMap, TruncatedDicke,
                       build_hamiltonian, collapse_check,
                       critical_coupling, echo_exact, fidelity_exact,
                       fidelity_gaussian, fidelity_lmg, fidelity_scaling,
@@ -209,42 +210,43 @@ def test_criterion_7_solver_integrity():
     assert worst_unit <= 1e-10
     assert worst_echo <= 1e-10
 
-    # Dicke parity blocks against the element-by-element dense Hamiltonian,
-    # on a separate stream so the draws above stay as they were
+    # the Dicke even parity block against the element-by-element dense
+    # Hamiltonian, on a separate stream so the draws above stay as they were
     dicke_rng = np.random.default_rng(77)
     worst_block, worst_dicke = 0.0, 0.0
     for _ in range(20):
         spec = TruncatedDicke(int(dicke_rng.integers(1, 11)), int(dicke_rng.integers(2, 13)),
                               *dicke_rng.uniform(0.5, 1.5, 2), dicke_rng.uniform(0.0, 1.2))
-        reference = dicke_reference(spec)
-        for parity, idx in zip(("even", "odd"), dicke_parity_indices(spec)):
-            block = build_hamiltonian(spec, parity)
-            dense = np.column_stack([block @ e for e in np.eye(idx.size)])
-            worst_block = max(worst_block, float(np.max(np.abs(
-                dense - reference[np.ix_(idx, idx)]))))
-            e_kry, _, _ = lanczos_ground(block, gaussian_start(block))
-            worst_dicke = max(worst_dicke, abs(
-                np.linalg.eigvalsh(reference[np.ix_(idx, idx)])[0] - e_kry))
+        even, _ = dicke_parity_indices(spec)
+        reference = dicke_reference(spec)[np.ix_(even, even)]
+        block = build_hamiltonian(spec)
+        dense = np.column_stack([block @ e for e in np.eye(even.size)])
+        worst_block = max(worst_block, float(np.max(np.abs(dense - reference))))
+        e_kry, _, _ = lanczos_ground(block, gaussian_start(block))
+        worst_dicke = max(worst_dicke, abs(np.linalg.eigvalsh(reference)[0] - e_kry))
     assert worst_block <= 1e-12
     assert worst_dicke <= 1e-8
 
-    # ground_state_exact (each block started from its lowest bare state)
-    # against the lowest eigenpair of the reference, its vector against the
-    # lowest eigenvector of the block it names, on a stream of its own
+    # ground_state_exact (started from the even block's lowest bare state)
+    # against the lowest eigenpair of the whole reference, both blocks
+    # included, below the critical coupling, and refused at and above it,
+    # on a stream of its own
     gs_rng = np.random.default_rng(707)
     worst_gs_energy, worst_gs_overlap, phases = 0.0, 0.0, set()
     for _ in range(20):
         spec = TruncatedDicke(int(gs_rng.integers(1, 11)), int(gs_rng.integers(2, 13)),
                               *gs_rng.uniform(0.5, 1.5, 2), gs_rng.uniform(0.0, 1.2))
-        reference = dicke_reference(spec)
-        blocks = {parity: np.linalg.eigh(reference[np.ix_(idx, idx)])
-                  for parity, idx in zip(("even", "odd"), dicke_parity_indices(spec))}
-        energy = min(values[0] for values, _ in blocks.values())
-        gs = ground_state_exact(spec)
-        worst_gs_energy = max(worst_gs_energy, abs(gs.energy - energy))
-        phases.add(spec.coupling < critical_coupling(spec.omega, spec.omega0))
-        worst_gs_overlap = max(worst_gs_overlap,
-                               1.0 - abs(gs.vector @ blocks[gs.parity][1][:, 0]))
+        normal = spec.coupling < critical_coupling(spec.omega, spec.omega0)
+        phases.add(normal)
+        if not normal:
+            with pytest.raises(DomainError, match="critical"):
+                ground_state_exact(spec)
+            continue
+        values, vectors = np.linalg.eigh(dicke_reference(spec))
+        even, _ = dicke_parity_indices(spec)
+        energy, vector, _ = ground_state_exact(spec)
+        worst_gs_energy = max(worst_gs_energy, abs(energy - values[0]))
+        worst_gs_overlap = max(worst_gs_overlap, 1.0 - abs(vector @ vectors[even, 0]))
     assert phases == {True, False}
     assert worst_gs_energy <= 1e-8
     assert worst_gs_overlap <= 1e-8

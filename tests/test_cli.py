@@ -282,12 +282,15 @@ def test_output_flag_over_non_object_output_is_usage_error(tmp_path, capsys):
 
 
 def test_empty_output_flag_is_usage_error(tmp_path, capsys, monkeypatch):
-    # an empty --output is refused like an empty output.path, not dropped
-    # in favour of the default path
+    # an empty --output is refused like an empty output.path, and an empty
+    # --config like a missing file, not dropped in favour of the defaults
     monkeypatch.chdir(tmp_path)
     assert run_cli(["dicke-fidelity", "--set", "pairs=[[0.45,0.4]]",
                     "--output", ""]) == 2
     assert "output.path" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+    assert run_cli(["dicke-fidelity", "--config", "", "--set", "pairs=[[0.45,0.4]]"]) == 2
+    assert "No such file" in capsys.readouterr().err
     assert list(tmp_path.iterdir()) == []
 
 
@@ -508,11 +511,16 @@ def test_config_hash_falls_back_to_hashlib_without_a_builtin_sha256():
     ("dicke-converge", {"pairs": [[0.495, 0.45]], "etas": [0.1],
                         "converge": {"n_list": [8]}}, "etas"),
     ("dicke-fidelity", {"pairs": [[0.45, 0.4]], "phases": ["super"]}, "phases"),
+    # n_boson defaults to N = 1, one boson level: the refusal names the key
+    # behind the default, not a field the user never set
+    ("sweep", {"etas": [0.1], "scales": [0.1], "exact": {"include": True, "n_atoms": 1}},
+     "exact.n_boson defaults to N = 1"),
 ], ids=["collapse-unknown-phase", "collapse-two-phases", "collapse-pairs",
         "sweep-pairs", "sweep-lmg-exact", "converge-two-points", "fidelity-no-points",
         "echo-at-critical", "collapse-lmg", "lmg-fidelity-at-critical",
         "collapse-rounds-onto-critical", "sweep-rounds-onto-critical",
-        "fidelity-pairs-unknown-phase", "converge-half-grid", "fidelity-pairs-phases"])
+        "fidelity-pairs-unknown-phase", "converge-half-grid", "fidelity-pairs-phases",
+        "sweep-default-cutoff-too-small"])
 def test_ignored_or_ambiguous_input_is_usage_error(tmp_path, capsys, command, doc,
                                                    needle):
     cfg = write_config(tmp_path, dict(doc, output={"path": str(tmp_path / "r.csv")}))

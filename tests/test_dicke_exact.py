@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 
 from qptscale import (DickeParams, DomainError, InputError, ResourceError,
-                      TruncatedDicke, build_hamiltonian, echo_exact,
-                      fidelity_exact, fidelity_gaussian, fidelity_scaling,
-                      ground_state_exact, mode_energies)
+                      TruncatedDicke, build_hamiltonian, critical_coupling,
+                      echo_exact, fidelity_exact, fidelity_gaussian,
+                      fidelity_scaling, ground_state_exact, mode_energies)
 from qptscale import dicke_exact
 from qptscale.config import parse_document
 from qptscale.dicke_exact import solve_once
@@ -43,14 +43,13 @@ def test_truncated_dicke_sizes_are_integers(n_atoms, n_boson):
 class TestBuildHamiltonian:
     def test_decoupled_is_diagonal(self):
         spec = TruncatedDicke(3, 5, 1.3, 0.7, 0.0)
-        j = spec.j
-        for parity, indices in zip(("even", "odd"), dicke_parity_indices(spec)):
-            dense = block_dense(build_hamiltonian(spec, parity))
-            assert np.all(dense == np.diag(np.diag(dense)))
-            for pos, idx in enumerate(indices):
-                n, k = divmod(int(idx), spec.n_atoms + 1)
-                expected = 1.3 * n + 0.7 * (k - j)
-                assert dense[pos, pos] == pytest.approx(expected, abs=1e-14)
+        even, _ = dicke_parity_indices(spec)
+        dense = block_dense(build_hamiltonian(spec))
+        assert np.all(dense == np.diag(np.diag(dense)))
+        for pos, idx in enumerate(even):
+            n, k = divmod(int(idx), spec.n_atoms + 1)
+            expected = 1.3 * n + 0.7 * (k - spec.j)
+            assert dense[pos, pos] == pytest.approx(expected, abs=1e-14)
 
     def test_hand_checked_coupling_element(self):
         # <n=1, m=0| H |n=0, m=-1> = (0.45/sqrt(2)) * 1 * sqrt(2) = 0.45
@@ -59,7 +58,7 @@ class TestBuildHamiltonian:
         assert dicke_reference(spec)[row, col] == pytest.approx(0.45, abs=1e-14)
         even, _ = dicke_parity_indices(spec)
         pos = {int(idx): p for p, idx in enumerate(even)}
-        dense = block_dense(build_hamiltonian(spec, "even"))
+        dense = block_dense(build_hamiltonian(spec))
         assert dense[pos[row], pos[col]] == pytest.approx(0.45, abs=1e-14)
 
     def test_parity_blocks_decouple_exactly(self):
@@ -79,16 +78,11 @@ class TestBuildHamiltonian:
         TruncatedDicke(3, 5, 1.3, 0.7, 0.0),
     ], ids=["N5-nb8", "N4-nb9", "N6-nb3", "N1-nb6", "uncoupled"])
     def test_blocks_match_reference(self, spec):
-        reference = dicke_reference(spec)
-        for parity, idx in zip(("even", "odd"), dicke_parity_indices(spec)):
-            block = build_hamiltonian(spec, parity)
-            assert block.shape == (idx.size, idx.size)
-            assert np.allclose(block_dense(block), reference[np.ix_(idx, idx)],
-                               rtol=0.0, atol=1e-14)
-
-    def test_bad_parity(self):
-        with pytest.raises(InputError):
-            build_hamiltonian(TruncatedDicke(2, 3, 1.0, 1.0, 0.45), "both")
+        # the even block, at couplings on both sides of the critical one
+        even, reference = even_block_dense(spec)
+        block = build_hamiltonian(spec)
+        assert block.shape == (even.size, even.size)
+        assert np.allclose(block_dense(block), reference, rtol=0.0, atol=1e-14)
 
     def test_memory_cap(self):
         # the cap is checked when the system is made, before any block is
@@ -104,74 +98,74 @@ class TestGroundStateExact:
         # -omega0 * N / 2, and the Lanczos run starts there: one step
         for spec, energy in ((TruncatedDicke(2, 4, 1.0, 1.0, 0.0), -1.0),
                              (TruncatedDicke(8, 6, 1.0, 2.0, 0.0), -8.0)):
-            gs = ground_state_exact(spec)
-            assert gs.energy == pytest.approx(energy, abs=1e-12)
+            e0, vector, info = ground_state_exact(spec)
+            assert e0 == pytest.approx(energy, abs=1e-12)
             even, _ = dicke_parity_indices(spec)
             expected = (even == 0).astype(float)  # basis index 0 is |n=0, m=-j>
-            assert np.allclose(gs.vector, expected, atol=1e-10)
-            assert gs.parity == "even"
-            assert gs.meta["iterations"] == 1
+            assert np.allclose(vector, expected, atol=1e-10)
+            assert info.iterations == 1
 
     @pytest.mark.parametrize("n_atoms,cap", [(64, 100), (128, 120)])
     def test_normal_phase_step_count(self, n_atoms, cap):
         # the vacuum start takes 80 and 100 steps here; a random start
         # takes 140 and 220
-        gs = ground_state_exact(TruncatedDicke(n_atoms, n_atoms, 1.0, 1.0, 0.495))
-        assert gs.meta["iterations"] <= cap
+        _, _, info = ground_state_exact(TruncatedDicke(n_atoms, n_atoms, 1.0, 1.0, 0.495))
+        assert info.iterations <= cap
 
     def test_cutoff_convergence(self):
-        e64 = ground_state_exact(TruncatedDicke(1, 64, 1.0, 1.0, 0.45)).energy
-        e128 = ground_state_exact(TruncatedDicke(1, 128, 1.0, 1.0, 0.45)).energy
+        e64 = ground_state_exact(TruncatedDicke(1, 64, 1.0, 1.0, 0.45))[0]
+        e128 = ground_state_exact(TruncatedDicke(1, 128, 1.0, 1.0, 0.45))[0]
         assert abs(e64 - e128) <= 1e-8
 
     def test_enlarging_cutoff_is_variational(self):
-        energies = [ground_state_exact(TruncatedDicke(4, nb, 1.0, 1.0, 0.48)).energy
+        energies = [ground_state_exact(TruncatedDicke(4, nb, 1.0, 1.0, 0.48))[0]
                     for nb in (4, 8, 16, 32)]
         for a, b in zip(energies, energies[1:]):
             assert b <= a + 1e-12
 
     def test_matches_dense_oracle(self):
         spec = TruncatedDicke(8, 32, 1.0, 1.0, 0.45)
-        gs = ground_state_exact(spec)
+        energy, vector, info = ground_state_exact(spec)
         even, block = even_block_dense(spec)
         values, vectors = np.linalg.eigh(block)
-        energy, vector = values[0], vectors[:, 0]
-        assert abs(gs.energy - energy) <= 1e-8
-        assert abs(abs(gs.vector @ vector) - 1.0) <= 1e-8
-        assert 0 < gs.meta["iterations"] <= even.size
-        assert gs.meta["residual"] <= 1e-11 * 2.0 * np.linalg.norm(block)
+        assert abs(energy - values[0]) <= 1e-8
+        assert abs(abs(vector @ vectors[:, 0]) - 1.0) <= 1e-8
+        assert 0 < info.iterations <= even.size
+        assert info.residual <= 1e-11 * 2.0 * np.linalg.norm(block)
 
-    def test_super_radiant_reports_parity_gap(self):
-        gs = ground_state_exact(TruncatedDicke(12, 24, 1.0, 1.0, 0.9))
-        assert gs.meta["parity_gap"] is not None
-        assert "quasi_degenerate" in gs.meta
+    @pytest.mark.parametrize("omega0", [0.1, 10.0])
+    @pytest.mark.parametrize("ratio", [0.0, 0.5, 0.9, 0.999, 0.999999])
+    def test_even_block_holds_the_ground_state(self, omega0, ratio):
+        # below the critical coupling the even block's lowest level is the
+        # lowest level of the whole truncated Hamiltonian, both blocks
+        # included, even at the smallest boson cutoff
+        for n_atoms in (1, 2, 5, 8):
+            spec = TruncatedDicke(n_atoms, 2, 1.0, omega0,
+                                  ratio * critical_coupling(1.0, omega0))
+            energy, _, _ = ground_state_exact(spec)
+            assert abs(energy - np.linalg.eigvalsh(dicke_reference(spec))[0]) <= 1e-8
 
-    def test_quasi_degenerate_tie_returns_even_block(self):
-        # the two blocks differ by ~3e-14 here; the lower one by round-off is odd
-        spec = TruncatedDicke(64, 64, 1.0, 1.0, 1.0)
-        gs = ground_state_exact(spec)
-        assert gs.meta["parity_gap"] < 1e-10
-        assert gs.meta["quasi_degenerate"] is True
-        assert gs.parity == "even"
-        # the vector is the even block's eigenvector, not the odd one's
-        residual = {parity: np.linalg.norm(build_hamiltonian(spec, parity) @ gs.vector
-                                           - gs.energy * gs.vector)
-                    for parity in ("even", "odd")}
-        assert residual["even"] <= 1e-8 < residual["odd"]
+    @pytest.mark.parametrize("spec", [TruncatedDicke(4, 5, 1.0, 1.0, 0.3)], ids=["normal"])
+    def test_vector_lives_on_its_block(self, spec):
+        # the vector has the even block's length (13 states for N = 4,
+        # n_b = 5) and is that block's lowest eigenvector
+        energy, vector, _ = ground_state_exact(spec)
+        block = build_hamiltonian(spec)
+        assert vector.size == block.shape[0] == 13
+        assert energy == pytest.approx(np.linalg.eigvalsh(block_dense(block))[0], abs=1e-10)
+        assert np.linalg.norm(block @ vector - energy * vector) <= 1e-8
 
     @pytest.mark.parametrize("spec", [
-        TruncatedDicke(4, 5, 1.0, 1.0, 0.3),
+        TruncatedDicke(64, 64, 1.0, 1.0, 0.5),
+        TruncatedDicke(12, 24, 1.0, 1.0, 0.9),
         TruncatedDicke(4, 5, 1.0, 1.0, 0.9),
         TruncatedDicke(5, 8, 1.0, 2.0, 1.6),
-    ], ids=["normal", "super-radiant", "super-radiant-omega0-2"])
-    def test_vector_lives_on_its_block(self, spec):
-        # the vector has its block's length (13 even and 12 odd states for
-        # N = 4, n_b = 5) and is that block's lowest eigenvector
-        gs = ground_state_exact(spec)
-        block = build_hamiltonian(spec, gs.parity)
-        assert gs.vector.size == block.shape[0]
-        assert gs.energy == pytest.approx(np.linalg.eigvalsh(block_dense(block))[0], abs=1e-10)
-        assert np.linalg.norm(block @ gs.vector - gs.energy * gs.vector) <= 1e-8
+    ], ids=["critical", "super-radiant", "super-radiant-N4", "super-radiant-omega0-2"])
+    def test_super_radiant_refused(self, spec):
+        # at and above the critical coupling (0.5 at omega = omega0 = 1,
+        # 0.707 at omega0 = 2) there is no normal-phase ground state
+        with pytest.raises(DomainError, match="critical"):
+            ground_state_exact(spec)
 
     def test_lanczos_on_decoupled_hamiltonian(self):
         from qptscale import lanczos_ground
@@ -196,9 +190,9 @@ class TestFidelityExact:
 
     def test_dots_the_block_vectors(self):
         spec1, spec2 = dicke_systems(8, 8, 0.495, 0.45)
-        g1, g2 = ground_state_exact(spec1), ground_state_exact(spec2)
-        assert g1.vector.size == g2.vector.size == build_hamiltonian(spec1).shape[0]
-        assert fidelity_exact(spec1, spec2) == abs(g1.vector @ g2.vector)
+        g1, g2 = ground_state_exact(spec1)[1], ground_state_exact(spec2)[1]
+        assert g1.size == g2.size == build_hamiltonian(spec1).shape[0]
+        assert fidelity_exact(spec1, spec2) == abs(g1 @ g2)
 
     def test_approaches_thermodynamic_value(self):
         # N = 64 sits within ~6e-2 of the two-mode limit at these couplings
@@ -289,7 +283,7 @@ class TestEchoExact:
         t = np.linspace(0.0, math.pi / e1, 301)
         series = echo_exact(*dicke_systems(32, 32, 0.495, 0.45), t)
         even, block = even_block_dense(TruncatedDicke(32, 32, 1.0, 1.0, 0.495))
-        psi0 = ground_state_exact(TruncatedDicke(32, 32, 1.0, 1.0, 0.45)).vector
+        psi0 = ground_state_exact(TruncatedDicke(32, 32, 1.0, 1.0, 0.45))[1]
         oracle = np.abs(spectral_sum(*np.linalg.eigh(block), psi0, t)) ** 2
         assert np.max(np.abs(series.echo - oracle)) <= 1e-10
         assert 0 < series.meta["krylov_depth"] < even.size
