@@ -22,47 +22,6 @@ except ImportError:
         from hashlib import sha256 as _sha256
 
 
-@dataclass(frozen=True)
-class TimeGridOpts:
-    periods: float = 1.0
-    samples_per_period: int = 256
-
-
-@dataclass(frozen=True)
-class ExactOpts:
-    n_atoms: int = 16
-    n_boson: int | None = None
-    include: bool = False
-
-
-@dataclass(frozen=True)
-class ConvergeOpts:
-    n_list: tuple[int, ...] = (8, 16, 32, 64, 128)
-    target: str = "scaling"
-
-
-@dataclass(frozen=True)
-class OutputOpts:
-    path: str = "results.csv"
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    model: str
-    task: str
-    omega: float = 1.0
-    omega0: float = 1.0
-    lmg_gamma: float = 0.0
-    pairs: tuple[tuple[float, float], ...] = ()
-    etas: tuple[float, ...] = ()
-    scales: tuple[float, ...] = ()
-    phases: tuple[str, ...] | None = None  # None: the model's first phase
-    time_grid: TimeGridOpts = field(default_factory=TimeGridOpts)
-    exact: ExactOpts = field(default_factory=ExactOpts)
-    converge: ConvergeOpts = field(default_factory=ConvergeOpts)
-    output: OutputOpts = field(default_factory=OutputOpts)
-
-
 def _number(value) -> bool:
     # JSON true/false arrive as bool, a subclass of int; they are not numbers.
     return isinstance(value, (int, float)) and not isinstance(value, bool)
@@ -92,32 +51,61 @@ def _or_null(rule):
     return "null or " + text, lambda v: v is None or test(v)
 
 
-# What each value must be, by dotted key: one entry per dataclass field that
-# is not itself a dataclass (those are checked key by key).
-_RULES = {
-    "model": _one_of("dicke", "lmg"),
-    "task": _one_of("fidelity", "echo", "converge", "collapse", "sweep"),
-    "omega": _positive(),
-    "omega0": _positive(),
-    "lmg_gamma": ("a number in [0, 1)", lambda v: _number(v) and 0 <= v < 1),
-    "pairs": _list_of(("a pair of numbers", lambda v: isinstance(v, list)
-                       and len(v) == 2 and all(map(_number, v)))),
-    "etas": _list_of(_positive()),
-    "scales": _list_of(_positive()),
-    "phases": _or_null(_list_of(_one_of("normal", "super", "symmetric", "broken"),
-                                non_empty=True)),
-    "time_grid.periods": _positive(),
-    "time_grid.samples_per_period": _at_least(8),
-    "exact.n_atoms": _at_least(1),
-    "exact.n_boson": _or_null(_at_least(2)),
-    "exact.include": ("true or false", lambda v: isinstance(v, bool)),
+def _setting(rule, default=MISSING):
+    """A config field with its default and its rule: the pair (text, test)
+    that says what a value given for it must be."""
+    return field(default=default, metadata={"rule": rule})
+
+
+@dataclass(frozen=True)
+class TimeGridOpts:
+    periods: float = _setting(_positive(), 1.0)
+    samples_per_period: int = _setting(_at_least(8), 256)
+
+
+@dataclass(frozen=True)
+class ExactOpts:
+    n_atoms: int = _setting(_at_least(1), 16)
+    n_boson: int | None = _setting(_or_null(_at_least(2)), None)
+    include: bool = _setting(("true or false", lambda v: isinstance(v, bool)), False)
+
+
+@dataclass(frozen=True)
+class ConvergeOpts:
     # n_boson defaults to N, and a truncation needs two boson levels
-    "converge.n_list": ("a non-empty strictly ascending list, each item an integer >= 2",
-                        lambda v: _list_of(_at_least(2), non_empty=True)[1](v)
-                        and v == sorted(set(v))),
-    "converge.target": _one_of("effective", "scaling"),
-    "output.path": ("a non-empty string", lambda v: isinstance(v, str) and v != ""),
-}
+    n_list: tuple[int, ...] = _setting(
+        ("a non-empty strictly ascending list, each item an integer >= 2",
+         lambda v: _list_of(_at_least(2), non_empty=True)[1](v) and v == sorted(set(v))),
+        (8, 16, 32, 64, 128))
+    target: str = _setting(_one_of("effective", "scaling"), "scaling")
+
+
+@dataclass(frozen=True)
+class OutputOpts:
+    path: str = _setting(("a non-empty string", lambda v: isinstance(v, str) and v != ""),
+                         "results.csv")
+
+
+@dataclass(frozen=True)
+class RunConfig:
+    model: str = _setting(_one_of("dicke", "lmg"))
+    task: str = _setting(_one_of("fidelity", "echo", "converge", "collapse", "sweep"))
+    omega: float = _setting(_positive(), 1.0)
+    omega0: float = _setting(_positive(), 1.0)
+    lmg_gamma: float = _setting(
+        ("a number in [0, 1)", lambda v: _number(v) and 0 <= v < 1), 0.0)
+    pairs: tuple[tuple[float, float], ...] = _setting(
+        _list_of(("a pair of numbers", lambda v: isinstance(v, list)
+                  and len(v) == 2 and all(map(_number, v)))), ())
+    etas: tuple[float, ...] = _setting(_list_of(_positive()), ())
+    scales: tuple[float, ...] = _setting(_list_of(_positive()), ())
+    phases: tuple[str, ...] | None = _setting(  # None: the model's first phase
+        _or_null(_list_of(_one_of("normal", "super", "symmetric", "broken"), non_empty=True)),
+        None)
+    time_grid: TimeGridOpts = field(default_factory=TimeGridOpts)
+    exact: ExactOpts = field(default_factory=ExactOpts)
+    converge: ConvergeOpts = field(default_factory=ConvergeOpts)
+    output: OutputOpts = field(default_factory=OutputOpts)
 
 
 def _floats(hint) -> bool:
@@ -136,24 +124,25 @@ def _frozen(value, floats: bool):
 def _build(cls, doc, where: str = ""):
     """``cls`` from the object ``doc`` found at dotted path ``where``: every
     field without a default must be given, every key must be a field, and
-    every value must pass its ``_RULES`` entry; lists become tuples, and
-    the numbers of a float field floats."""
+    every value must pass its field's rule; lists become tuples, and the
+    numbers of a float field floats."""
     if not isinstance(doc, dict):
         raise InputError(f"config error at {where or '(top level)'}: {doc!r} is not an object")
     prefix = where and where + "."
-    for spec in fields(cls):
-        if spec.name not in doc and spec.default is spec.default_factory is MISSING:
-            raise InputError(f"config error at {prefix + spec.name}: required key is missing")
+    specs = {spec.name: spec for spec in fields(cls)}
+    for name, spec in specs.items():
+        if name not in doc and spec.default is spec.default_factory is MISSING:
+            raise InputError(f"config error at {prefix + name}: required key is missing")
     types = typing.get_type_hints(cls)
     kwargs = {}
     for key, value in doc.items():
         path = prefix + key
-        if key not in types:
+        if key not in specs:
             raise InputError(f"config error at {path}: unknown key")
         if is_dataclass(types[key]):
             kwargs[key] = _build(types[key], value, path)
             continue
-        text, test = _RULES[path]
+        text, test = specs[key].metadata["rule"]
         if not test(value):
             raise InputError(f"config error at {path}: {value!r} is not {text}")
         try:

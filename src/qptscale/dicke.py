@@ -30,8 +30,7 @@ class DickeParams:
     coupling: float
 
     def __post_init__(self):
-        if not (self.omega > 0 and self.omega0 > 0):
-            raise InputError("omega and omega0 must be positive")
+        critical_coupling(self.omega, self.omega0)
         if not (self.coupling >= 0 and math.isfinite(self.coupling)):
             raise InputError("coupling must be finite and nonnegative")
 

@@ -16,7 +16,7 @@ import math
 from dataclasses import dataclass
 
 from .echo import EchoSeries, survival_closed
-from .errors import CrossPhaseError, InputError
+from .errors import CrossPhaseError, InputError, NumericError
 from .squeeze import fidelity as squeeze_fidelity
 from .squeeze import width_map
 
@@ -63,8 +63,11 @@ def quadratic(params: LmgParams) -> tuple[float, float]:
 
 
 def gap(params: LmgParams) -> float:
-    """Excitation gap 2 sqrt(T V); 0 at h = 1."""
+    """Excitation gap 2 sqrt(T V); 0 at h = 1.  NumericError when T V
+    overflows, as it does for h above about 1.3e154."""
     t, v = quadratic(params)
+    if not math.isfinite(t * v):
+        raise NumericError(f"the LMG gap overflows at {params}")
     return 2.0 * math.sqrt(t * v)
 
 

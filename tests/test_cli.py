@@ -657,6 +657,15 @@ def test_gaussian_analytics_failure_exits_4(tmp_path, capsys, omega):
     assert not out.exists()
 
 
+def test_lmg_gap_overflow_exits_4(tmp_path, capsys):
+    # T V overflows to inf at h ~ 1e300: a numeric failure, not a usage error
+    out = tmp_path / "l.csv"
+    assert run_cli(["lmg-echo", "--set", "etas=[0.1]", "--set", "scales=[1e300]",
+                    "--output", str(out)]) == 4
+    assert capsys.readouterr().err.startswith("numeric error:")
+    assert not out.exists()
+
+
 def test_effective_reference_failure_exits_4(tmp_path, capsys):
     out = tmp_path / "g.csv"
     assert run_cli(["dicke-converge", "--set", "omega=1e8", "--set", "etas=[0.1]",

@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 
 from qptscale import (CrossPhaseError, DickeParams, InputError, NumericError,
-                      SqueezeMap, critical_coupling, fidelity_gaussian,
-                      fidelity_scaling, mode_energies, scaling_eta,
-                      squeeze_fidelity)
+                      SqueezeMap, TruncatedDicke, critical_coupling,
+                      fidelity_gaussian, fidelity_scaling, mode_energies,
+                      scaling_eta, squeeze_fidelity)
 
 
 def test_critical_coupling_values():
@@ -25,6 +25,14 @@ def test_critical_coupling_rejects_nonpositive():
         critical_coupling(0.0, 1.0)
     with pytest.raises(InputError):
         critical_coupling(1.0, -2.0)
+
+
+def test_params_refuse_non_finite_frequencies():
+    # one rule with critical_coupling: positive and finite
+    with pytest.raises(InputError):
+        DickeParams(1.0, math.inf, 0.3)
+    with pytest.raises(InputError):
+        TruncatedDicke(4, 4, 1.0, math.inf, 0.3)
 
 
 class TestModeEnergies:

@@ -4,9 +4,9 @@ from decimal import Decimal, localcontext
 import numpy as np
 import pytest
 
-from qptscale import (CrossPhaseError, InputError, LmgParams, echo_lmg,
-                      fidelity_lmg, fidelity_scaling, min_echo, mp_scaling,
-                      scaling_eta, width_map)
+from qptscale import (CrossPhaseError, InputError, LmgParams, NumericError,
+                      echo_lmg, fidelity_lmg, fidelity_scaling, min_echo,
+                      mp_scaling, scaling_eta, width_map)
 from qptscale.lmg import gap, quadratic, width
 from conftest import assert_echo_series
 
@@ -23,6 +23,11 @@ def test_params_validation():
         LmgParams(gamma=0.5, h=0.6)
     assert LmgParams(gamma=0.5, h=0.8).phase == "broken"
     assert LmgParams(gamma=0.0, h=1.0).phase == "critical"
+
+
+def test_gap_overflow_is_numeric_error():
+    with pytest.raises(NumericError):
+        gap(LmgParams(0.0, 1e300))
 
 
 class TestGapAngle:
