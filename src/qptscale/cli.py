@@ -42,6 +42,9 @@ _EXIT_NUMERIC = 4
 
 MAX_TIME_SAMPLES = 10**6  # samples in one echo time grid
 
+_SOLVER_INFO = {"ground_tol": GROUND_TOL, "survival_tol": SURVIVAL_TOL}  # of every exact table
+_SWEEP_PARAMS = ("param1", "param2")  # sweep's columns of a model's two parameters
+
 
 @dataclass(frozen=True)
 class _Model:
@@ -59,8 +62,7 @@ class _Model:
     exact_fidelity: Callable | None  # (cfg, p1, p2, n_atoms) -> finite-size Lp^N
     effective: Callable | None  # (cfg, p1, p2) -> converge's "effective" reference
     info: Callable           # (cfg) -> model parameters, recorded in every table
-    basis_info: Callable     # (cfg) -> truncated basis of exact echoes and fidelities
-    solver_info: dict        # provenance of tables with exact results
+    exact_info: Callable     # (cfg) -> basis and solver of exact echoes and fidelities
 
 
 def _n_boson(cfg: RunConfig, n_atoms: int) -> int:  # the cutoff of every exact task
@@ -96,9 +98,8 @@ _MODELS = {
             _dicke(cfg, l1), _dicke(cfg, l2), shared_rotation=True),
         info=lambda cfg: {"omega": cfg.omega, "omega0": cfg.omega0,
                           "lambda_c": critical_coupling(cfg.omega, cfg.omega0)},
-        basis_info=lambda cfg: {"n_atoms": cfg.exact.n_atoms,
-                                "n_boson": _n_boson(cfg, cfg.exact.n_atoms)},
-        solver_info={"ground_tol": GROUND_TOL, "survival_tol": SURVIVAL_TOL},
+        exact_info=lambda cfg: {"n_atoms": cfg.exact.n_atoms,
+                                "n_boson": _n_boson(cfg, cfg.exact.n_atoms)} | _SOLVER_INFO,
     ),
     "lmg": _Model(
         tasks=frozenset({"fidelity", "echo", "sweep"}),
@@ -112,26 +113,25 @@ _MODELS = {
         exact_fidelity=None,
         effective=None,
         info=lambda cfg: {"gamma": cfg.lmg_gamma},
-        basis_info=lambda cfg: {},  # the LMG echo is closed-form
-        solver_info={},
+        exact_info=lambda cfg: {},  # the LMG echo is closed-form
     ),
 }
 
 
-def _table(cfg: RunConfig, columns: dict, units=None, **info) -> ResultTable:
-    """Columns are dimensionless ("1") unless ``units`` says otherwise; the
-    provenance block is the config hash, the versions, the model, its
-    parameters, the task and ``info``."""
+def _table(cfg: RunConfig, columns: dict, **info) -> ResultTable:
+    """A column's unit follows from it: a str column is "label", the model's
+    parameter columns carry the model's unit, t is "1/energy" and every other
+    column is dimensionless ("1").  The provenance block is the config hash,
+    the versions, the model, its parameters, the task and ``info``."""
+    model = _MODELS[cfg.model]
+    named = dict.fromkeys(model.params + _SWEEP_PARAMS, model.unit) | {"t": "1/energy"}
+    units = {name: "label" if values.dtype.kind == "U" else named.get(name, "1")
+             for name, values in columns.items()}
     provenance = {"config_hash": config_hash(cfg), "package_version": __version__,
                   "numpy_version": np.__version__, "model": cfg.model, "task": cfg.task}
-    info = _MODELS[cfg.model].info(cfg) | info
-    return ResultTable(columns=columns, units=dict.fromkeys(columns, "1") | (units or {}),
+    info = model.info(cfg) | info
+    return ResultTable(columns=columns, units=units,
                        provenance=provenance | {k: str(v) for k, v in info.items()})
-
-
-def _exact_info(cfg: RunConfig, model: _Model) -> dict:
-    """Provenance of a table holding exact echoes or fidelities."""
-    return model.basis_info(cfg) | model.solver_info
 
 
 def _label(cfg: RunConfig, model: _Model, p1: float, p2: float):
@@ -213,8 +213,7 @@ def _run_fidelity(cfg: RunConfig, model: _Model):
         rows.append((eta, p1, p2, phase, model.fidelity(cfg, p1, p2),
                      fidelity_scaling(eta)))
     names = ("eta", *model.params, "phase", "Lp_analytic", "Lp_scaling")
-    units = {"phase": "label"} | dict.fromkeys(model.params, model.unit)
-    return [(cfg.output.path, _table(cfg, _columns(names, rows), units))]
+    return [(cfg.output.path, _table(cfg, _columns(names, rows)))]
 
 
 def _run_converge(cfg: RunConfig, model: _Model):
@@ -231,7 +230,7 @@ def _run_converge(cfg: RunConfig, model: _Model):
     rows = [(n, _n_boson(cfg, n), lp, abs(lp - reference)) for n, lp in lps.items()]
     return [(cfg.output.path, _table(
         cfg, _columns(("N", "n_b", "LpN", "D"), rows), **dict(zip(model.params, (p1, p2))),
-        eta=eta, reference=reference, target=cfg.converge.target, **model.solver_info))]
+        eta=eta, reference=reference, target=cfg.converge.target, **_SOLVER_INFO))]
 
 
 def _run_echo(cfg: RunConfig, model: _Model):
@@ -240,8 +239,7 @@ def _run_echo(cfg: RunConfig, model: _Model):
         series = model.echo(cfg, p1, p2, _time_grid(cfg, model.omega1(cfg, p1)))
         items.append(((i, _label(cfg, model, p1, p2)[0], p1, p2), series))
     columns = _series_columns(("pair", "eta", *model.params), items)
-    units = {"t": "1/energy"} | dict.fromkeys(model.params, model.unit)
-    return [(cfg.output.path, _table(cfg, columns, units, **_exact_info(cfg, model)))]
+    return [(cfg.output.path, _table(cfg, columns, **model.exact_info(cfg)))]
 
 
 def _run_collapse(cfg: RunConfig, model: _Model):
@@ -271,13 +269,10 @@ def _run_collapse(cfg: RunConfig, model: _Model):
     series = _series_columns(("eta", "kind", "scale"), [
         ((eta, kind, scale), s) for eta, kind, group in groups for scale, s in group])
     info = dict(exact_included=cfg.exact.include,
-                **(_exact_info(cfg, model) if cfg.exact.include else {}))
+                **(model.exact_info(cfg) if cfg.exact.include else {}))
     root, ext = os.path.splitext(cfg.output.path)
-    return [(cfg.output.path,
-             _table(cfg, series, {"kind": "label", "t": "1/energy"}, **info)),
-            (root + "_summary" + (ext or ".csv"),
-             _table(cfg, _columns(names, rows),
-                    {"kind": "label", "trend_decreasing": "label"}, **info))]
+    return [(cfg.output.path, _table(cfg, series, **info)),
+            (root + "_summary" + (ext or ".csv"), _table(cfg, _columns(names, rows), **info))]
 
 
 def _run_sweep(cfg: RunConfig, model: _Model):
@@ -291,11 +286,10 @@ def _run_sweep(cfg: RunConfig, model: _Model):
         if cfg.exact.include:
             row += (model.exact_fidelity(cfg, p1, p2, cfg.exact.n_atoms),)
         rows.append(row)
-    names = ("model", "eta", "scale", "phase", "param1", "param2", "Lp_analytic",
+    names = ("model", "eta", "scale", "phase", *_SWEEP_PARAMS, "Lp_analytic",
              "Lp_scaling") + (("Lp_exact",) if cfg.exact.include else ())
-    info = _exact_info(cfg, model) if cfg.exact.include else {}
-    return [(cfg.output.path, _table(cfg, _columns(names, rows),
-                                     {"model": "label", "phase": "label"}, **info))]
+    info = model.exact_info(cfg) if cfg.exact.include else {}
+    return [(cfg.output.path, _table(cfg, _columns(names, rows), **info))]
 
 
 _RUNNERS = {
@@ -336,17 +330,17 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _config_from_args(args) -> RunConfig:
+    """The file, ``--set`` and ``--output``, then model and task: the
+    subcommand's (collapse and sweep: the document's model, "dicke" if unset)."""
     model, task = _SUBCOMMANDS[args.command]
     doc = {} if args.config is None else load_document(args.config)
-    for key, value in (("model", model), ("task", task)):
-        stated = doc.get(key)
-        if value is not None and stated is not None and stated != value:
-            raise InputError(
-                f"config {key} {stated!r} conflicts with subcommand {args.command!r}")
-        doc[key] = doc.get(key, "dicke") if value is None else value
     apply_overrides(doc, args.set)
     if args.output is not None:
         _set_dotted(doc, "output.path", args.output)
+    for key, value in (("model", model or doc.get("model", "dicke")), ("task", task)):
+        if doc.setdefault(key, value) != value:
+            raise InputError(
+                f"config {key} {doc[key]!r} conflicts with subcommand {args.command!r}")
     return parse_document(doc)
 
 

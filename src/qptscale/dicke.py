@@ -131,6 +131,13 @@ def fidelity_gaussian(p1: DickeParams, p2: DickeParams, *,
     reduces to a product of single-mode overlaps (exact when omega == omega0,
     where the true mixing angle does not depend on the coupling).
 
+    The default is not the Gaussian ground-state fidelity of the effective
+    Hamiltonian, whose two modes have unequal masses: at omega = omega0 = 1,
+    couplings (0.45, 0.4), it gives 0.9923214 where that fidelity (and
+    ``shared_rotation=True``) gives 0.9925127; at omega0 = 2, couplings
+    (0.6, 0.5), it gives 0.9935229 against 0.9934212 (``shared_rotation=True``:
+    0.9939400).  The fix is ROADMAP item 14, which waits for item 28.
+
     Returns 0.0 when either coupling sits exactly at the critical point.
     """
     if (p1.omega, p1.omega0) != (p2.omega, p2.omega0):

@@ -400,6 +400,16 @@ def test_model_conflict_rejected(tmp_path, capsys):
     assert "conflict" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("override", ['model="lmg"', 'task="echo"'])
+def test_override_conflicting_with_subcommand_rejected(tmp_path, capsys, override):
+    # model and task are settled after the overrides, so --set is held to the
+    # subcommand as a config file is
+    assert run_cli(["dicke-fidelity", "--set", override, "--set", "etas=[0.1]",
+                    "--set", "scales=[0.01]", "--output", str(tmp_path / "f.csv")]) == 2
+    assert "conflicts with subcommand" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_resource_cap_exit_code(tmp_path, capsys):
     # every exact path, echoes included, refuses a basis above MAX_DIM: N = 447
     # with n_b = N gives 447 * 448 = 200,256 states, refused before any array
@@ -634,6 +644,44 @@ def test_exact_tables_record_solver_tolerances(tmp_path, args, exact, basis):
             assert (provenance["n_atoms"], provenance["n_boson"]) == ("8", "8")
         else:
             assert "n_atoms" not in provenance and "n_boson" not in provenance
+
+
+_GRID = ["--set", "etas=[0.1]", "--set", "scales=[0.01]"]
+_FIG3 = ["--config", os.path.join(CONFIG_DIR, "fig3.json"),
+         "--set", "time_grid.samples_per_period=16", "--set", "exact.n_atoms=8"]
+_DICKE_PARAMS = {"lambda1": "energy", "lambda2": "energy"}
+_SWEEP_LABELS = {"model": "label", "phase": "label"}
+
+
+@pytest.mark.parametrize("args,units", [
+    (["dicke-fidelity", *_GRID], {"out": {**_DICKE_PARAMS, "phase": "label"}}),
+    (["lmg-fidelity", *_GRID], {"out": {"h1": "1", "h2": "1", "phase": "label"}}),
+    (["dicke-converge", "--config", os.path.join(CONFIG_DIR, "fig2.json"),
+      "--set", "converge.n_list=[8]"], {"out": {}}),
+    (["dicke-echo", "--set", "pairs=[[0.45,0.4]]", "--set", "exact.n_atoms=8"],
+     {"out": {**_DICKE_PARAMS, "t": "1/energy"}}),
+    (["lmg-echo", *_GRID], {"out": {"h1": "1", "h2": "1", "t": "1/energy"}}),
+    *[(["collapse", *_FIG3, "--set", f"exact.include={include}"],
+       {"out": {"kind": "label", "t": "1/energy"},
+        "out_summary": {"kind": "label", "trend_decreasing": "label"}})
+      for include in ("false", "true")],
+    *[(["sweep", *_GRID, "--set", f"exact.include={include}", "--set", "exact.n_atoms=8"],
+       {"out": {**_SWEEP_LABELS, "param1": "energy", "param2": "energy"}})
+      for include in ("false", "true")],
+    (["sweep", *_GRID, "--set", 'model="lmg"'],
+     {"out": {**_SWEEP_LABELS, "param1": "1", "param2": "1"}}),
+], ids=["dicke-fidelity", "lmg-fidelity", "dicke-converge", "dicke-echo", "lmg-echo",
+        "collapse", "collapse-exact", "sweep", "sweep-exact", "lmg-sweep"])
+def test_every_column_unit_follows_from_the_column(tmp_path, args, units):
+    # a str column is a label, the model's parameter columns carry its unit
+    # (sweep's param1 and param2 included), t is 1/energy, the rest is "1"
+    assert run_cli([*args, "--output", str(tmp_path / "out.csv")]) == 0
+    assert sorted(path.stem for path in tmp_path.glob("*.csv")) == sorted(units)
+    for stem, named in units.items():
+        table = read_table(str(tmp_path / (stem + ".csv")))
+        assert table.units == {name: named.get(name, "1") for name in table.columns}
+        for name, column in table.columns.items():
+            assert (column.dtype.kind == "U") == (table.units[name] == "label"), name
 
 
 def test_solver_failure_exits_4(tmp_path, capsys, monkeypatch):
