@@ -15,7 +15,7 @@ from .errors import (CrossPhaseError, DomainError, InputError, NumericError,
                      QptError, ResourceError)
 from .linalg import lanczos_ground, lanczos_survival
 from .lmg import LmgParams, echo_lmg, fidelity_lmg
-from .squeeze import SqueezeMap, overlap_matrix, participation_ratio, width_map
+from .squeeze import SqueezeMap, participation_ratio, width_map
 from .squeeze import fidelity as squeeze_fidelity
 
 __all__ = [
@@ -26,6 +26,6 @@ __all__ = [
     "critical_coupling", "echo_exact", "echo_lmg", "fidelity_exact",
     "fidelity_gaussian", "fidelity_lmg", "fidelity_scaling",
     "ground_state_exact", "lanczos_ground", "lanczos_survival", "min_echo",
-    "mode_energies", "mp_scaling", "overlap_matrix", "participation_ratio",
-    "scaling_eta", "squeeze_fidelity", "survival_closed", "width_map",
+    "mode_energies", "mp_scaling", "participation_ratio", "scaling_eta",
+    "squeeze_fidelity", "survival_closed", "width_map",
 ]

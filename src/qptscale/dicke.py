@@ -59,29 +59,35 @@ class ModeSpectrum:
 
 def mode_energies(params: DickeParams) -> ModeSpectrum:
     """Quasi-mode energies; the lower one vanishes exactly at the critical point.
-    NumericError when the arithmetic fails or, off that point, e1 cancels."""
+
+    e2 comes from the characteristic quadratic and e1 from the product
+    e1 e2 = sqrt(det), with the determinant's factor (lambda_c - lambda) or
+    (1/mu - 1) formed directly, so e1 does not cancel when omega and omega0
+    lie orders of magnitude apart.  NumericError when the arithmetic fails or,
+    off the critical point, e1 or (e1 e2)^2 under- or overflows.
+    """
     w, w0 = params.omega, params.omega0
-    lam = params.coupling
+    lam, lc = params.coupling, params.lambda_c
     ssum = w * w + w0 * w0
     try:
-        if lam <= params.lambda_c:
+        if lam <= lc:
             disc = math.sqrt((w0 * w0 - w * w) ** 2 + 16.0 * lam * lam * w * w0)
-            e1 = math.sqrt(max(0.5 * (ssum - disc), 0.0))
             e2 = math.sqrt(0.5 * (ssum + disc))
+            e1 = math.sqrt(w * w0 * 4.0 * (lc - lam) * (lc + lam)) / e2
             angle = 0.5 * math.atan(4.0 * lam * math.sqrt(w * w0) / ssum)
         else:
             mu = w * w0 / (4.0 * lam * lam)
             a = w0 * w0 / (mu * mu)
             disc = math.sqrt((a - w * w) ** 2 + 4.0 * w * w * w0 * w0)
-            e1 = math.sqrt(max(0.5 * (w * w + a - disc), 0.0))
             e2 = math.sqrt(0.5 * (w * w + a + disc))
+            e1 = w * w0 * math.sqrt((1.0 / mu - 1.0) * (1.0 / mu + 1.0)) / e2
             angle = 0.5 * math.atan(2.0 * w * w0 / (w * w + a))
     except ArithmeticError as err:  # an overflow, or mu underflowing to 0
         raise NumericError(f"mode energies fail at {params}: {err}") from err
-    if lam == params.lambda_c:
+    if lam == lc:
         e1 = 0.0
-    elif not 0 < e1 < math.inf:  # omega and omega0 orders of magnitude apart
-        raise NumericError(f"the lower mode energy cancels to {e1} at {params}")
+    elif not 0 < e1 < math.inf:  # (e1 e2)^2 or e2 out of range
+        raise NumericError(f"the lower mode energy is {e1} at {params}")
     return ModeSpectrum(e1=e1, e2=e2, gamma_angle=angle)
 
 
@@ -136,7 +142,7 @@ def fidelity_gaussian(p1: DickeParams, p2: DickeParams, *,
     couplings (0.45, 0.4), it gives 0.9923214 where that fidelity (and
     ``shared_rotation=True``) gives 0.9925127; at omega0 = 2, couplings
     (0.6, 0.5), it gives 0.9935229 against 0.9934212 (``shared_rotation=True``:
-    0.9939400).  The fix is ROADMAP item 14, which waits for item 28.
+    0.9939400).  The fix is ROADMAP item 14b, which waits for item 28.
 
     Returns 0.0 when either coupling sits exactly at the critical point.
     """

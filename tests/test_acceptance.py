@@ -14,7 +14,7 @@ from qptscale import (DickeParams, DomainError, SqueezeMap, TruncatedDicke,
                       fidelity_gaussian, fidelity_lmg, fidelity_scaling,
                       ground_state_exact,
                       lanczos_ground, lanczos_survival, min_echo, mode_energies,
-                      mp_scaling, overlap_matrix,
+                      mp_scaling, participation_ratio,
                       squeeze_fidelity, survival_closed)
 from conftest import (dicke_parity_indices, dicke_reference, dicke_systems,
                       gaussian_start, random_sparse_symmetric, spectral_sum)
@@ -262,20 +262,21 @@ def test_criterion_7_solver_integrity():
 
 
 def test_criterion_8_cross_module_identities():
-    worst_fid, worst_col = 0.0, 0.0
+    worst_fid, worst_chi = 0.0, 0.0
     for eta in (1e-4, 1e-3, 1e-2, 1e-1, 0.5, 1.0, 2.0, 10.0):
         m = ratio_map(eta)
         worst_fid = max(worst_fid,
                         abs(fidelity_scaling(eta) - squeeze_fidelity(m)))
     assert worst_fid <= 1e-12
-    # the squeezed vacuum in closed form, with no call into the overlap
-    # recursion: |a_2n| = (cosh r)^{-1/2} sqrt(C(2n, n) / 4^n) |tanh r|^n
+    # the participation ratio's AGM form against the direct sum 1 / sum |a_2n|^4
+    # over the squeezed vacuum's closed-form amplitudes
+    # |a_2n| = (cosh r)^{-1/2} sqrt(C(2n, n) / 4^n) |tanh r|^n
     for r in (0.1, -0.6, 1.2):
-        column = overlap_matrix(SqueezeMap(r), 400, m_max=0)[0::2, 0]
-        closed = [math.cosh(r) ** -0.5 * math.sqrt(math.comb(2 * n, n) / 4**n)
-                  * abs(math.tanh(r)) ** n for n in range(201)]
-        worst_col = max(worst_col, float(np.max(np.abs(column - closed))))
-    assert worst_col <= 1e-12
+        weights = [math.comb(2 * n, n) / 4**n * math.tanh(r) ** (2 * n) / math.cosh(r)
+                   for n in range(201)]
+        direct = 1.0 / math.fsum(w * w for w in weights)
+        worst_chi = max(worst_chi, abs(participation_ratio(SqueezeMap(r)) - direct))
+    assert worst_chi <= 1e-12
     print(f"ACCEPTANCE 8 PASS cross-module identities: fidelity dev "
-          f"{worst_fid:.2e}, overlap column/closed form dev {worst_col:.2e} "
-          f"({worst_col / 1e-12:.1e} of the 1e-12 bound)")
+          f"{worst_fid:.2e}, participation ratio/amplitude sum dev {worst_chi:.2e} "
+          f"({worst_chi / 1e-12:.1e} of the 1e-12 bound)")

@@ -24,6 +24,10 @@ def test_readme_quick_start_runs_and_matches_its_comment():
     assert claimed, "the fidelity_scaling line lost its value comment"
     value = namespace["fidelity_scaling"](namespace["eta"])
     assert value == pytest.approx(float(claimed.group(1)), abs=5e-7)
+    claimed = re.search(r"^(participation_ratio\(.*\))\s+# ([0-9.]+)", code, re.M)
+    assert claimed, "the participation_ratio line lost its value comment"
+    value = eval(claimed.group(1), namespace)
+    assert value == pytest.approx(float(claimed.group(2)), abs=5e-7)
     assert namespace["series"].covers_period is True  # as its comment says
 
 

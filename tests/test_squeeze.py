@@ -4,20 +4,16 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from qptscale import (InputError, NumericError, SqueezeMap, overlap_matrix,
-                      participation_ratio, squeeze_fidelity, width_map)
+from qptscale import (InputError, NumericError, SqueezeMap, participation_ratio,
+                      squeeze_fidelity, width_map)
 
 
-def expm_overlap_oracle(r, n_rows, n_cols, fock=240):
-    """Independent overlaps from the exponentiated squeeze generator.
-
-    Returns both orientation candidates; metric comparisons take the best
-    match since |<n|U|m>| is insensitive to the sign convention of r.
-    """
+def expm_overlap_oracle(r, n_rows, fock=240):
+    """Independent vacuum amplitudes |<n|S(r)|0>|, n <= n_rows, from the
+    exponentiated squeeze generator; insensitive to the sign convention of r."""
     a = np.diag(np.sqrt(np.arange(1.0, fock)), 1)
     gen = 0.5 * (a @ a - a.T @ a.T)
-    return [np.abs(scipy.linalg.expm(s * gen)[:n_rows + 1, :n_cols + 1])
-            for s in (r, -r)]
+    return np.abs(scipy.linalg.expm(r * gen)[:n_rows + 1, 0])
 
 
 def test_width_map_identity():
@@ -80,93 +76,86 @@ class TestFidelity:
         assert squeeze_fidelity(SqueezeMap(r)) == pytest.approx(
             0.92437772965439573, abs=1e-12)
 
-    def test_matches_leading_amplitude_and_overlap(self):
-        for r in (0.05, -0.8, 1.7):
-            m = SqueezeMap(r)
-            c = overlap_matrix(m, 600, m_max=0)
-            assert abs(squeeze_fidelity(m) - c[0, 0]) <= 1e-12
-
     def test_even_in_r(self):
         assert squeeze_fidelity(SqueezeMap(0.9)) == squeeze_fidelity(SqueezeMap(-0.9))
 
 
 class TestOverlapMatrix:
-    def test_identity(self):
-        c = overlap_matrix(SqueezeMap(0.0), 8)
-        assert np.array_equal(c, np.eye(9))
+    """The squeezed vacuum's overlaps |<n|S(r)|0>| from the exponentiated
+    generator, against the closed forms the library evaluates."""
 
-    def test_parity_zeros_are_exact(self):
-        c = overlap_matrix(SqueezeMap(0.37), 40, m_max=6)
-        n, m = np.meshgrid(np.arange(41), np.arange(7), indexing="ij")
-        assert np.all(c[(n + m) % 2 == 1] == 0.0)
+    def test_identity(self):
+        assert np.array_equal(expm_overlap_oracle(0.0, 8), np.eye(9)[:, 0])
+        assert squeeze_fidelity(SqueezeMap(0.0)) == 1.0
+        assert participation_ratio(SqueezeMap(0.0)) == 1.0
 
     def test_column_zero_matches_closed_form(self):
         # |a_2n| = (cosh r)^{-1/2} sqrt(C(2n, n) / 4^n) |tanh r|^n; at
         # tanh r = 1/2, mpmath: a_0 = 0.9306048591020996,
         # a_2 = 0.32901850323812312, a_4 = 0.1424691910596736
         m = SqueezeMap(math.atanh(0.5))
-        c = overlap_matrix(m, 60, m_max=0)
+        column = expm_overlap_oracle(m.r, 60)
         closed = [squeeze_fidelity(m) * math.sqrt(math.comb(2 * n, n) / 4**n)
                   * 0.5**n for n in range(31)]
-        assert np.max(np.abs(c[0::2, 0] - closed)) <= 1e-12
-        assert c[0:5:2, 0] == pytest.approx(
+        assert np.max(np.abs(column[0::2] - closed)) <= 1e-12
+        assert np.max(column[1::2]) <= 1e-12
+        assert closed[:3] == pytest.approx(
             [0.9306048591020996, 0.32901850323812312, 0.1424691910596736],
             abs=1e-14)
+        assert participation_ratio(m) == pytest.approx(
+            1.0 / math.fsum(a**4 for a in closed), rel=1e-14)
 
     @pytest.mark.parametrize("r,n_rows", [(0.2, 40), (-0.45, 70), (0.8, 120)])
     def test_against_matrix_exponential_oracle(self, r, n_rows):
-        c = overlap_matrix(SqueezeMap(r), n_rows, m_max=6)
-        best = min(np.max(np.abs(c - o)) for o in expm_overlap_oracle(r, n_rows, 6))
-        assert best <= 1e-12
+        column = expm_overlap_oracle(r, n_rows)
+        assert participation_ratio(SqueezeMap(r)) == pytest.approx(
+            1.0 / np.sum(column**4), rel=1e-12)
 
     def test_invariant_under_r_flip(self):
-        c_plus = overlap_matrix(SqueezeMap(0.6), 80, m_max=5)
-        c_minus = overlap_matrix(SqueezeMap(-0.6), 80, m_max=5)
-        assert np.array_equal(c_plus, c_minus)
+        assert np.max(np.abs(expm_overlap_oracle(0.6, 80)
+                             - expm_overlap_oracle(-0.6, 80))) <= 1e-14
+        plus, minus = SqueezeMap(0.6), SqueezeMap(-0.6)
+        assert squeeze_fidelity(plus) == squeeze_fidelity(minus)
+        assert participation_ratio(plus) == participation_ratio(minus)
 
-    def test_column_completeness(self):
-        c = overlap_matrix(SqueezeMap(0.5), 90, m_max=4)
-        sums = np.sum(c * c, axis=0)
-        assert np.all(sums >= 1.0 - 1e-10)
-        assert np.all(sums <= 1.0 + 1e-12)
 
-    def test_unconverged_column_reports_index(self):
-        with pytest.raises(NumericError, match="column"):
-            overlap_matrix(SqueezeMap(0.8), 10)
+# 50-digit mpmath values of cosh^2 r AGM(1, sqrt(1 + tanh^2 r) / cosh r).
+# From r = 20 on, the literal sqrt((1 - q^2)(1 + q^2)), q = tanh r, rounds to
+# 0 and so does the ratio; at r = 10 it is 5e-10 off
+CHI_50_DIGITS = {
+    0.01: 1.0001000008334610986, 0.5: 1.2568313566382748057,
+    1.2: 2.7989161460610287881, 5.0: 1617.8161105673683554,
+    10.0: 18414204.958498848102, 20.0: 4543053783584745.87,
+    100.0: 2.8278327416621601076e+84, 300.0: 4.9331729997594412754e+257,
+    355.0: 2.4688227167288969985e+305, -7.5: 163605.18453777338103,
+    math.log(10) / 4: 1.3440967402925513394,  # the scaling map at eta = 0.1
+}
 
 
 class TestParticipationRatio:
     def test_identity_map_gives_one(self):
-        for m in (0, 1, 3):
-            assert participation_ratio(SqueezeMap(0.0), m, 10) == 1.0
+        assert participation_ratio(SqueezeMap(0.0)) == 1.0
 
     def test_frozen_value_at_half(self):
-        # mpmath: sum a^4 = 0.76214952007279367, chi = 1.3120785012165185
-        chi = participation_ratio(SqueezeMap(math.atanh(0.5)), 0, 120)
-        assert chi == pytest.approx(1.3120785012165185, abs=1e-10)
+        # mpmath: sum a^4 = 0.76214952007279367, chi = 1.3120785012165184927
+        chi = participation_ratio(SqueezeMap(math.atanh(0.5)))
+        assert chi == pytest.approx(1.3120785012165184927, rel=1e-15)
+
+    @pytest.mark.parametrize("r", list(CHI_50_DIGITS))
+    def test_frozen_values_over_the_whole_range(self, r):
+        assert participation_ratio(SqueezeMap(r)) == pytest.approx(CHI_50_DIGITS[r],
+                                                                   rel=1e-15)
+
+    @pytest.mark.parametrize("r", [356.0, -356.0, 700.0])
+    def test_overflow_of_cosh_squared_raises(self, r):
+        with pytest.raises(NumericError, match="overflows"):
+            participation_ratio(SqueezeMap(r))
 
     def test_strictly_increasing_in_r(self):
-        values = [participation_ratio(SqueezeMap(float(r)), 0, 900)
+        values = [participation_ratio(SqueezeMap(float(r)))
                   for r in np.arange(0.1, 2.01, 0.1)]
         assert all(b > a for a, b in zip(values, values[1:]))
         assert all(v >= 1.0 for v in values)
 
-    def test_unconverged_column_raises(self):
-        with pytest.raises(NumericError, match="column"):
-            participation_ratio(SqueezeMap(1.5), 0, 12)
-
     def test_even_in_r(self):
-        a = participation_ratio(SqueezeMap(0.7), 2, 300)
-        b = participation_ratio(SqueezeMap(-0.7), 2, 300)
-        assert a == b
-
-
-@pytest.mark.parametrize("call", [
-    lambda: overlap_matrix(SqueezeMap(0.3), -1),
-    lambda: overlap_matrix(SqueezeMap(0.3), 8, m_max=-1),
-    lambda: participation_ratio(SqueezeMap(0.3), -1, 8),
-    lambda: participation_ratio(SqueezeMap(0.3), 0, -1),
-], ids=["overlap-n_max", "overlap-m_max", "ratio-m", "ratio-n_max"])
-def test_negative_order_is_refused(call):
-    with pytest.raises(InputError, match="nonnegative"):
-        call()
+        assert participation_ratio(SqueezeMap(0.7)) == participation_ratio(SqueezeMap(-0.7))
