@@ -89,10 +89,8 @@ _MODELS = {
         unit="energy",
         fidelity=lambda cfg, l1, l2: fidelity_gaussian(_dicke(cfg, l1), _dicke(cfg, l2)),
         omega1=lambda cfg, l1: mode_energies(_dicke(cfg, l1)).e1,
-        echo=lambda cfg, l1, l2, t: echo_exact(
-            _truncated(cfg, cfg.exact.n_atoms, l1), _truncated(cfg, cfg.exact.n_atoms, l2), t),
-        exact_fidelity=lambda cfg, l1, l2, n: fidelity_exact(
-            _truncated(cfg, n, l1), _truncated(cfg, n, l2)),
+        echo=lambda cfg, l1, l2, t: echo_exact(_truncated(cfg, cfg.exact.n_atoms, l1), l2, t),
+        exact_fidelity=lambda cfg, l1, l2, n: fidelity_exact(_truncated(cfg, n, l1), l2),
         # shared-rotation Gaussian (exact at omega == omega0), not ``fidelity``
         effective=lambda cfg, l1, l2: fidelity_gaussian(
             _dicke(cfg, l1), _dicke(cfg, l2), shared_rotation=True),

@@ -95,13 +95,13 @@ def build_hamiltonian(system: TruncatedDicke) -> GatherOperator:
     return GatherOperator(diagonal, neighbours, amplitudes)
 
 
-def _check_normal(*systems: TruncatedDicke) -> None:
-    """Refuse systems at or above the critical coupling of the first one
-    (DomainError): there the parity-symmetric exact ground states carry the
-    sqrt(N) mean-field displacement, which the normal-phase analytics do
-    not describe."""
-    lc = critical_coupling(systems[0].omega, systems[0].omega0)
-    couplings = [s.coupling for s in systems]
+def _check_normal(system: TruncatedDicke, *couplings: float) -> None:
+    """Refuse a system whose coupling, or any of ``couplings``, lies at or
+    above its critical coupling (DomainError): there the parity-symmetric
+    exact ground states carry the sqrt(N) mean-field displacement, which the
+    normal-phase analytics do not describe."""
+    lc = critical_coupling(system.omega, system.omega0)
+    couplings = (system.coupling, *couplings)
     if any(c >= lc for c in couplings):
         raise DomainError(
             f"exact ground states, fidelities and echoes need couplings below "
@@ -150,46 +150,37 @@ def _ground_state(system: TruncatedDicke) -> tuple[float, np.ndarray, LanczosInf
     return solved[system]
 
 
-def _check_pair(system1: TruncatedDicke, system2: TruncatedDicke) -> None:
-    """Refuse two systems whose ground states cannot be compared.  Systems
-    that differ in any field but ``coupling``, compared as whole systems,
-    lay out their vectors on different bases (InputError); couplings at or
-    above the critical one have no normal-phase ground state to compare
-    (DomainError, see :func:`_check_normal`)."""
-    if replace(system1, coupling=system2.coupling) != system2:
-        raise InputError(f"the two systems must differ only in coupling: {system1}, {system2}")
-    _check_normal(system1, system2)
-
-
-def fidelity_exact(system1: TruncatedDicke, system2: TruncatedDicke) -> float:
-    """|<g1|g2>| of the two systems' ground states, on their even parity block.
-
-    The systems may differ only in ``coupling`` (InputError otherwise), and
-    both couplings must lie below the critical coupling (DomainError
-    otherwise).
+def fidelity_exact(system: TruncatedDicke, coupling: float) -> float:
+    """|<g1|g2>| of the ground states of ``system`` and of the same truncated
+    system at ``coupling``, on their shared even parity block.  Both
+    couplings must lie below the critical coupling (DomainError otherwise).
     """
-    _check_pair(system1, system2)
-    _, g1, _ = _ground_state(system1)
-    _, g2, _ = _ground_state(system2)
+    other = replace(system, coupling=coupling)
+    _check_normal(system, coupling)
+    _, g1, _ = _ground_state(system)
+    _, g2, _ = _ground_state(other)
     return float(abs(g1 @ g2))
 
 
-def echo_exact(system1: TruncatedDicke, system2: TruncatedDicke, t_grid) -> EchoSeries:
-    """Exact echo |<g2| exp(-i H1 t) |g2>|^2 of system2's ground state under
-    system1's Hamiltonian.
+def echo_exact(system: TruncatedDicke, coupling: float, t_grid) -> EchoSeries:
+    """Exact echo |<g2| exp(-i H1 t) |g2>|^2 of the ground state g2 of the
+    same truncated system at ``coupling`` under the Hamiltonian H1 of
+    ``system``.
 
     The survival amplitude comes from Lanczos tridiagonalization of the
     even parity block of H1, which holds g2, seeded with g2 (see
     :func:`qptscale.linalg.lanczos_survival`); its depth is the one entry
-    of ``meta``, ``"krylov_depth"``.  The systems obey the rules of
-    :func:`fidelity_exact`.  ``omega1`` is the thermodynamic-limit
-    zero-mode energy at system1's coupling, so the series' ``tau``,
-    ``period`` and ``covers_period`` are those of the effective model.
+    of ``meta``, ``"krylov_depth"``.  Both couplings must lie below the
+    critical coupling (DomainError otherwise).  ``omega1`` is the
+    thermodynamic-limit zero-mode energy at the coupling of ``system``, so
+    the series' ``tau``, ``period`` and ``covers_period`` are those of the
+    effective model.
     """
-    _check_pair(system1, system2)
+    other = replace(system, coupling=coupling)
+    _check_normal(system, coupling)
     t = _as_time_grid(t_grid)
-    _, g2, _ = _ground_state(system2)
-    amp, depth = lanczos_survival(build_hamiltonian(system1), g2, t)
-    e1 = mode_energies(DickeParams(system1.omega, system1.omega0, system1.coupling)).e1
+    _, g2, _ = _ground_state(other)
+    amp, depth = lanczos_survival(build_hamiltonian(system), g2, t)
+    e1 = mode_energies(DickeParams(system.omega, system.omega0, system.coupling)).e1
     return EchoSeries(t=t, echo=np.abs(amp) ** 2, omega1=e1,
                       meta={"krylov_depth": depth})

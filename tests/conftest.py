@@ -58,11 +58,11 @@ def spectral_sum(values, vectors, psi, t):
     return np.exp(-1j * np.multiply.outer(t, values)) @ (vectors.T @ psi) ** 2
 
 
-def dicke_systems(n_atoms, n_boson, *couplings):
-    """One truncated Dicke system at omega = omega0 = 1 per coupling, all on
-    the same basis: the argument pairs of ``fidelity_exact`` and
+def dicke_systems(n_atoms, n_boson, coupling1, coupling2):
+    """The truncated Dicke system at omega = omega0 = 1 and ``coupling1``,
+    and ``coupling2``: the leading arguments of ``fidelity_exact`` and
     ``echo_exact``."""
-    return [TruncatedDicke(n_atoms, n_boson, 1.0, 1.0, c) for c in couplings]
+    return TruncatedDicke(n_atoms, n_boson, 1.0, 1.0, coupling1), coupling2
 
 
 def dicke_reference(spec):

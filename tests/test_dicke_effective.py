@@ -62,13 +62,16 @@ class TestModeEnergies:
         e1s = [mode_energies(DickeParams(1.0, 1.0, la)).e1 for la in lams]
         assert all(b > a for a, b in zip(e1s, e1s[1:]))
 
-    def test_cancelled_or_failed_e1_raises(self):
+    def test_e1_kept_where_root_formula_cancels(self):
         # at 0.9 lambda_c with omega / omega0 = 1e8, e1^2 = 0.19 lies below
         # the round-off of omega^2, so the root formula cancels to 0; the
-        # product e1 e2 = sqrt(det) keeps it.  At 1e100 omega^4 overflows, and at
-        # coupling 1e200 the super-radiant mu underflows to 0
+        # product e1 e2 = sqrt(det) keeps it
         e1 = mode_energies(DickeParams(1e8, 1.0, 0.45e4)).e1
         assert e1 == pytest.approx(math.sqrt(0.19), rel=1e-15)
+
+    def test_overflowed_or_underflowed_e1_raises(self):
+        # at 1e100 omega^4 overflows, and at coupling 1e200 the super-radiant
+        # mu underflows to 0
         for params in (DickeParams(1e100, 1.0, 0.45e50), DickeParams(1.0, 1.0, 1e200)):
             with pytest.raises(NumericError):
                 mode_energies(params)
