@@ -302,7 +302,10 @@ _RUNNERS = {
 def run(cfg: RunConfig):
     """Execute a validated configuration; returns the written file paths.
     Each distinct exact ground state is solved once per run."""
-    model = _MODELS[cfg.model]
+    model = _MODELS.get(cfg.model)
+    if model is None:
+        raise InputError(f"config error at model: {cfg.model!r} is not one of "
+                         + ", ".join(map(repr, _MODELS)))
     if cfg.task not in model.tasks:
         raise InputError(f"task {cfg.task!r} is not defined for model {cfg.model!r}")
     with solve_once():

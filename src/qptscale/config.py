@@ -35,6 +35,10 @@ def _at_least(n: int):
     return f"an integer >= {n}", lambda v: _number(v) and isinstance(v, int) and v >= n
 
 
+def _string():
+    return "a string", lambda v: isinstance(v, str)
+
+
 def _one_of(*choices):
     return "one of " + ", ".join(map(repr, choices)), lambda v: v in choices
 
@@ -88,8 +92,8 @@ class OutputOpts:
 
 @dataclass(frozen=True)
 class RunConfig:
-    model: str = _setting(_one_of("dicke", "lmg"))
-    task: str = _setting(_one_of("fidelity", "echo", "converge", "collapse", "sweep"))
+    model: str = _setting(_string())
+    task: str = _setting(_string())
     omega: float = _setting(_positive(), 1.0)
     omega0: float = _setting(_positive(), 1.0)
     lmg_gamma: float = _setting(
@@ -100,8 +104,7 @@ class RunConfig:
     etas: tuple[float, ...] = _setting(_list_of(_positive()), ())
     scales: tuple[float, ...] = _setting(_list_of(_positive()), ())
     phases: tuple[str, ...] | None = _setting(  # None: the model's first phase
-        _or_null(_list_of(_one_of("normal", "super", "symmetric", "broken"), non_empty=True)),
-        None)
+        _or_null(_list_of(_string(), non_empty=True)), None)
     time_grid: TimeGridOpts = field(default_factory=TimeGridOpts)
     exact: ExactOpts = field(default_factory=ExactOpts)
     converge: ConvergeOpts = field(default_factory=ConvergeOpts)
@@ -194,7 +197,9 @@ def apply_overrides(doc: dict, overrides) -> dict:
 
 
 def parse_document(doc: dict) -> RunConfig:
-    """Validate a config document and build its :class:`RunConfig`."""
+    """Validate a config document and build its :class:`RunConfig`.  Model,
+    task and phase names pass as any strings: :func:`qptscale.cli.run`
+    refuses those its model table does not define."""
     return _build(RunConfig, doc)
 
 

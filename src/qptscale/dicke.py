@@ -1,5 +1,5 @@
 """Thermodynamic-limit analytics for the driven spin-boson (Dicke) model:
-phase classification, quasi-mode energies in both phases, the two-mode
+the critical coupling, quasi-mode energies in both phases, the two-mode
 Gaussian ground-state fidelity, and the critical-ratio fidelity law."""
 
 from __future__ import annotations
@@ -37,14 +37,6 @@ class DickeParams:
     @property
     def lambda_c(self) -> float:
         return critical_coupling(self.omega, self.omega0)
-
-    @property
-    def phase(self) -> str:
-        if self.coupling < self.lambda_c:
-            return "normal"
-        if self.coupling > self.lambda_c:
-            return "super"
-        return "critical"
 
 
 @dataclass(frozen=True)
@@ -150,9 +142,10 @@ def fidelity_gaussian(p1: DickeParams, p2: DickeParams, *,
         raise InputError("both parameter sets must share omega and omega0")
     if p1.coupling == p2.coupling:
         return 1.0
-    if "critical" in (p1.phase, p2.phase):
+    lc = p1.lambda_c
+    if lc in (p1.coupling, p2.coupling):
         return 0.0
-    if p1.phase != p2.phase:
+    if (p1.coupling < lc) != (p2.coupling < lc):
         raise CrossPhaseError(
             f"couplings {p1.coupling} and {p2.coupling} lie in different phases")
     s1 = mode_energies(p1)

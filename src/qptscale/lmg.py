@@ -25,10 +25,9 @@ from .squeeze import width_map
 class LmgParams:
     """Anisotropy gamma in [0, 1) and field h > 0.
 
-    h = 1 is the critical point; it is accepted so sweeps can straddle it,
-    with the phase reported as "critical".  In the broken phase h^2 must
-    exceed gamma, which keeps the width W^2 = (1 - h^2)/(1 - gamma) below 1,
-    as it is throughout the symmetric phase.
+    h = 1 is the critical point.  In the broken phase h^2 must exceed gamma,
+    which keeps the width W^2 = (1 - h^2)/(1 - gamma) below 1, as it is
+    throughout the symmetric phase.
     """
 
     gamma: float
@@ -41,14 +40,6 @@ class LmgParams:
             raise InputError("h must be positive and finite")
         if self.h < 1.0 and self.h * self.h <= self.gamma:
             raise InputError("broken phase requires h^2 > gamma")
-
-    @property
-    def phase(self) -> str:
-        if self.h > 1.0:
-            return "symmetric"
-        if self.h < 1.0:
-            return "broken"
-        return "critical"
 
 
 def quadratic(params: LmgParams) -> tuple[float, float]:
@@ -80,7 +71,7 @@ def width(params: LmgParams) -> float:
 def _same_phase_pair(gamma: float, h1: float, h2: float):
     p1 = LmgParams(gamma=gamma, h=h1)
     p2 = LmgParams(gamma=gamma, h=h2)
-    if "critical" in (p1.phase, p2.phase) or p1.phase != p2.phase:
+    if 1.0 in (h1, h2) or (h1 < 1.0) != (h2 < 1.0):
         raise CrossPhaseError(f"fields {h1} and {h2} do not share a phase")
     return p1, p2
 

@@ -170,6 +170,13 @@ def test_unknown_model_is_usage_error(tmp_path, capsys, model):
     assert "model" in capsys.readouterr().err
 
 
+def test_library_run_refuses_a_model_the_table_lacks():
+    # parse_document takes any model name; run() checks it against the table
+    with pytest.raises(InputError, match="^config error at model: 'bogus' is not one of "
+                                         "'dicke', 'lmg'$"):
+        run(RunConfig(model="bogus", task="fidelity"))
+
+
 def test_sweep_ratio_invariance(tmp_path):
     cfg = write_config(tmp_path, {
         "etas": [0.1], "scales": [1e-2, 1e-3],
@@ -250,8 +257,10 @@ def test_invalid_json_reports_line_number(tmp_path, capsys):
     ("file", b'{"etas": [0.1], "scales": [0.01], "time_grid": {"periods": NaN}}'),
     ("file", b'{"etas": [0.1], "scales": [0.01], "time_grid": {"periods": 1e400}}'),
     ("file", b'{"etas": [0.1], "scales": [0.01], "output": {"path": "\xff.csv"}}'),
+    ("set", "omega"),
+    ("file", b'[{"etas": [0.1], "scales": [0.01]}]'),
 ], ids=["set-inf", "set-nan", "set-overflow", "set-ignored-key", "file-inf", "file-nan",
-        "file-overflow", "file-not-utf8"])
+        "file-overflow", "file-not-utf8", "set-no-equals", "file-top-level-list"])
 def test_nonfinite_or_undecodable_input_is_usage_error(tmp_path, capsys, route, payload):
     out = tmp_path / "e.csv"
     if route == "set":
@@ -317,7 +326,6 @@ _REFUSALS = {
     "doc7-etas": (dict(_BASE_DOC, etas=[0.0]), "etas"),
     "doc8-scales": (dict(_BASE_DOC, scales=[0]), "scales"),
     "doc9-phases": (dict(_BASE_DOC, phases=[]), "phases"),
-    "doc10-phases": (dict(_BASE_DOC, phases=["sideways"]), "phases"),
     "doc11-samples_per_period": (dict(_BASE_DOC, time_grid={"samples_per_period": 7}),
                                  "samples_per_period"),
     "doc12-max_dim": (dict(_BASE_DOC, exact={"max_dim": 15}), "max_dim"),
@@ -521,6 +529,12 @@ def test_config_hash_falls_back_to_hashlib_without_a_builtin_sha256():
     ("dicke-converge", {"pairs": [[0.495, 0.45]], "etas": [0.1],
                         "converge": {"n_list": [8]}}, "etas"),
     ("dicke-fidelity", {"pairs": [[0.45, 0.4]], "phases": ["super"]}, "phases"),
+    # phase names are the model table's: any string parses, and the run
+    # refuses one its model lacks
+    ("sweep", {"etas": [0.1], "scales": [0.01], "phases": ["sideways"]},
+     "phase 'sideways' is not a phase of model 'dicke'"),
+    ("lmg-fidelity", {"etas": [0.1], "scales": [0.01], "phases": ["normal"]},
+     "phase 'normal' is not a phase of model 'lmg'"),
     # n_boson defaults to N = 1, one boson level: the refusal names the key
     # behind the default, not a field the user never set
     ("sweep", {"etas": [0.1], "scales": [0.1], "exact": {"include": True, "n_atoms": 1}},
@@ -530,7 +544,7 @@ def test_config_hash_falls_back_to_hashlib_without_a_builtin_sha256():
         "echo-at-critical", "collapse-lmg", "lmg-fidelity-at-critical",
         "collapse-rounds-onto-critical", "sweep-rounds-onto-critical",
         "fidelity-pairs-unknown-phase", "converge-half-grid", "fidelity-pairs-phases",
-        "sweep-default-cutoff-too-small"])
+        "sweep-default-cutoff-too-small", "sweep-unknown-phase", "lmg-fidelity-dicke-phase"])
 def test_ignored_or_ambiguous_input_is_usage_error(tmp_path, capsys, command, doc,
                                                    needle):
     cfg = write_config(tmp_path, dict(doc, output={"path": str(tmp_path / "r.csv")}))

@@ -33,6 +33,9 @@ def test_params_refuse_non_finite_frequencies():
         DickeParams(1.0, math.inf, 0.3)
     with pytest.raises(InputError):
         TruncatedDicke(4, 4, 1.0, math.inf, 0.3)
+    for coupling in (-0.1, math.inf, math.nan):
+        with pytest.raises(InputError, match="coupling"):
+            DickeParams(1.0, 1.0, coupling)
 
 
 class TestModeEnergies:
@@ -122,6 +125,12 @@ class TestScalingEta:
     def test_critical_input_rejected(self):
         with pytest.raises(InputError):
             scaling_eta(0.5, 0.45, 0.5)
+
+    @pytest.mark.parametrize("args", [(math.inf, 0.45, 0.5), (0.49, math.nan, 0.5),
+                                      (0.49, 0.45, math.inf)])
+    def test_non_finite_input_rejected(self, args):
+        with pytest.raises(InputError, match="must be finite"):
+            scaling_eta(*args)
 
 
 class TestFidelityScaling:

@@ -74,6 +74,12 @@ class TestSurvivalClosed:
             survival_closed(m, 1.0, np.array([0.0, 1.0, 0.5]))
         with pytest.raises(InputError):
             survival_closed(m, -1.0, np.array([0.0, 1.0]))
+        for grid in ([0.0], [[0.0, 1.0]]):  # fewer than 2 samples, 2-d
+            with pytest.raises(InputError, match="1-d array"):
+                survival_closed(m, 1.0, np.array(grid))
+        for grid in ([0.0, math.nan], [0.0, 1.0, math.inf]):
+            with pytest.raises(InputError, match="finite"):
+                survival_closed(m, 1.0, np.array(grid))
 
 
 class TestRescaleTime:
@@ -134,6 +140,12 @@ class TestMinEcho:
         series = EchoSeries(t=t, echo=m, omega1=2.0)
         assert series.meta == {}
         assert min_echo(series) == pytest.approx(0.57495957457606897, abs=1e-6)
+
+    def test_minimum_at_the_last_sample_is_not_refined(self):
+        # a hand-built series falling to its last sample: no parabola to fit
+        t = np.linspace(0.0, math.pi, 11)
+        series = EchoSeries(t=t, echo=1.0 - 0.01 * t, omega1=1.0)
+        assert min_echo(series) == series.echo[-1]
 
     @pytest.mark.parametrize("end,covers", [(1.0 - 1e-9, False), (1.0 + 1e-9, True),
                                             (1.0, True)])

@@ -43,6 +43,15 @@ def test_width_map_rejects_nonfinite():
         width_map(1.0, math.inf)
 
 
+def test_squeeze_map_rejects_non_finite_or_overflowing_r():
+    for r in (math.nan, math.inf, -math.inf):
+        with pytest.raises(InputError, match="finite"):
+            SqueezeMap(r)
+    for r in (700.5, -701.0):
+        with pytest.raises(InputError, match="overflows"):
+            SqueezeMap(r)
+
+
 def test_width_map_rejects_nonpositive():
     # the last two are valid widths whose ratio underflows to 0 or overflows
     for w1, w2 in [(0.0, 1.0), (1.0, 0.0), (-0.5, 1.0), (1.0, -2.0),

@@ -18,8 +18,10 @@ def sample_table():
             "value": np.array([0.1, -3.5e-120, 1.0]),
             "tag": np.array(["a", "b", "c"]),
             "u": np.array([0, 2**63 + 5, 7], dtype=np.uint64),  # above int64
+            # integers, one beyond uint64: no int column holds them, so str
+            "big": np.array(["1", str(2**64), "3"]),
         },
-        units={"n": "1", "value": "energy", "tag": "label", "u": "1"},
+        units={"n": "1", "value": "energy", "tag": "label", "u": "1", "big": "label"},
         provenance={"config_hash": "deadbeef", "package_version": "0.1.0"},
     )
 
@@ -119,6 +121,17 @@ def test_table_with_no_row_rejected(tmp_path):
     with pytest.raises(InputError, match="no row"):
         write_table(table, str(tmp_path / "new" / "z.csv"))
     assert list(tmp_path.iterdir()) == []  # refused before the directory exists
+
+
+@pytest.mark.parametrize("text,match", [
+    ("# provenance: k = v\n", "no header"),
+    ("a,b\n1,2\n3\n", "row width 1 != header width 2"),
+], ids=["no-header", "ragged-row"])
+def test_file_without_header_or_with_a_ragged_row_rejected(tmp_path, text, match):
+    path = tmp_path / "r.csv"
+    path.write_text(text)
+    with pytest.raises(InputError, match=match):
+        read_table(str(path))
 
 
 def test_empty_cells_beside_other_columns_round_trip(tmp_path):
