@@ -145,6 +145,8 @@ def _points(cfg: RunConfig, model: _Model):
     None), then the eta x scale x phase grid, scales in units of the critical pc
     and phases, unless given, the model's first one.  Phases given with no grid
     are refused, as they would shape nothing.  No point has p1 or p2 at pc."""
+    if isinstance(cfg.phases, str):  # its letters are not phases
+        raise InputError(f"config error at phases: {cfg.phases!r} is a string, not a list")
     pc = model.critical(cfg)
     phases = (next(iter(model.signs)),) if cfg.phases is None else cfg.phases
     for phase in phases:

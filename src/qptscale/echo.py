@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DomainError, InputError
+from .errors import DomainError, InputError, NumericError
 from .squeeze import SqueezeMap
 
 
@@ -64,16 +64,18 @@ def survival_closed(map: SqueezeMap, delta1: float, t_grid) -> EchoSeries:
     Periodic with period pi / delta1; minimum (1 - q^2)/(1 + q^2).  At the
     scaling map r = ln(1/eta) / 4 it is the eta law of the whole curve,
     M = [1 + (1 - eta)^2 / (4 eta) sin^2(tau)]^{-1/2} with tau = delta1 t.
+    1 - q^2 is formed as sech^2 r, exact where tanh r rounds to 1; NumericError
+    past |r| ~ 177.8, where sech^4 r leaves the normal floats.
     """
     t = _as_time_grid(t_grid)
     q = map.q
-    if not abs(q) < 1.0:
-        raise InputError("|tanh r| must be below 1")
     if not (math.isfinite(delta1) and delta1 >= 0):
         raise InputError("delta1 must be finite and nonnegative")
+    one_minus_q2 = 1.0 / math.cosh(map.r) ** 2
+    if one_minus_q2**2 < np.finfo(float).tiny:
+        raise NumericError(f"sech^4 r underflows at r = {map.r}")
     if delta1 == 0.0 and q != 0.0:
         warnings.warn("zero gap: echo series is constant", stacklevel=2)
-    one_minus_q2 = 1.0 / math.cosh(map.r) ** 2
     m = one_minus_q2 / np.sqrt(one_minus_q2**2
                                + 4.0 * q * q * np.sin(delta1 * t) ** 2)
     return EchoSeries(t=t, echo=m, omega1=delta1)

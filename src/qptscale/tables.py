@@ -9,7 +9,6 @@ bytes of ``"%.16e"``.  Every check runs before the temp file is made."""
 from __future__ import annotations
 
 import functools
-import io
 import os
 import re
 from dataclasses import dataclass, field
@@ -188,11 +187,10 @@ def _words(encoded: list, width: int = 1) -> np.ndarray:
     return np.array(encoded, dtype=f"S{4 * width}").view(np.uint32).reshape(-1, width)
 
 
-def _column(name: str, values: np.ndarray, encoding: str):
-    """Check one column and return ``(cells, width, empty)``: ``cells(start,
-    stop)`` is the text of rows ``start:stop`` as a NUL-padded uint32 matrix
-    of ``width`` columns, and ``empty`` says whether some cell's text is the
-    empty string.
+def _column(name: str, values: np.ndarray):
+    """Check one column and return ``(cells, width)``: ``cells(start, stop)``
+    is the UTF-8 text of rows ``start:stop`` as a NUL-padded uint32 matrix of
+    ``width`` columns.
 
     The column is reduced to the distinct values of its runs of equal cells,
     floats compared bit for bit, so each is checked and formatted once, and
@@ -206,20 +204,20 @@ def _column(name: str, values: np.ndarray, encoding: str):
     first[:1] = True
     np.not_equal(bits[1:], bits[:-1], out=first[1:])
     if is_float and np.count_nonzero(first) > _CHUNK_ROWS:
-        return lambda start, stop: _float_words(values[start:stop]), _FLOAT_WORDS, False
+        return lambda start, stop: _float_words(values[start:stop]), _FLOAT_WORDS
     heads = np.flatnonzero(first)
     keys, key_of_run = np.unique(bits[heads], return_inverse=True)
     key_of_row = np.repeat(key_of_run.astype(np.min_scalar_type(len(keys))),
                            np.diff(heads, append=len(values)))
     if is_float:
-        texts, empty = _float_words(keys.view(values.dtype)), False
+        texts = _float_words(keys.view(values.dtype))
     else:
         formatted = [_check_text(str(key)) for key in keys.tolist()]
         if values.dtype.kind == "U" and formatted and _parsed(formatted).dtype.kind != "U":
             raise InputError(f"str column {name!r} would read back as numbers: "
                              f"each of its cells, such as {formatted[0]!r}, is one")
-        texts, empty = _words([text.encode(encoding) for text in formatted]), "" in formatted
-    return lambda start, stop: texts.take(key_of_row[start:stop], axis=0), texts.shape[1], empty
+        texts = _words([text.encode() for text in formatted])
+    return lambda start, stop: texts.take(key_of_row[start:stop], axis=0), texts.shape[1]
 
 
 def _parsed(cells: list) -> np.ndarray:
@@ -257,10 +255,9 @@ def write_table(table: ResultTable, path: str) -> str:
     """Write atomically (temp file + rename); returns the path.
 
     Every cell is checked before the temp file is created, so a refused cell
-    leaves ``path`` as it was.  A table with no column, or a one-column table
-    with an empty name or cell, is refused: it would hold a blank line.  So
-    is a table with no row, whose columns would all read back as int, and a
-    str column whose every cell reads as a number.  Besides the
+    leaves ``path`` as it was.  A table with no row is refused, as its
+    columns would all read back as int (a table with no column has none),
+    and so is a str column whose every cell reads as a number.  Besides the
     columns, the write holds the text of each distinct value of a column
     (see ``_column``); a float column of more than ``_CHUNK_ROWS`` runs is
     formatted with its chunk of ``_CHUNK_ROWS`` rows, so no column's whole
@@ -268,20 +265,17 @@ def write_table(table: ResultTable, path: str) -> str:
     for the whole write, ``_FLOAT_WORDS`` words from the kernel or the words
     of its widest distinct text, in one NUL-padded uint32 matrix whose
     separators are written once.  Each chunk fills the slots, and dropping
-    the NULs leaves its rows, written in one call.  Text is encoded as
-    ``open`` would encode it.  The file gets the mode a plain ``open`` gives
-    a new file: 0o666 less the umask.
+    the NULs leaves its rows, written in one call.  Text is UTF-8, whatever
+    the locale; a one-column table with an empty name or cell writes blank
+    lines, which read back as rows.  The file gets the mode a plain
+    ``open`` gives a new file: 0o666 less the umask.
     """
-    encoding = io.TextIOWrapper(io.BytesIO()).encoding  # what a text-mode open uses
-    head = _head(table).encode(encoding)
-    columns = [_column(name, values, encoding) for name, values in table.columns.items()]
-    if not columns or len(columns) == 1 and ("" in table.columns or columns[0][2]):
-        raise InputError("a table with no column, or an empty name or cell in a one-column "
-                         "table, is a blank line, which read_table skips")
+    head = _head(table).encode()
+    columns = [_column(name, values) for name, values in table.columns.items()]
     if not table.n_rows:
         raise InputError("a table with no row is refused: every column would read back "
                          "as int")
-    stops = np.cumsum([width + 1 for _, width, _ in columns])
+    stops = np.cumsum([width + 1 for _, width in columns])
     rows = np.empty((min(table.n_rows, _CHUNK_ROWS), stops[-1]), np.uint32)
     rows[:, stops - 1] = ord(",")  # one byte once the NULs are dropped
     rows[:, -1] = ord("\n")
@@ -294,7 +288,7 @@ def write_table(table: ResultTable, path: str) -> str:
             handle.write(head)
             for start in range(0, table.n_rows, _CHUNK_ROWS):
                 chunk = rows[:table.n_rows - start]
-                for (cells, width, _), stop in zip(columns, stops):
+                for (cells, width), stop in zip(columns, stops):
                     chunk[:, stop - 1 - width:stop - 1] = cells(start, start + _CHUNK_ROWS)
                 handle.write(chunk.tobytes().translate(None, b"\0"))
         os.replace(tmp, path)
@@ -306,17 +300,16 @@ def write_table(table: ResultTable, path: str) -> str:
 
 
 def read_table(path: str) -> ResultTable:
-    """Parse a table written by :func:`write_table` back, losslessly: each
-    column comes back as an int, float or str array."""
+    """Parse a UTF-8 table written by :func:`write_table` back, losslessly:
+    each column comes back as an int, float or str array.  After the header,
+    every line that is not a comment is a row, a blank one included."""
     provenance = {}
     units = {}
     header = None
     rows = []
-    with open(path, "r") as handle:
+    with open(path, "r", encoding="utf-8") as handle:
         for raw in handle:
             line = raw.rstrip("\n")
-            if not line:
-                continue
             if line.startswith("# provenance: "):
                 key, _, value = line[len("# provenance: "):].partition(" = ")
                 provenance[key] = value

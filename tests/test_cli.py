@@ -10,7 +10,7 @@ import pytest
 import qptscale.dicke_exact
 from qptscale import DickeParams, fidelity_exact, fidelity_gaussian, fidelity_scaling
 from qptscale.cli import main, run
-from qptscale.config import RunConfig, config_hash, parse_document
+from qptscale.config import OutputOpts, RunConfig, config_hash, parse_document
 from qptscale.errors import InputError
 from qptscale.lmg import LmgParams, gap
 from qptscale.tables import read_table
@@ -175,6 +175,16 @@ def test_library_run_refuses_a_model_the_table_lacks():
     with pytest.raises(InputError, match="^config error at model: 'bogus' is not one of "
                                          "'dicke', 'lmg'$"):
         run(RunConfig(model="bogus", task="fidelity"))
+
+
+def test_library_run_refuses_a_phases_string(tmp_path):
+    # a RunConfig built directly skips parse_document's rules; the string
+    # must not be read as the one-letter phases 'n', 'o', ...
+    cfg = RunConfig(model="dicke", task="fidelity", etas=(0.1,), scales=(0.01,),
+                    phases="normal", output=OutputOpts(str(tmp_path / "p.csv")))
+    with pytest.raises(InputError, match="^config error at phases: 'normal' is a string"):
+        run(cfg)
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_sweep_ratio_invariance(tmp_path):

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from qptscale import (DomainError, EchoSeries, InputError, SqueezeMap,
+from qptscale import (DomainError, EchoSeries, InputError, NumericError, SqueezeMap,
                       collapse_check, min_echo, mp_scaling, survival_closed)
 from qptscale.dicke import DickeParams, critical_coupling, mode_energies
 from conftest import assert_echo_series
@@ -81,8 +81,22 @@ class TestSurvivalClosed:
             with pytest.raises(InputError, match="finite"):
                 survival_closed(m, 1.0, np.array(grid))
 
+    @pytest.mark.parametrize("r", [19.1, 100.0])
+    def test_squeeze_whose_tanh_rounds_to_one(self, r):
+        # q = tanh r is 1.0 here, but M is formed from sech^2 r: it starts at
+        # 1, and its minimum, at delta1 t = pi / 2, is sech^2 r / (1 + q^2)
+        assert math.tanh(r) == 1.0
+        series = survival_closed(SqueezeMap(r), 1.0, np.array([0.0, math.pi / 2]))
+        assert series.echo.tolist() == [1.0, 1.0 / math.cosh(r) ** 2 / 2.0]
 
-class TestRescaleTime:
+    def test_squeeze_whose_sech4_underflows_is_a_numeric_error(self):
+        # past |r| ~ 177.8 M(0) would be sech^2 r over the root of a
+        # subnormal or zero: inf at r = 200
+        with pytest.raises(NumericError, match="sech\\^4 r underflows at r = 200.0"):
+            survival_closed(SqueezeMap(200.0), 1.0, np.array([0.0, 1.0]))
+
+
+class TestEchoSeriesTauAndPeriod:
     def base(self, omega1=1.0):
         # the omega1 = 1 closed-form echo, labelled with frequency omega1
         t = np.linspace(0.0, 6.0, 61)

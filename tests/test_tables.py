@@ -2,6 +2,9 @@ import math
 from decimal import Decimal
 import os
 import stat
+import subprocess
+import sys
+import textwrap
 
 import numpy as np
 import pytest
@@ -103,13 +106,19 @@ def test_header_text_that_breaks_the_round_trip_rejected(tmp_path, columns, unit
     {"tag": np.array([""])},
     {"tag": np.array(["a", "", "b"])},
     {"": np.array([1, 2])},
-    {},
-], ids=["empty-cell", "empty-array-cell", "empty-name", "no-columns"])
-def test_one_column_table_with_an_empty_line_rejected(tmp_path, columns):
-    # its empty name or cell, or the header of no columns, would be a blank
-    # line, which read_table skips
+], ids=["empty-cell", "empty-array-cell", "empty-name"])
+def test_one_column_table_with_an_empty_line_round_trips(tmp_path, columns):
+    # its empty name or cell is a blank line, which reads back as a row
+    path = tmp_path / "e.csv"
     table = ResultTable(columns=columns, provenance={"k": "v"})
-    with pytest.raises(InputError, match="blank line"):
+    write_table(table, str(path))
+    assert_same_columns(read_table(str(path)).columns, table.columns)
+
+
+def test_table_with_no_column_rejected(tmp_path):
+    # it has no row either
+    table = ResultTable(columns={}, provenance={"k": "v"})
+    with pytest.raises(InputError, match="no row"):
         write_table(table, str(tmp_path / "new" / "e.csv"))
     assert list(tmp_path.iterdir()) == []  # refused before the directory exists
 
@@ -126,12 +135,22 @@ def test_table_with_no_row_rejected(tmp_path):
 @pytest.mark.parametrize("text,match", [
     ("# provenance: k = v\n", "no header"),
     ("a,b\n1,2\n3\n", "row width 1 != header width 2"),
-], ids=["no-header", "ragged-row"])
+    ("a,b\n1,2\n\n3,4\n", "row width 1 != header width 2"),
+], ids=["no-header", "ragged-row", "blank-row"])
 def test_file_without_header_or_with_a_ragged_row_rejected(tmp_path, text, match):
     path = tmp_path / "r.csv"
     path.write_text(text)
     with pytest.raises(InputError, match=match):
         read_table(str(path))
+
+
+def test_comment_lines_other_than_provenance_and_unit_skipped(tmp_path):
+    path = tmp_path / "c.csv"
+    path.write_text("# provenance: k = v\n# a note\na,b\n# unit: a = 1\n#\n1,x\n")
+    back = read_table(str(path))
+    assert_same_columns(back.columns, {"a": np.array([1]), "b": np.array(["x"])})
+    assert back.units == {"a": "1"}
+    assert back.provenance == {"k": "v"}
 
 
 def test_empty_cells_beside_other_columns_round_trip(tmp_path):
@@ -140,6 +159,34 @@ def test_empty_cells_beside_other_columns_round_trip(tmp_path):
                         provenance={"k": "v"})
     write_table(table, str(path))
     assert_same_columns(read_table(str(path)).columns, table.columns)
+
+
+def test_non_ascii_text_round_trips_under_an_ascii_locale(tmp_path):
+    # tables are UTF-8 whatever the locale: in the C locale, with neither
+    # UTF-8 mode nor locale coercion, a text-mode open would use ASCII.  The
+    # probe spells "café" as an escape, since its argv is decoded as ASCII
+    probe = textwrap.dedent("""
+        import codecs, locale, sys
+        import numpy as np
+        from qptscale.tables import ResultTable, read_table, write_table
+        assert codecs.lookup(locale.getpreferredencoding(False)).name == "ascii"
+        for path, columns in zip(sys.argv[1:], [
+                {"tag": np.array(["caf\\u00e9", "tea"]), "th\\u00e9": np.array([1, 2])},
+                {"tag": np.array(["", "caf\\u00e9"])}]):
+            write_table(ResultTable(columns=columns, provenance={"k": "v"}), path)
+            back = read_table(path).columns
+            assert list(back) == list(columns), list(back)
+            assert all(back[name].tolist() == columns[name].tolist() for name in columns)
+    """)
+    paths = [tmp_path / "label.csv", tmp_path / "one-column.csv"]
+    env = dict(os.environ, LC_ALL="C", PYTHONUTF8="0", PYTHONCOERCECLOCALE="0",
+               PYTHONPATH=os.path.abspath(os.path.join(os.path.dirname(__file__), os.pardir,
+                                                       "src")))
+    proc = subprocess.run([sys.executable, "-c", probe, *map(str, paths)], capture_output=True,
+                          text=True, env=env, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    for path in paths:
+        assert "café".encode() in path.read_bytes()
 
 
 def test_failed_rename_removes_the_temp_file(tmp_path, monkeypatch):
