@@ -87,13 +87,13 @@ _MODELS = {
         signs={"normal": -1.0, "super": 1.0},
         params=("lambda1", "lambda2"),
         unit="energy",
-        fidelity=lambda cfg, l1, l2: fidelity_gaussian(_dicke(cfg, l1), _dicke(cfg, l2)),
+        fidelity=lambda cfg, l1, l2: fidelity_gaussian(_dicke(cfg, l1), l2),
         omega1=lambda cfg, l1: mode_energies(_dicke(cfg, l1)).e1,
         echo=lambda cfg, l1, l2, t: echo_exact(_truncated(cfg, cfg.exact.n_atoms, l1), l2, t),
         exact_fidelity=lambda cfg, l1, l2, n: fidelity_exact(_truncated(cfg, n, l1), l2),
         # shared-rotation Gaussian (exact at omega == omega0), not ``fidelity``
-        effective=lambda cfg, l1, l2: fidelity_gaussian(
-            _dicke(cfg, l1), _dicke(cfg, l2), shared_rotation=True),
+        effective=lambda cfg, l1, l2: fidelity_gaussian(_dicke(cfg, l1), l2,
+                                                        shared_rotation=True),
         info=lambda cfg: {"omega": cfg.omega, "omega0": cfg.omega0,
                           "lambda_c": critical_coupling(cfg.omega, cfg.omega0)},
         exact_info=lambda cfg: {"n_atoms": cfg.exact.n_atoms,

@@ -5,7 +5,7 @@ Gaussian ground-state fidelity, and the critical-ratio fidelity law."""
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -119,9 +119,9 @@ def _det2(a: np.ndarray) -> float:
     return float(a[0, 0] * a[1, 1] - a[0, 1] * a[1, 0])
 
 
-def fidelity_gaussian(p1: DickeParams, p2: DickeParams, *,
+def fidelity_gaussian(params: DickeParams, coupling: float, *,
                       shared_rotation: bool = False) -> float:
-    """Two-mode Gaussian ground-state fidelity between two couplings.
+    """Two-mode Gaussian fidelity between ``params`` and the same frequencies at ``coupling``.
 
     Evaluates 2 [det A1 det A2]^{1/4} / det(A1 + A2)^{1/2} with A = U^T M U,
     M = diag(e1, e2).  By default each coupling uses its own mixing angle;
@@ -138,18 +138,16 @@ def fidelity_gaussian(p1: DickeParams, p2: DickeParams, *,
 
     Returns 0.0 when either coupling sits exactly at the critical point.
     """
-    if (p1.omega, p1.omega0) != (p2.omega, p2.omega0):
-        raise InputError("both parameter sets must share omega and omega0")
-    if p1.coupling == p2.coupling:
+    other = replace(params, coupling=coupling)
+    if params.coupling == coupling:
         return 1.0
-    lc = p1.lambda_c
-    if lc in (p1.coupling, p2.coupling):
+    lc = params.lambda_c
+    if lc in (params.coupling, coupling):
         return 0.0
-    if (p1.coupling < lc) != (p2.coupling < lc):
+    if (params.coupling < lc) != (coupling < lc):
         raise CrossPhaseError(
-            f"couplings {p1.coupling} and {p2.coupling} lie in different phases")
-    s1 = mode_energies(p1)
-    s2 = mode_energies(p2)
+            f"couplings {params.coupling} and {coupling} lie in different phases")
+    s1, s2 = mode_energies(params), mode_energies(other)
     if shared_rotation:
         # each mode's width is its frequency
         return (squeeze_fidelity(width_map(s1.e1, s2.e1))

@@ -68,14 +68,13 @@ def build_hamiltonian(system: TruncatedDicke) -> GatherOperator:
     where the boson factor is n + 1 for n -> n + 1 and n for n -> n - 1.
     Both moves change n + m + j by an even number, so the even block
     decouples from the odd one, and below the critical coupling it holds
-    the ground state.
+    the ground state.  Block position = basis index // 2, since n + m + j
+    alternates along each row, and across rows when n_atoms is even.
     """
     na, nb, j = system.n_atoms, system.n_boson, system.j
     width = na + 1
     n, k = np.divmod(np.arange(system.dim), width)
-    in_block = (n + k) % 2 == 0
-    position = np.cumsum(in_block) - 1  # block position of each block state
-    idx = np.flatnonzero(in_block)
+    idx = np.flatnonzero((n + k) % 2 == 0)
     n, k = n[idx], k[idx]
     m = k - j
     diagonal = system.omega * n + system.omega0 * m
@@ -90,7 +89,7 @@ def build_hamiltonian(system: TruncatedDicke) -> GatherOperator:
     amplitudes = np.zeros((len(moves), idx.size))
     for row, (dn, dk, factor) in enumerate(moves):
         ok = (n + dn >= 0) & (n + dn < nb) & (k + dk >= 0) & (k + dk <= na)
-        neighbours[row, ok] = position[idx[ok] + dn * width + dk]
+        neighbours[row, ok] = (idx[ok] + dn * width + dk) // 2
         amplitudes[row, ok] = g * factor[ok]
     return GatherOperator(diagonal, neighbours, amplitudes)
 

@@ -71,7 +71,10 @@ def survival_closed(map: SqueezeMap, delta1: float, t_grid) -> EchoSeries:
     q = map.q
     if not (math.isfinite(delta1) and delta1 >= 0):
         raise InputError("delta1 must be finite and nonnegative")
-    one_minus_q2 = 1.0 / math.cosh(map.r) ** 2
+    try:
+        one_minus_q2 = 1.0 / math.cosh(map.r) ** 2
+    except OverflowError:  # cosh^2 r leaves the floats past |r| ~ 355.6
+        one_minus_q2 = 0.0
     if one_minus_q2**2 < np.finfo(float).tiny:
         raise NumericError(f"sech^4 r underflows at r = {map.r}")
     if delta1 == 0.0 and q != 0.0:
@@ -100,8 +103,7 @@ def min_echo(series: EchoSeries) -> float:
     coef = np.polyfit(x - x[1], y, 2)
     if coef[0] <= 0:
         return float(m[k])
-    vertex = float(coef[2] - coef[1] ** 2 / (4.0 * coef[0]))
-    return vertex
+    return float(coef[2] - coef[1] ** 2 / (4.0 * coef[0]))
 
 
 def mp_scaling(eta: float) -> float:

@@ -33,8 +33,7 @@ def test_criterion_1_fidelity_scaling_law():
             for sign in (-1.0, 1.0):  # normal and super-radiant sides
                 l1 = lc * (1.0 + sign * eta * scale)
                 l2 = lc * (1.0 + sign * scale)
-                got = fidelity_gaussian(DickeParams(1.0, 1.0, l1),
-                                        DickeParams(1.0, 1.0, l2))
+                got = fidelity_gaussian(DickeParams(1.0, 1.0, l1), l2)
                 dev = abs(got - fidelity_scaling(eta))
                 worst[scale] = max(worst[scale], dev)
                 assert dev <= tol

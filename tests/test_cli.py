@@ -108,10 +108,10 @@ def test_converge_effective_reference_is_the_shared_rotation_gaussian(tmp_path, 
                     "--set", 'converge.target="effective"', "--set", "converge.n_list=[8,16]",
                     "--output", str(out)]) == 0
     reference = float(read_table(str(out)).provenance["reference"])
-    p1, p2 = (DickeParams(1.0, omega0, coupling) for coupling in pair)
-    assert reference == pytest.approx(fidelity_gaussian(p1, p2, shared_rotation=True),
+    p1, l2 = DickeParams(1.0, omega0, pair[0]), pair[1]
+    assert reference == pytest.approx(fidelity_gaussian(p1, l2, shared_rotation=True),
                                       abs=1e-15)
-    assert abs(reference - fidelity_gaussian(p1, p2)) > 1e-5
+    assert abs(reference - fidelity_gaussian(p1, l2)) > 1e-5
 
 
 def test_lmg_fidelity_subcommand(tmp_path):

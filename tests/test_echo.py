@@ -95,6 +95,12 @@ class TestSurvivalClosed:
         with pytest.raises(NumericError, match="sech\\^4 r underflows at r = 200.0"):
             survival_closed(SqueezeMap(200.0), 1.0, np.array([0.0, 1.0]))
 
+    @pytest.mark.parametrize("r", [400.0, 700.0])
+    def test_squeeze_whose_cosh_square_overflows_is_a_numeric_error(self, r):
+        # past |r| ~ 355.6 cosh^2 r leaves the floats, so sech^2 r is 0
+        with pytest.raises(NumericError, match=f"sech\\^4 r underflows at r = {r}"):
+            survival_closed(SqueezeMap(r), 1.0, np.array([0.0, 1.0]))
+
 
 class TestEchoSeriesTauAndPeriod:
     def base(self, omega1=1.0):
